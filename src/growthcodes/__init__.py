@@ -43,6 +43,7 @@ from .errors import (
     RangeViolationError,
     ShapeMismatchError,
     UnknownFamilyError,
+    VerificationError,
 )
 from .field import FieldElement, PrimeField, is_prime, make_field
 from .growth import GrowthRecord, growth_table, records_to_csv, records_to_json, sqrt_bracket_check

@@ -1,20 +1,36 @@
 """Exhaustive minimum-weight search engines.
 
-Two exact strategies:
+Message enumeration runs over the code's weighted projective column multiset:
+the distinct nonzero generator columns c, taken up to scalar multiples, each
+with its multiplicity mult(c) (Dodunekov & Simonis, "Codes and projective
+multisets", 1998). A codeword's weight is
 
-* message enumeration walks all q^k - 1 nonzero messages. Over GF(2) the
-  codeword is kept bit-packed and stepped in Gray-code order (one XOR per
-  step, hardware popcount for weights). Other primes run a mixed-radix
-  odometer over the leading message digits while the trailing digits are
-  enumerated as one vectorized batch; zero coordinates of each candidate are
-  counted through packed per-residue bit masks, so the inner loop is all
-  word-level AND + popcount.
+    wt(xG) = sum over c of mult(c) * [x.c != 0],
+
+and scaling x never changes it, so only the (q^k - 1)/(q - 1) messages whose
+leading nonzero digit is 1 are enumerated, each against the D distinct
+columns: the cost is (q^k - 1)/(q - 1) x D, against q^k x n over raw
+coordinates. The construction chain repeats its columns heavily: the seed-4
+member at j = 5 has n = 760320 but D = 1716 over GF(2). The rank checks in
+``code`` run on the same multiset.
+
+* GF(2) keeps the codeword bit-packed and steps the high message digits in
+  Gray-code order (one XOR per step, hardware popcount for weights) against
+  a table of all trailing-digit combinations. Columns are packed by
+  multiplicity class and each word's popcount is weighted by its class; when
+  every column has multiplicity 1 (Reed-Muller codes) the inner loop is a
+  plain popcount.
+* Odd primes step the leading digits with a mixed-radix odometer and
+  compare the remaining digits' table of partial products, one block of
+  trailing-digit combinations at a time: x.c = 0 exactly where the table
+  entry equals -base(c), and the multiplicities of those columns are summed
+  by one matrix-vector product.
 * support enumeration searches codewords by increasing support size against
   the parity-check matrix, exhausting every candidate of weight < w before
   accepting w. Exact, and cheap precisely when the code rate is high (small
   redundancy forces a small minimum distance).
 
-Both engines are deterministic. The message engine may split the message
+All engines are deterministic. The message engines may split the message
 space into disjoint contiguous ranges evaluated concurrently; the minimum is
 independent of the partition count and schedule.
 """
@@ -27,27 +43,32 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, DependentBasisError
 from .linalg import _rref
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 26
 
 # Batch-size caps: trailing-digit combinations per vectorized block, and a
-# memory cap on the transient offsets table.
+# memory cap on the cells (words or columns) of the transient tables.
 _MAX_BATCH = 4096
 _MAX_BATCH_CELLS = 8_000_000
 
-if hasattr(np, "bitwise_count"):
+# Integer column keys are exact while p**k fits in an int64 with room to spare.
+_KEY_LIMIT = 1 << 62
 
-    def _row_popcount(words: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+if hasattr(np, "bitwise_count"):
+    _word_popcount = np.bitwise_count
 
 else:  # numpy < 2.0
     _BYTE_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
-    def _row_popcount(words: np.ndarray) -> np.ndarray:
-        as_bytes = words.view(np.uint8).reshape(words.shape[0], -1)
+    def _word_popcount(words: np.ndarray) -> np.ndarray:
+        as_bytes = words.view(np.uint8).reshape(words.shape + (8,))
         return _BYTE_POP[as_bytes].sum(axis=-1, dtype=np.int64)
+
+
+def _row_popcount(words: np.ndarray) -> np.ndarray:
+    return _word_popcount(words).sum(axis=-1, dtype=np.int64)
 
 
 def _pack_rows(bools: np.ndarray, width_words: int) -> np.ndarray:
@@ -60,6 +81,58 @@ def _pack_rows(bools: np.ndarray, width_words: int) -> np.ndarray:
         bools = tmp
     packed = np.packbits(bools, axis=-1, bitorder="little")
     return np.ascontiguousarray(packed).view(np.uint64)
+
+
+def _distinct_columns(p: int, rows: np.ndarray, weights: np.ndarray | None = None):
+    """The distinct columns of canonical ``rows`` and each one's total weight.
+
+    A column's weight defaults to its number of occurrences. Columns are keyed
+    exactly: by their base-p value while p**k stays below 2**62, otherwise by
+    their bytes.
+    """
+    k = rows.shape[0]
+    integer_keys = p**k < _KEY_LIMIT
+    if integer_keys:
+        keys = np.zeros(rows.shape[1], dtype=np.int64)
+        for row in rows:
+            keys *= p
+            keys += row
+    else:
+        narrow = np.ascontiguousarray(rows.T, dtype=np.min_scalar_type(p - 1))
+        keys = narrow.view(np.dtype((np.void, narrow.strides[0]))).ravel()
+    if weights is None:
+        keys, mult = np.unique(keys, return_counts=True)
+    else:
+        keys, inverse = np.unique(keys, return_inverse=True)
+        mult = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(mult, inverse.ravel(), weights)
+    if integer_keys:
+        cols = np.empty((k, len(keys)), dtype=np.int64)
+        for i in range(k - 1, -1, -1):
+            keys, cols[i] = np.divmod(keys, p)
+    else:
+        cols = np.frombuffer(keys.tobytes(), dtype=narrow.dtype).reshape(-1, k).T.astype(np.int64)
+    return cols, mult.astype(np.int64)
+
+
+def projective_columns(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce a (k, n) generator of canonical residues to ``(cols, mult)``.
+
+    ``cols`` (k, D) holds the distinct nonzero columns, each scaled so that
+    its first nonzero entry is 1, and ``mult`` (D,) how many of the n columns
+    are a nonzero multiple of each. Zero columns are dropped: they add to no
+    codeword's weight and to no rank. The order is deterministic.
+    """
+    cols, mult = _distinct_columns(p, rows)
+    nonzero = cols.any(axis=0)
+    cols, mult = cols[:, nonzero], mult[nonzero]
+    if p > 2:
+        lead = cols[np.argmax(cols != 0, axis=0), np.arange(cols.shape[1])]
+        values, which = np.unique(lead, return_inverse=True)
+        inverses = np.array([pow(int(v), p - 2, p) for v in values], dtype=np.int64)
+        cols = cols * inverses[which.ravel()] % p
+        cols, mult = _distinct_columns(p, cols, mult)
+    return cols, mult
 
 
 def _partition(total: int, parts: int) -> list[tuple[int, int]]:
@@ -77,18 +150,33 @@ def _scan_ranges(scan, ranges, workers, sentinel):
     return min(results, default=sentinel)
 
 
-def _min_weight_gf2(rows: np.ndarray, workers: int) -> int:
-    k, n = rows.shape
-    width = (n + 63) // 64
-    packed = _pack_rows(rows.astype(bool), width)
+def _min_weight_gf2(cols: np.ndarray, mult: np.ndarray, workers: int) -> int:
+    k = cols.shape[0]
+    n = int(mult.sum())
+    classes, sizes = np.unique(mult, return_counts=True)
+    order = np.argsort(mult, kind="stable")
+    class_words = (sizes + 63) // 64
+    blocks, start = [], 0
+    for size, words in zip(sizes.tolist(), class_words.tolist()):
+        blocks.append(_pack_rows(cols[:, order[start : start + size]].astype(bool), words))
+        start += size
+    packed = np.hstack(blocks)
+    width = packed.shape[1]
+    if classes.tolist() == [1]:
+        weigh = _row_popcount
+    else:
+        word_mult = np.repeat(classes, class_words)
+
+        def weigh(words: np.ndarray) -> np.ndarray:
+            return _word_popcount(words) @ word_mult
+
     t = 1
     while t < k and (1 << (t + 1)) <= _MAX_BATCH and (1 << (t + 1)) * width <= _MAX_BATCH_CELLS:
         t += 1
-    batch = 1 << t
-    offsets = np.zeros((batch, width), dtype=np.uint64)
-    for m in range(1, batch):
-        low = (m & -m).bit_length() - 1
-        offsets[m] = offsets[m ^ (1 << low)] ^ packed[k - t + low]
+    # offsets[m] is the XOR of packed[k - t + b] over the set bits b of m.
+    offsets = np.zeros((1, width), dtype=np.uint64)
+    for row in packed[k - t :]:
+        offsets = np.vstack([offsets, offsets ^ row])
     high_total = 1 << (k - t)
 
     def scan(lo: int, hi: int) -> int:
@@ -101,7 +189,7 @@ def _min_weight_gf2(rows: np.ndarray, workers: int) -> int:
         for h in range(lo, hi):
             if h > lo:
                 base = base ^ packed[(h & -h).bit_length() - 1]
-            weights = _row_popcount(base[None, :] ^ offsets)
+            weights = weigh(base[None, :] ^ offsets)
             if h == 0:
                 weights[0] = n + 1
             m = int(weights.min())
@@ -114,79 +202,93 @@ def _min_weight_gf2(rows: np.ndarray, workers: int) -> int:
     return _scan_ranges(scan, _partition(high_total, workers), workers, n + 1)
 
 
-def _min_weight_generic(p: int, rows: np.ndarray, workers: int) -> int:
-    k, n = rows.shape
-    width = (n + 63) // 64
-    t = 1
-    while t < k and p ** (t + 1) <= _MAX_BATCH and p ** (t + 1) * n <= _MAX_BATCH_CELLS:
+def _prefix_ranges(p: int, digits: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """Prefix numbers of the enumeration items lo..hi-1, as contiguous ranges.
+
+    Item 0 is the zero prefix. The items after it are the prefixes whose most
+    significant nonzero digit is 1: the numbers p**g .. 2*p**g - 1 for
+    g = 0 .. digits-1, in increasing order.
+    """
+    ranges = [(0, 1)] if lo == 0 else []
+    start = 1
+    for g in range(digits):
+        size = p**g
+        a, b = max(lo, start), min(hi, start + size)
+        if a < b:
+            ranges.append((size + a - start, size + b - start))
+        start += size
+    return ranges
+
+
+def _min_weight_odd(p: int, cols: np.ndarray, mult: np.ndarray, workers: int) -> int:
+    k, width = cols.shape
+    n = int(mult.sum())
+    floor = int(mult.min())
+    t = 0
+    while t < k - 1 and p ** (t + 1) <= _MAX_BATCH and p ** (t + 1) * width <= _MAX_BATCH_CELLS:
         t += 1
-    batch = p**t
-    offsets = np.zeros((1, n), dtype=np.int64)
-    for d in range(t):
-        row = rows[k - 1 - d]
-        multiples = np.arange(p, dtype=np.int64)[None, :, None] * row[None, None, :]
-        offsets = ((offsets[:, None, :] + multiples) % p).reshape(-1, n)
-    residue_masks = np.stack([_pack_rows(offsets == v, width) for v in range(p)])
-    del offsets
-    high_rows = rows[: k - t]
-    high_total = p ** (k - t)
+    high = k - t
+    # table[m] = sum_d digit_d(m) * cols[high + d] (mod p), digit d worth p**d.
+    table = np.zeros((1, width), dtype=np.int64)
+    for row in cols[high:][::-1]:
+        table = ((table[:, None, :] + np.arange(p)[None, :, None] * row) % p).reshape(-1, width)
+    table = table.astype(np.min_scalar_type(p - 1))
+    # With a zero prefix, only trailing parts whose most significant nonzero
+    # digit is 1 are enumerated: one per scalar class.
+    head = table[[m for g in range(t) for m in range(p**g, 2 * p**g)]]
+    dtype = np.float32 if n < 1 << 24 else np.float64  # exact integer sums
+    weights = mult.astype(dtype)
+    high_rows = cols[:high]
+
+    def lightest(block: np.ndarray, base: np.ndarray) -> int:
+        if len(block) == 0:
+            return n + 1
+        target = ((p - base) % p).astype(block.dtype)
+        return n - int(((block == target).astype(dtype) @ weights).max())
 
     def scan(lo: int, hi: int) -> int:
-        digits = np.zeros(k - t, dtype=np.int64)
-        rem = lo
-        for i in range(k - t):
-            digits[i] = rem % p
-            rem //= p
-        base = (digits @ high_rows) % p if k > t else np.zeros(n, dtype=np.int64)
         best = n + 1
-        for h in range(lo, hi):
-            if h > lo:
-                i = 0
-                while True:
-                    base += high_rows[i]
-                    np.subtract(base, p, out=base, where=base >= p)
-                    digits[i] += 1
-                    if digits[i] < p:
-                        break
-                    digits[i] = 0
-                    i += 1
-            target = (p - base) % p
-            present = np.bincount(target, minlength=p)
-            zero_counts = np.zeros(batch, dtype=np.int64)
-            for v in range(p):
-                if present[v] == 0:
-                    continue
-                mask = _pack_rows((target == v)[None, :], width)[0]
-                zero_counts += _row_popcount(residue_masks[v] & mask[None, :])
-            weights = n - zero_counts
-            if h == 0:
-                weights[0] = n + 1
-            m = int(weights.min())
-            if m < best:
-                best = m
-                if best == 1:
-                    break
+        for first, last in _prefix_ranges(p, high, lo, hi):
+            digits = np.array([first // p**i % p for i in range(high)], dtype=np.int64)
+            base = digits @ high_rows % p
+            for number in range(first, last):
+                if number > first:
+                    i = 0
+                    while True:
+                        base += high_rows[i]
+                        np.subtract(base, p, out=base, where=base >= p)
+                        digits[i] += 1
+                        if digits[i] < p:
+                            break
+                        digits[i] = 0
+                        i += 1
+                best = min(best, lightest(table if number else head, base))
+                if best == floor:
+                    return best
         return best
 
-    return _scan_ranges(scan, _partition(high_total, workers), workers, n + 1)
+    items = 1 + (p**high - 1) // (p - 1)
+    return _scan_ranges(scan, _partition(items, workers), workers, n + 1)
 
 
-def min_weight_enumeration(p: int, rows: np.ndarray, *, workers: int = 1) -> int:
+def min_weight_enumeration(p: int, cols: np.ndarray, mult: np.ndarray, *, workers: int = 1) -> int:
     """Exact minimum nonzero-codeword weight by full message enumeration.
 
-    ``rows`` is the (k, n) generator with canonical residues; the caller is
-    responsible for checking p**k against the enumeration budget.
+    ``(cols, mult)`` is the code's projective column multiset (see
+    projective_columns); the caller is responsible for checking p**k against
+    the enumeration budget.
     """
     if p == 2:
-        return _min_weight_gf2(rows, workers)
-    return _min_weight_generic(p, rows, workers)
+        return _min_weight_gf2(cols, mult, workers)
+    return _min_weight_odd(p, cols, mult, workers)
 
 
 def parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
     """An (n-k) x n matrix whose kernel is the row space of ``rows``."""
     k, n = rows.shape
     reduced, pivots = _rref(rows, p)
-    assert len(pivots) == k, "parity check requires a full-rank generator"
+    if len(pivots) != k:
+        raise DependentBasisError(f"parity check needs a full-rank generator, rank is {len(pivots)} of {k}")
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
     check = np.zeros((n - k, n), dtype=np.int64)

@@ -1,8 +1,9 @@
 """Command-line front end: build codes, verify parameters, apply the
 construction, and export growth tables.
 
-Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage, I/O
-or budget errors. All data outputs are deterministic; timing lives only in
+Exit codes: 0 all checks pass, 1 a mathematical check failed (a report row,
+or a search result contradicting a proven bound), 2 usage, I/O, budget or
+internal errors. All data outputs are deterministic; timing lives only in
 the report field and never inside data files. The enumeration budget can be
 overridden with the GROWTHCODES_BUDGET environment variable.
 """
@@ -14,6 +15,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from . import __version__
 from .code import (
@@ -25,14 +27,15 @@ from .code import (
     singleton_check,
     write_generator_file,
 )
-from .construct import check_bounded, iterate, predict_params
-from .errors import GrowthCodesError
+from .construct import check_bounded, iterate_code, predict_params
+from .errors import GrowthCodesError, VerificationError
 from .field import make_field
-from .growth import FAMILIES, growth_table, records_to_csv, records_to_json
+from .growth import FAMILIES, exact_integer_text, growth_table, records_to_csv, records_to_json
 from .linalg import FieldMatrix
 from .reedmuller import rm_generator
 from .seeds import build_seed_matrices, family_code, seed_code, series_code
 
+CHECK_FAILED = 1
 USAGE_ERROR = 2
 
 
@@ -89,6 +92,12 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2))
 
 
+def _write_payload(path, payload: dict) -> None:
+    with exact_integer_text(), open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def cmd_seed_matrix(args) -> int:
     field = make_field(args.field)
     matrices = build_seed_matrices(field, args.i)
@@ -119,9 +128,7 @@ def cmd_build(args) -> int:
                 "materializable": False,
                 "params": _params_dict(built.n, built.k, built.d, built.u),
             }
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+            _write_payload(args.out, payload)
         return 0
     if args.family == "series":
         if args.i is None:
@@ -148,9 +155,7 @@ def cmd_build(args) -> int:
                     "den": member.declared_kd_over_n.denominator,
                 },
             }
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+            _write_payload(args.out, payload)
         return 0
     # rm
     if args.m is None or args.r is None:
@@ -282,8 +287,7 @@ def cmd_construct(args) -> int:
     started = time.perf_counter()
     budget = _enumeration_budget()
     code = read_generator_file(args.infile)
-    vectors = iterate(list(code.basis), args.steps)
-    out_code = new_code(code.field, vectors)
+    out_code = iterate_code(code, args.steps)
     write_generator_file(out_code, args.out)
 
     notes: list[str] = []
@@ -394,11 +398,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except VerificationError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return CHECK_FAILED
     except GrowthCodesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except Exception:
+        # Exit 1 means a mathematical check failed; a crash must not look like one.
+        traceback.print_exc()
+        print("internal error: see the traceback above", file=sys.stderr)
         return USAGE_ERROR
 
 

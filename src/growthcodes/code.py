@@ -20,6 +20,7 @@ from .errors import (
     FieldMismatchError,
     GeneratorFormatError,
     LengthMismatchError,
+    VerificationError,
 )
 from .field import PrimeField, make_field
 from .linalg import FieldMatrix, FieldVector, _rref
@@ -53,16 +54,21 @@ class LinearCode:
     it is written once and never holds a merely predicted value.
     """
 
-    __slots__ = ("field", "_rows", "n", "k", "_d")
+    __slots__ = ("field", "_rows", "n", "k", "_d", "_multiset")
 
     def __init__(self, field: PrimeField, rows: np.ndarray):
-        rows = rows.astype(np.int64, copy=True) % field.p
+        rows = np.array(rows, dtype=np.int64)
+        # An int64 modulo over a materialized chain member costs more than
+        # the two range checks, and most callers pass canonical residues.
+        if rows.size and (rows.min() < 0 or rows.max() >= field.p):
+            rows %= field.p
         rows.flags.writeable = False
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "k", int(rows.shape[0]))
         object.__setattr__(self, "n", int(rows.shape[1]))
         object.__setattr__(self, "_d", None)
+        object.__setattr__(self, "_multiset", None)
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"LinearCode is immutable ({name})")
@@ -79,8 +85,18 @@ class LinearCode:
     def generator(self) -> FieldMatrix:
         return FieldMatrix(self.field, self._rows)
 
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The weighted projective column multiset ``(cols, mult)``, computed
+        once; see _engine.projective_columns."""
+        if self._multiset is None:
+            cols, mult = _engine.projective_columns(self.field.p, self._rows)
+            cols.flags.writeable = mult.flags.writeable = False
+            object.__setattr__(self, "_multiset", (cols, mult))
+        return self._multiset
+
     def basis_weights(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in np.count_nonzero(self._rows, axis=1))
+        cols, mult = self._columns()
+        return tuple(int(w) for w in (cols != 0).astype(np.int64) @ mult)
 
     def params(self, u: int | None = None) -> CodeParams:
         if self._d is None:
@@ -88,10 +104,13 @@ class LinearCode:
         return CodeParams(self.n, self.k, self._d, u)
 
     def _record_distance(self, d: int) -> None:
-        assert 1 <= d <= self.n - self.k + 1, f"distance {d} violates the Singleton bound"
-        assert all(d <= w for w in self.basis_weights()), "distance exceeds a basis weight"
+        if not 1 <= d <= self.n - self.k + 1:
+            raise VerificationError(f"distance {d} violates the Singleton bound of {self!r}")
+        if any(d > w for w in self.basis_weights()):
+            raise VerificationError(f"distance {d} exceeds a basis weight of {self!r}")
         if self._d is not None:
-            assert self._d == d, "conflicting verified distances"
+            if self._d != d:
+                raise VerificationError(f"conflicting verified distances {self._d} and {d}")
             return
         object.__setattr__(self, "_d", d)
 
@@ -116,14 +135,23 @@ def new_code(field: PrimeField, basis: Sequence[FieldVector] | FieldMatrix) -> L
             if len(v) != width:
                 raise LengthMismatchError("basis vectors have unequal lengths")
         rows = np.stack([v.entries for v in basis])
+    return _checked_code(field, rows)
+
+
+def _checked_code(field: PrimeField, rows: np.ndarray) -> LinearCode:
+    """Wrap ``rows`` as a LinearCode after checking that they are independent.
+
+    The rank is taken over the distinct projective columns, which the
+    distance search then reuses: dropping zero, repeated and scalar-multiple
+    columns leaves the column rank unchanged, so the check stays exact.
+    """
     if rows.shape[0] == 0 or rows.shape[1] == 0:
         raise DependentBasisError("empty basis")
-    _, pivots = _rref(rows, field.p)
-    if len(pivots) < rows.shape[0]:
-        raise DependentBasisError(
-            f"basis has rank {len(pivots)} but {rows.shape[0]} vectors"
-        )
-    return LinearCode(field, rows)
+    code = LinearCode(field, rows)
+    rank = len(_rref(code._columns()[0], field.p)[1])
+    if rank < code.k:
+        raise DependentBasisError(f"basis has rank {rank} but {code.k} vectors")
+    return code
 
 
 def min_distance_exhaustive(
@@ -132,10 +160,12 @@ def min_distance_exhaustive(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     workers: int = 1,
 ) -> int:
-    """Exact minimum distance by enumerating all q^k - 1 nonzero codewords.
+    """Exact minimum distance by enumerating the nonzero codewords.
 
-    Raises BudgetExceededError (carrying the required codeword count) when
-    q^k exceeds the budget, so callers can fall back to formula-level checks.
+    The engine visits one message per scalar class, (q^k - 1)/(q - 1) of
+    them, against the code's distinct projective columns. The budget still
+    counts q^k: BudgetExceededError (carrying that count) is raised when q^k
+    exceeds it, so callers can fall back to formula-level checks.
     """
     if code.d is not None:
         return code.d
@@ -146,7 +176,7 @@ def min_distance_exhaustive(
             required=total,
             budget=budget,
         )
-    d = _engine.min_weight_enumeration(code.field.p, code._rows, workers=workers)
+    d = _engine.min_weight_enumeration(code.field.p, *code._columns(), workers=workers)
     code._record_distance(d)
     return d
 

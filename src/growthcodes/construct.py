@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .code import DEFAULT_ENUMERATION_BUDGET, LinearCode, min_distance_exhaustive, new_code
+from .code import DEFAULT_ENUMERATION_BUDGET, LinearCode, _checked_code, min_distance_exhaustive
 from .errors import BudgetExceededError, DependentBasisError, NotBoundedError
-from .linalg import FieldVector, _rref
+from .linalg import FieldVector
 
 MATERIALIZATION_BUDGET = 10**6  # coordinates per basis vector
 
@@ -82,8 +82,8 @@ def check_bounded(
         raise ValueError("u must be a positive integer")
     weights = code.basis_weights()
     d = min_distance_exhaustive(code, budget=budget, workers=workers)
-    total = code._rows.sum(axis=0) % code.field.p
-    sum_weight = int(np.count_nonzero(total))
+    cols, mult = code._columns()
+    sum_weight = int(mult[cols.sum(axis=0) % code.field.p != 0].sum())
     return BoundednessReport(
         u=u,
         cond_weights_ok=all(w == u for w in weights),
@@ -105,6 +105,12 @@ def _step_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _step_code(code: LinearCode) -> LinearCode:
+    """One construction step on a code's rows, its output checked for
+    independence; a failure there would be an implementation bug."""
+    return _checked_code(code.field, _step_rows(code._rows))
+
+
 def construction_step(basis: Sequence[FieldVector]) -> list[FieldVector]:
     """One construction step on an ordered basis.
 
@@ -117,11 +123,34 @@ def construction_step(basis: Sequence[FieldVector]) -> list[FieldVector]:
         raise DependentBasisError("empty basis")
     field = basis[0].field
     rows = np.stack([v.entries for v in basis])
-    out = _step_rows(rows)
-    _, pivots = _rref(out, field.p)
-    if len(pivots) != out.shape[0]:
-        raise DependentBasisError("construction step produced dependent vectors (bug)")
-    return [FieldVector(field, out[i]) for i in range(out.shape[0])]
+    return list(_step_code(LinearCode(field, rows)).basis)
+
+
+def iterate_code(
+    code: LinearCode,
+    steps: int,
+    *,
+    max_coordinates: int = MATERIALIZATION_BUDGET,
+) -> LinearCode:
+    """Apply the construction ``steps`` times; steps=0 returns the input.
+
+    Raises BudgetExceededError before any work when the final length would
+    exceed ``max_coordinates``. Every step's output is checked for
+    independence.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    final_length = code.n * math.prod(range(code.k + 1, code.k + steps + 1))
+    if final_length > max_coordinates:
+        raise BudgetExceededError(
+            f"iterating {steps} steps needs vectors of length {final_length}, "
+            f"budget is {max_coordinates}",
+            required=final_length,
+            budget=max_coordinates,
+        )
+    for _ in range(steps):
+        code = _step_code(code)
+    return code
 
 
 def iterate(
@@ -131,23 +160,10 @@ def iterate(
     max_coordinates: int = MATERIALIZATION_BUDGET,
 ) -> list[FieldVector]:
     """Apply the construction ``steps`` times; steps=0 returns the input."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
     if not basis:
         raise DependentBasisError("empty basis")
-    k, n = len(basis), len(basis[0])
-    final_length = n * math.prod(range(k + 1, k + steps + 1))
-    if final_length > max_coordinates:
-        raise BudgetExceededError(
-            f"iterating {steps} steps needs vectors of length {final_length}, "
-            f"budget is {max_coordinates}",
-            required=final_length,
-            budget=max_coordinates,
-        )
-    current = list(basis)
-    for _ in range(steps):
-        current = construction_step(current)
-    return current
+    code = LinearCode(basis[0].field, np.stack([v.entries for v in basis]))
+    return list(iterate_code(code, steps, max_coordinates=max_coordinates).basis)
 
 
 def predict_params(n: int, k: int, d: int, u: int, steps: int) -> ChainParams:

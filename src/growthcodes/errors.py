@@ -49,6 +49,14 @@ class UnknownFamilyError(GrowthCodesError, ValueError):
     """Unrecognized code-family tag."""
 
 
+class VerificationError(GrowthCodesError):
+    """A search result contradicts a bound or formula it must satisfy.
+
+    Raised in place of a silent wrong answer: a distance that breaks the
+    Singleton bound, exceeds a basis weight or disagrees with a proven value.
+    """
+
+
 class BudgetExceededError(GrowthCodesError):
     """Requested computation exceeds the configured budget.
 

@@ -9,9 +9,11 @@ byte-identical across runs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -22,7 +24,7 @@ from .code import (
     direct_sum,
     repetition,
 )
-from .errors import UnknownFamilyError
+from .errors import UnknownFamilyError, VerificationError
 from .field import PrimeField, make_field
 from .reedmuller import rm_generator, rm_params, rm_third_series
 from .seeds import family_code, family_params, max_family_steps, series_code, series_params
@@ -62,6 +64,11 @@ def sqrt_bracket_check(i_max: int) -> list[tuple[int, bool]]:
     return out
 
 
+def _check_formula(searched: int, formula: int, what: str) -> None:
+    if searched != formula:
+        raise VerificationError(f"{what}: verified distance {searched} disagrees with the formula {formula}")
+
+
 def _try_verify(code: LinearCode, workers: int) -> int | None:
     if code.field.p**code.k > VERIFY_MESSAGE_CAP or code.n > VERIFY_LENGTH_CAP:
         return None
@@ -75,7 +82,7 @@ def _seed_series_record(i: int, verify_field: PrimeField | None, workers: int) -
     if verify_field is not None and member.params.n <= VERIFY_LENGTH_CAP:
         built = series_code(verify_field, i, enumeration_budget=VERIFY_MESSAGE_CAP, workers=workers)
         if built.code is not None and built.code.d is not None:
-            assert built.code.d == d, "verified distance disagrees with the formula"
+            _check_formula(built.code.d, d, f"seed-series member {i}")
             verified = True
     bracket = (2 * i + 1) ** 2 > member.params.k and member.params.k > (2 * i) ** 2
     return GrowthRecord(
@@ -108,7 +115,7 @@ def _seed_family_record(seed_index: int, j: int, verify_field: PrimeField | None
     ):
         built = family_code(verify_field, seed_index, j, enumeration_budget=VERIFY_MESSAGE_CAP, workers=workers)
         if isinstance(built, LinearCode) and built.d is not None:
-            assert built.d == params.d, "verified distance disagrees with the formula"
+            _check_formula(built.d, params.d, f"seed-family member ({seed_index}, {j})")
             verified = True
     return GrowthRecord(
         family="seed-family",
@@ -131,7 +138,7 @@ def _rm_diagonal_record(r: int, verify: bool, workers: int) -> GrowthRecord:
         code = rm_generator(m, r)
         d = _try_verify(code, workers)
         if d is not None:
-            assert d == params.d, "verified distance disagrees with the formula"
+            _check_formula(d, params.d, f"RM({m},{r})")
             verified = True
     return GrowthRecord(
         family="rm-diagonal",
@@ -250,26 +257,45 @@ def _extra_keys(records: list[GrowthRecord]) -> tuple[str, ...]:
     return keys
 
 
+@contextlib.contextmanager
+def exact_integer_text():
+    """Render integers of any size as decimal text inside the block.
+
+    Python refuses int-to-str conversion past 4300 digits by default; the
+    exact parameters of the headline series pass that at index 20. The
+    limit is restored on exit.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def records_to_csv(records: list[GrowthRecord]) -> str:
     """Deterministic CSV: base columns then family-specific extras."""
     extra_keys = _extra_keys(records)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(BASE_COLUMNS) + list(extra_keys))
-    for record in records:
-        cells = _row_cells(record, extra_keys)
-        row = []
-        for key in list(BASE_COLUMNS) + list(extra_keys):
-            value = cells[key]
-            if value is None:
-                row.append("")
-            elif isinstance(value, bool):
-                row.append("true" if value else "false")
-            elif isinstance(value, float):
-                row.append(repr(value))
-            else:
-                row.append(str(value))
-        writer.writerow(row)
+    with exact_integer_text():
+        for record in records:
+            cells = _row_cells(record, extra_keys)
+            row = []
+            for key in list(BASE_COLUMNS) + list(extra_keys):
+                value = cells[key]
+                if value is None:
+                    row.append("")
+                elif isinstance(value, bool):
+                    row.append("true" if value else "false")
+                elif isinstance(value, float):
+                    row.append(repr(value))
+                else:
+                    row.append(str(value))
+            writer.writerow(row)
     return buf.getvalue()
 
 
@@ -277,4 +303,5 @@ def records_to_json(records: list[GrowthRecord]) -> str:
     """Deterministic JSON: an array of flat objects mirroring the CSV."""
     extra_keys = _extra_keys(records)
     rows = [_row_cells(record, extra_keys) for record in records]
-    return json.dumps(rows, indent=2) + "\n"
+    with exact_integer_text():
+        return json.dumps(rows, indent=2) + "\n"

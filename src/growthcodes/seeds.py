@@ -23,8 +23,8 @@ from .code import (
     min_distance_exhaustive,
     new_code,
 )
-from .construct import MATERIALIZATION_BUDGET, iterate
-from .errors import BudgetExceededError, RangeViolationError
+from .construct import MATERIALIZATION_BUDGET, iterate_code
+from .errors import BudgetExceededError, RangeViolationError, VerificationError
 from .field import PrimeField
 from .linalg import FieldMatrix
 
@@ -83,8 +83,7 @@ def seed_code(
     (the inequality condition fails); the bounded family starts at index 2.
     """
     matrices = build_seed_matrices(field, index)
-    basis = [matrices.a.column(j) for j in range(2 * index - 1)]
-    code = new_code(field, basis)
+    code = new_code(field, FieldMatrix(field, matrices.a.array[:, : 2 * index - 1].T))
     if verify and field.p ** code.k <= budget:
         min_distance_exhaustive(code, budget=budget, workers=workers)
     return code
@@ -144,8 +143,7 @@ def family_code(
     if params.n > materialization_budget:
         return params
     base = seed_code(field, index, verify=False)
-    vectors = iterate(list(base.basis), steps, max_coordinates=materialization_budget)
-    code = new_code(field, vectors)
+    code = iterate_code(base, steps, max_coordinates=materialization_budget)
     if verify and field.p ** code.k <= enumeration_budget:
         min_distance_exhaustive(code, budget=enumeration_budget, workers=workers)
     return code
@@ -189,7 +187,8 @@ def series_params(index: int) -> SeriesMember:
     resolved = series_resolved_steps(index)
     declared = series_declared_steps(index)
     params = family_params(index + 1, resolved)
-    assert params.k == 4 * index * (index + 1)
+    if params.k != 4 * index * (index + 1):
+        raise VerificationError(f"series member {index} has k = {params.k}, expected 4i(i+1)")
     declared_k = 2 * (index + 1) - 1 + declared
     return SeriesMember(
         index=index,

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -6,6 +8,10 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+
+from growthcodes import VerificationError, cli
+from growthcodes.growth import exact_integer_text
+from growthcodes.seeds import series_params
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -152,6 +158,37 @@ def test_growth_seed_series_matches_golden(tmp_path):
         == 0
     )
     assert out.read_bytes() == (GOLDEN / "seed_series_5.csv").read_bytes()
+
+
+def test_growth_and_build_past_the_int_str_digit_limit(tmp_path):
+    # Member 20 of the headline series has parameters of more than 4300 digits.
+    member = series_params(20)
+    table = tmp_path / "series20.csv"
+    proc = run_cli("growth", "--family", "seed-series", "--max-index", "20", "--out", str(table))
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(io.StringIO(table.read_text())))
+    assert [r["index"] for r in rows] == [str(i) for i in range(1, 21)]
+    payload = tmp_path / "series20.json"
+    proc = run_cli("build", "--family", "series", "--i", "20", "--out", str(payload))
+    assert proc.returncode == 0, proc.stderr
+    with exact_integer_text():
+        assert len(str(member.params.n)) > 4300
+        assert (rows[-1]["n"], rows[-1]["d"]) == (str(member.params.n), str(member.params.d))
+        params = json.loads(payload.read_text())["params"]
+    assert (params["n"], params["k"], params["d"]) == (member.params.n, member.params.k, member.params.d)
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [(RuntimeError("boom"), 2), (VerificationError("formula disagrees"), 1)],
+)
+def test_main_maps_errors_to_exit_codes(monkeypatch, capsys, error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "growth_table", fail)
+    assert cli.main(["growth", "--family", "rm-third", "--max-index", "2"]) == code
+    assert str(error) in capsys.readouterr().err
 
 
 def test_growth_rm_diagonal_matches_golden(tmp_path):

@@ -1,7 +1,11 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from growthcodes import (
     BudgetExceededError,
@@ -12,6 +16,7 @@ from growthcodes import (
     GeneratorFormatError,
     LengthMismatchError,
     LinearCode,
+    VerificationError,
     direct_sum,
     format_generator,
     make_field,
@@ -23,6 +28,7 @@ from growthcodes import (
     repetition,
     singleton_check,
 )
+from growthcodes.reedmuller import rm_generator
 from growthcodes.seeds import build_seed_matrices, family_code, seed_code
 
 from conftest import lex_min_distance, random_small_codes
@@ -30,10 +36,22 @@ from conftest import lex_min_distance, random_small_codes
 F2 = make_field(2)
 F3 = make_field(3)
 F5 = make_field(5)
+F7 = make_field(7)
 
 
 def _code(field, rows) -> LinearCode:
     return new_code(field, FieldMatrix(field, rows))
+
+
+def _repeated_columns(rng: np.random.Generator, p: int, distinct: np.ndarray) -> np.ndarray:
+    """The columns of ``distinct`` plus repeats of them, nonzero scalar
+    multiples of them and zero columns, in a shuffled order."""
+    k, m = distinct.shape
+    picks = rng.integers(0, m, size=int(rng.integers(1, 3 * m + 1)))
+    scaled = distinct[:, picks] * rng.integers(1, p, size=len(picks)) % p
+    zeros = np.zeros((k, int(rng.integers(0, 3))), dtype=np.int64)
+    rows = np.hstack([distinct, scaled, zeros])
+    return rows[:, rng.permutation(rows.shape[1])]
 
 
 def test_new_code_examples():
@@ -47,6 +65,55 @@ def test_new_code_examples():
 def test_new_code_rejects_dependent_basis():
     with pytest.raises(DependentBasisError):
         new_code(F2, [FieldVector(F2, [1, 0]), FieldVector(F2, [1, 0])])
+
+
+def test_new_code_accepts_reed_muller_generators_past_int64_column_keys():
+    for m, r, k in ((7, 5, 120), (8, 6, 247)):
+        code = rm_generator(m, r)
+        assert (code.n, code.k) == (2**m, k)
+        assert 2**k >= 2**63
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 5), (7, 3), (3, 45)])
+def test_new_code_finds_dependency_hidden_among_repeated_columns(p, k):
+    # k = 45 over GF(3) keys columns by their bytes (3^45 > 2^62)
+    rng = np.random.default_rng(100 * p + k)
+    field = make_field(p)
+    distinct = np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, p, size=(k, 3))])
+    rows = _repeated_columns(rng, p, distinct)
+    assert _code(field, rows).k == k
+    rows[-1] = (rows[0] + rows[1]) % p
+    with pytest.raises(DependentBasisError):
+        _code(field, rows)
+
+
+def test_record_distance_refuses_impossible_distances():
+    code = _code(F2, [[1, 1, 0, 0, 0], [0, 0, 1, 1, 1]])  # [5, 2, 2], basis weights (2, 3)
+    with pytest.raises(VerificationError):
+        code._record_distance(5)  # Singleton bound n - k + 1 = 4
+    with pytest.raises(VerificationError):
+        code._record_distance(3)  # exceeds the weight-2 basis vector
+    code._record_distance(2)
+    with pytest.raises(VerificationError):
+        code._record_distance(1)
+    assert code.d == 2
+
+
+def test_record_distance_guards_hold_under_optimize():
+    script = "\n".join(
+        [
+            "from growthcodes import FieldMatrix, VerificationError, make_field, new_code",
+            "f = make_field(2)",
+            "code = new_code(f, FieldMatrix(f, [[1, 1, 0], [0, 1, 1]]))",
+            "try:",
+            "    code._record_distance(3)",
+            "except VerificationError:",
+            "    print('refused', code.d)",
+        ]
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "refused None"
 
 
 def test_new_code_rejects_unequal_lengths():
@@ -101,11 +168,33 @@ def test_partitioned_search_matches_serial():
     cases = random_small_codes(seed=3303, count=12)
     cases.append(seed_code(F5, 2, verify=False))
     cases.append(family_code(F5, 2, 2, verify=False))  # 5^5 messages, length 80
+    cases.append(family_code(F7, 2, 3, verify=False))  # 7^6 messages, length 480
     for code in cases:
         serial = min_distance_exhaustive(LinearCode(code.field, code.generator.array), workers=1)
         for workers in (2, 8):
             fresh = LinearCode(code.field, code.generator.array)
             assert min_distance_exhaustive(fresh, workers=workers) == serial
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5, 7, 11)),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_engine_matches_oracle_on_repeated_scaled_and_zero_columns(p, k, seed):
+    # The lexicographic oracle materializes every codeword, so q^k is capped.
+    assume(p**k <= 1 << 15)
+    rng = np.random.default_rng(seed)
+    field = make_field(p)
+    distinct = rng.integers(0, p, size=(k, k + int(rng.integers(1, 5))), dtype=np.int64)
+    rows = _repeated_columns(rng, p, distinct)
+    try:
+        want = lex_min_distance(_code(field, rows))
+    except DependentBasisError:
+        assume(False)
+    for workers in (1, 2):
+        assert min_distance_exhaustive(LinearCode(field, rows), workers=workers) == want
 
 
 def test_engine_matches_oracle_on_wider_prime_fields():

@@ -4,6 +4,7 @@ import pytest
 
 from growthcodes import (
     BudgetExceededError,
+    DependentBasisError,
     FieldMatrix,
     FieldVector,
     NotBoundedError,
@@ -17,7 +18,8 @@ from growthcodes import (
     predict_params,
     weight,
 )
-from growthcodes.seeds import seed_code
+from growthcodes import construct
+from growthcodes.seeds import family_code, seed_code
 
 from conftest import random_small_codes
 
@@ -65,6 +67,24 @@ def test_construction_step_weight_identity_on_random_codes():
         total = sum(code.basis_weights())
         for v in construction_step(list(code.basis)):
             assert weight(v) == total
+
+
+def test_construction_step_rejects_dependent_output(monkeypatch):
+    real = construct._step_rows
+
+    def dependent_rows(rows):
+        out = real(rows)
+        out[-1] = (out[0] + out[1]) % 3
+        return out
+
+    monkeypatch.setattr(construct, "_step_rows", dependent_rows)
+    basis = list(seed_code(F3, 2).basis)
+    with pytest.raises(DependentBasisError):
+        construction_step(basis)
+    with pytest.raises(DependentBasisError):
+        iterate(basis, 2)
+    with pytest.raises(DependentBasisError):
+        family_code(F3, 2, 1, verify=False)
 
 
 def test_iterate_zero_steps_returns_input():
