@@ -35,6 +35,7 @@ from .errors import (
     DependentBasisError,
     DivisionByZeroError,
     FieldMismatchError,
+    FieldTooLargeError,
     GeneratorFormatError,
     GrowthCodesError,
     LengthMismatchError,

@@ -30,23 +30,20 @@ member at j = 5 has n = 760320 but D = 1716 over GF(2). The rank checks in
   accepting w. Exact, and cheap precisely when the code rate is high (small
   redundancy forces a small minimum distance).
 
-All engines are deterministic. The message engines may split the message
-space into disjoint contiguous ranges evaluated concurrently; the minimum is
-independent of the partition count and schedule.
+All engines are deterministic and run serially: on every benchmarked input a
+thread pool over message ranges was slower than one scan (two threads took
+twice the serial time on the GF(7) chain members).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import BudgetExceededError, DependentBasisError
 from .linalg import _rref
-
-DEFAULT_ENUMERATION_BUDGET = 1 << 26
 
 # Batch-size caps: trailing-digit combinations per vectorized block, and a
 # memory cap on the cells (words or columns) of the transient tables.
@@ -135,22 +132,7 @@ def projective_columns(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return cols, mult
 
 
-def _partition(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, parts)
-    bounds = [total * i // parts for i in range(parts + 1)]
-    return [(bounds[i], bounds[i + 1]) for i in range(parts) if bounds[i] < bounds[i + 1]]
-
-
-def _scan_ranges(scan, ranges, workers, sentinel):
-    if len(ranges) <= 1 or workers <= 1:
-        results = [scan(lo, hi) for lo, hi in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda r: scan(*r), ranges))
-    return min(results, default=sentinel)
-
-
-def _min_weight_gf2(cols: np.ndarray, mult: np.ndarray, workers: int) -> int:
+def _min_weight_gf2(cols: np.ndarray, mult: np.ndarray) -> int:
     k = cols.shape[0]
     n = int(mult.sum())
     classes, sizes = np.unique(mult, return_counts=True)
@@ -177,50 +159,25 @@ def _min_weight_gf2(cols: np.ndarray, mult: np.ndarray, workers: int) -> int:
     offsets = np.zeros((1, width), dtype=np.uint64)
     for row in packed[k - t :]:
         offsets = np.vstack([offsets, offsets ^ row])
-    high_total = 1 << (k - t)
-
-    def scan(lo: int, hi: int) -> int:
-        gray = lo ^ (lo >> 1)
-        base = np.zeros(width, dtype=np.uint64)
-        for b in range(k - t):
-            if (gray >> b) & 1:
-                base ^= packed[b]
-        best = n + 1
-        for h in range(lo, hi):
-            if h > lo:
-                base = base ^ packed[(h & -h).bit_length() - 1]
-            weights = weigh(base[None, :] ^ offsets)
-            if h == 0:
-                weights[0] = n + 1
-            m = int(weights.min())
-            if m < best:
-                best = m
-                if best == 1:
-                    break
-        return best
-
-    return _scan_ranges(scan, _partition(high_total, workers), workers, n + 1)
+    # High digits in Gray-code order: message h differs from message h - 1
+    # in the row of h's lowest set bit.
+    base = np.zeros(width, dtype=np.uint64)
+    best = n + 1
+    for h in range(1 << (k - t)):
+        if h:
+            base = base ^ packed[(h & -h).bit_length() - 1]
+        weights = weigh(base[None, :] ^ offsets)
+        if h == 0:
+            weights[0] = n + 1
+        m = int(weights.min())
+        if m < best:
+            best = m
+            if best == 1:
+                break
+    return best
 
 
-def _prefix_ranges(p: int, digits: int, lo: int, hi: int) -> list[tuple[int, int]]:
-    """Prefix numbers of the enumeration items lo..hi-1, as contiguous ranges.
-
-    Item 0 is the zero prefix. The items after it are the prefixes whose most
-    significant nonzero digit is 1: the numbers p**g .. 2*p**g - 1 for
-    g = 0 .. digits-1, in increasing order.
-    """
-    ranges = [(0, 1)] if lo == 0 else []
-    start = 1
-    for g in range(digits):
-        size = p**g
-        a, b = max(lo, start), min(hi, start + size)
-        if a < b:
-            ranges.append((size + a - start, size + b - start))
-        start += size
-    return ranges
-
-
-def _min_weight_odd(p: int, cols: np.ndarray, mult: np.ndarray, workers: int) -> int:
+def _min_weight_odd(p: int, cols: np.ndarray, mult: np.ndarray) -> int:
     k, width = cols.shape
     n = int(mult.sum())
     floor = int(mult.min())
@@ -246,32 +203,37 @@ def _min_weight_odd(p: int, cols: np.ndarray, mult: np.ndarray, workers: int) ->
         target = ((p - base) % p).astype(block.dtype)
         return n - int(((block == target).astype(dtype) @ weights).max())
 
-    def scan(lo: int, hi: int) -> int:
-        best = n + 1
-        for first, last in _prefix_ranges(p, high, lo, hi):
-            digits = np.array([first // p**i % p for i in range(high)], dtype=np.int64)
-            base = digits @ high_rows % p
-            for number in range(first, last):
-                if number > first:
-                    i = 0
-                    while True:
-                        base += high_rows[i]
-                        np.subtract(base, p, out=base, where=base >= p)
-                        digits[i] += 1
-                        if digits[i] < p:
-                            break
-                        digits[i] = 0
-                        i += 1
-                best = min(best, lightest(table if number else head, base))
-                if best == floor:
-                    return best
-        return best
+    def prefixes():
+        """The zero prefix with the head, then every prefix whose most
+        significant nonzero digit is 1 (the numbers p**g .. 2*p**g - 1 for
+        g = 0 .. high-1, stepped by an odometer) with the whole table."""
+        yield head, np.zeros(width, dtype=np.int64)
+        for g in range(high):
+            digits = np.zeros(high, dtype=np.int64)
+            digits[g] = 1
+            base = high_rows[g].copy()
+            yield table, base
+            for _ in range(p**g - 1):
+                i = 0
+                while True:
+                    base += high_rows[i]
+                    np.subtract(base, p, out=base, where=base >= p)
+                    digits[i] += 1
+                    if digits[i] < p:
+                        break
+                    digits[i] = 0
+                    i += 1
+                yield table, base
 
-    items = 1 + (p**high - 1) // (p - 1)
-    return _scan_ranges(scan, _partition(items, workers), workers, n + 1)
+    best = n + 1
+    for block, base in prefixes():
+        best = min(best, lightest(block, base))
+        if best == floor:
+            break
+    return best
 
 
-def min_weight_enumeration(p: int, cols: np.ndarray, mult: np.ndarray, *, workers: int = 1) -> int:
+def min_weight_enumeration(p: int, cols: np.ndarray, mult: np.ndarray) -> int:
     """Exact minimum nonzero-codeword weight by full message enumeration.
 
     ``(cols, mult)`` is the code's projective column multiset (see
@@ -279,8 +241,8 @@ def min_weight_enumeration(p: int, cols: np.ndarray, mult: np.ndarray, *, worker
     the enumeration budget.
     """
     if p == 2:
-        return _min_weight_gf2(cols, mult, workers)
-    return _min_weight_odd(p, cols, mult, workers)
+        return _min_weight_gf2(cols, mult)
+    return _min_weight_odd(p, cols, mult)
 
 
 def parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:

@@ -3,9 +3,12 @@ construction, and export growth tables.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (a report row,
 or a search result contradicting a proven bound), 2 usage, I/O, budget or
-internal errors. All data outputs are deterministic; timing lives only in
-the report field and never inside data files. The enumeration budget can be
-overridden with the GROWTHCODES_BUDGET environment variable.
+internal errors, including generator files over a field GF(q) with
+q >= 2**16, where int64 arithmetic would no longer be exact. Every distance
+search runs serially in this process. All data outputs are deterministic;
+timing lives only in the report field and never inside data files. The
+enumeration budget can be overridden with the GROWTHCODES_BUDGET environment
+variable.
 """
 
 from __future__ import annotations
@@ -64,10 +67,6 @@ def _enumeration_budget() -> int:
     if value < 1:
         raise GrowthCodesError(f"GROWTHCODES_BUDGET must be positive, got {value}")
     return value
-
-
-def _default_workers() -> int:
-    return os.cpu_count() or 1
 
 
 def _params_dict(n, k, d, u=None) -> dict:
@@ -213,18 +212,18 @@ def cmd_verify(args) -> int:
     rows: list[dict] = []
     for name, check_args in checks:
         if name == "distance":
-            d = min_distance_exhaustive(code, budget=budget, workers=args.workers)
+            d = min_distance_exhaustive(code, budget=budget)
             rows.append(
                 {"name": "distance", "expected": "exhaustive search completes", "actual": d, "pass": True}
             )
         elif name == "params":
-            d = min_distance_exhaustive(code, budget=budget, workers=args.workers)
+            d = min_distance_exhaustive(code, budget=budget)
             actual = [code.n, code.k, d]
             rows.append(
                 {"name": "params", "expected": check_args, "actual": actual, "pass": actual == check_args}
             )
         elif name == "bounded":
-            report = check_bounded(code, check_args[0], budget=budget, workers=args.workers)
+            report = check_bounded(code, check_args[0], budget=budget)
             rows.append(
                 {
                     "name": "bounded",
@@ -239,7 +238,7 @@ def cmd_verify(args) -> int:
                 }
             )
         else:  # singleton
-            d = min_distance_exhaustive(code, budget=budget, workers=args.workers)
+            d = min_distance_exhaustive(code, budget=budget)
             rows.append(
                 {
                     "name": "singleton",
@@ -250,7 +249,7 @@ def cmd_verify(args) -> int:
             )
     report = _report(
         "verify",
-        {"in": args.infile, "checks": args.checks, "workers": args.workers},
+        {"in": args.infile, "checks": args.checks},
         _params_dict(code.n, code.k, code.d),
         rows,
         started,
@@ -267,13 +266,7 @@ def cmd_growth(args) -> int:
         base = read_generator_file(args.infile)
     if args.family == "seed-family" and args.i is None:
         raise GrowthCodesError("--family seed-family needs --i")
-    records = growth_table(
-        args.family,
-        args.max_index,
-        seed_index=args.i,
-        base_code=base,
-        workers=args.workers,
-    )
+    records = growth_table(args.family, args.max_index, seed_index=args.i, base_code=base)
     text = records_to_csv(records) if args.format == "csv" else records_to_json(records)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -297,8 +290,8 @@ def cmd_construct(args) -> int:
     input_within = p**code.k <= budget
     output_within = p**out_code.k <= budget
     if input_within and output_within:
-        d_in = min_distance_exhaustive(code, budget=budget, workers=args.workers)
-        d_out = min_distance_exhaustive(out_code, budget=budget, workers=args.workers)
+        d_in = min_distance_exhaustive(code, budget=budget)
+        d_out = min_distance_exhaustive(out_code, budget=budget)
         bound = code.k * d_in if args.steps >= 1 else d_in
         rows.append(
             {
@@ -311,7 +304,7 @@ def cmd_construct(args) -> int:
         weights = set(code.basis_weights())
         if len(weights) == 1:
             u = weights.pop()
-            bounded = check_bounded(code, u, budget=budget, workers=args.workers)
+            bounded = check_bounded(code, u, budget=budget)
             if bounded.bounded:
                 prediction = predict_params(code.n, code.k, d_in, u, args.steps)
                 params = _params_dict(prediction.n, prediction.k, prediction.d, prediction.u)
@@ -334,7 +327,7 @@ def cmd_construct(args) -> int:
         notes.append("distance enumeration over budget; no brute-force comparison")
     report = _report(
         "construct",
-        {"in": args.infile, "steps": args.steps, "out": args.out, "workers": args.workers},
+        {"in": args.infile, "steps": args.steps, "out": args.out},
         params,
         rows,
         started,
@@ -371,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run checks against a generator file")
     p_verify.add_argument("--in", dest="infile", required=True)
     p_verify.add_argument("--checks", required=True)
-    p_verify.add_argument("--workers", type=_positive_int, default=_default_workers())
     p_verify.set_defaults(func=cmd_verify)
 
     p_growth = sub.add_parser("growth", help="emit a kd/n growth table")
@@ -381,14 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_growth.add_argument("--out")
     p_growth.add_argument("--i", type=_positive_int, help="seed index for --family seed-family")
     p_growth.add_argument("--in", dest="infile", help="base generator file for direct-sum/repetition")
-    p_growth.add_argument("--workers", type=_positive_int, default=_default_workers())
     p_growth.set_defaults(func=cmd_growth)
 
     p_construct = sub.add_parser("construct", help="apply construction steps to a generator file")
     p_construct.add_argument("--in", dest="infile", required=True)
     p_construct.add_argument("--steps", type=_nonnegative_int, required=True)
     p_construct.add_argument("--out", required=True)
-    p_construct.add_argument("--workers", type=_positive_int, default=_default_workers())
     p_construct.set_defaults(func=cmd_construct)
     return parser
 

@@ -23,9 +23,9 @@ from .errors import (
     VerificationError,
 )
 from .field import PrimeField, make_field
-from .linalg import FieldMatrix, FieldVector, _rref
+from .linalg import FieldMatrix, FieldVector, _rref, check_array_field
 
-DEFAULT_ENUMERATION_BUDGET = _engine.DEFAULT_ENUMERATION_BUDGET
+DEFAULT_ENUMERATION_BUDGET = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,7 @@ class LinearCode:
     __slots__ = ("field", "_rows", "n", "k", "_d", "_multiset")
 
     def __init__(self, field: PrimeField, rows: np.ndarray):
+        check_array_field(field)
         rows = np.array(rows, dtype=np.int64)
         # An int64 modulo over a materialized chain member costs more than
         # the two range checks, and most callers pass canonical residues.
@@ -158,7 +159,6 @@ def min_distance_exhaustive(
     code: LinearCode,
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    workers: int = 1,
 ) -> int:
     """Exact minimum distance by enumerating the nonzero codewords.
 
@@ -176,7 +176,7 @@ def min_distance_exhaustive(
             required=total,
             budget=budget,
         )
-    d = _engine.min_weight_enumeration(code.field.p, *code._columns(), workers=workers)
+    d = _engine.min_weight_enumeration(code.field.p, *code._columns())
     code._record_distance(d)
     return d
 
@@ -256,6 +256,7 @@ def parse_generator(text: str) -> LinearCode:
     except ValueError as exc:
         raise GeneratorFormatError(f"non-integer header {lines[0]!r}") from exc
     field = make_field(q)
+    check_array_field(field)
     if len(lines) != 1 + k:
         raise GeneratorFormatError(f"expected {k} rows, found {len(lines) - 1}")
     rows = np.zeros((k, n), dtype=np.int64)

@@ -49,6 +49,10 @@ class UnknownFamilyError(GrowthCodesError, ValueError):
     """Unrecognized code-family tag."""
 
 
+class FieldTooLargeError(GrowthCodesError, ValueError):
+    """The field is too large for exact int64 array arithmetic."""
+
+
 class VerificationError(GrowthCodesError):
     """A search result contradicts a bound or formula it must satisfy.
 

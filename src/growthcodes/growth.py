@@ -18,14 +18,13 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .code import (
-    DEFAULT_ENUMERATION_BUDGET,
     LinearCode,
     min_distance_exhaustive,
     direct_sum,
     repetition,
 )
 from .errors import UnknownFamilyError, VerificationError
-from .field import PrimeField, make_field
+from .field import make_field
 from .reedmuller import rm_generator, rm_params, rm_third_series
 from .seeds import family_code, family_params, max_family_steps, series_code, series_params
 
@@ -69,18 +68,18 @@ def _check_formula(searched: int, formula: int, what: str) -> None:
         raise VerificationError(f"{what}: verified distance {searched} disagrees with the formula {formula}")
 
 
-def _try_verify(code: LinearCode, workers: int) -> int | None:
+def _try_verify(code: LinearCode) -> int | None:
     if code.field.p**code.k > VERIFY_MESSAGE_CAP or code.n > VERIFY_LENGTH_CAP:
         return None
-    return min_distance_exhaustive(code, budget=VERIFY_MESSAGE_CAP, workers=workers)
+    return min_distance_exhaustive(code, budget=VERIFY_MESSAGE_CAP)
 
 
-def _seed_series_record(i: int, verify_field: PrimeField | None, workers: int) -> GrowthRecord:
+def _seed_series_record(i: int, verify: bool) -> GrowthRecord:
     member = series_params(i)
     verified = False
     d = member.params.d
-    if verify_field is not None and member.params.n <= VERIFY_LENGTH_CAP:
-        built = series_code(verify_field, i, enumeration_budget=VERIFY_MESSAGE_CAP, workers=workers)
+    if verify and member.params.n <= VERIFY_LENGTH_CAP:
+        built = series_code(make_field(2), i, enumeration_budget=VERIFY_MESSAGE_CAP)
         if built.code is not None and built.code.d is not None:
             _check_formula(built.code.d, d, f"seed-series member {i}")
             verified = True
@@ -105,15 +104,11 @@ def _seed_series_record(i: int, verify_field: PrimeField | None, workers: int) -
     )
 
 
-def _seed_family_record(seed_index: int, j: int, verify_field: PrimeField | None, workers: int) -> GrowthRecord:
+def _seed_family_record(seed_index: int, j: int, verify: bool) -> GrowthRecord:
     params = family_params(seed_index, j)
     verified = False
-    if (
-        verify_field is not None
-        and params.n <= VERIFY_LENGTH_CAP
-        and verify_field.p**params.k <= VERIFY_MESSAGE_CAP
-    ):
-        built = family_code(verify_field, seed_index, j, enumeration_budget=VERIFY_MESSAGE_CAP, workers=workers)
+    if verify and params.n <= VERIFY_LENGTH_CAP and 2**params.k <= VERIFY_MESSAGE_CAP:
+        built = family_code(make_field(2), seed_index, j, enumeration_budget=VERIFY_MESSAGE_CAP)
         if isinstance(built, LinearCode) and built.d is not None:
             _check_formula(built.d, params.d, f"seed-family member ({seed_index}, {j})")
             verified = True
@@ -130,13 +125,13 @@ def _seed_family_record(seed_index: int, j: int, verify_field: PrimeField | None
     )
 
 
-def _rm_diagonal_record(r: int, verify: bool, workers: int) -> GrowthRecord:
+def _rm_diagonal_record(r: int, verify: bool) -> GrowthRecord:
     m = 2 * r + 1
     params = rm_params(m, r)
     verified = False
     if verify and 2**params.k <= VERIFY_MESSAGE_CAP and params.n <= VERIFY_LENGTH_CAP:
         code = rm_generator(m, r)
-        d = _try_verify(code, workers)
+        d = _try_verify(code)
         if d is not None:
             _check_formula(d, params.d, f"RM({m},{r})")
             verified = True
@@ -168,12 +163,12 @@ def _rm_third_record(m: int) -> GrowthRecord:
     )
 
 
-def _composed_record(family: str, base: LinearCode, s: int, workers: int) -> GrowthRecord:
+def _composed_record(family: str, base: LinearCode, s: int) -> GrowthRecord:
     composed = direct_sum(base, s) if family == "direct-sum" else repetition(base, s)
-    d = _try_verify(composed, workers)
+    d = _try_verify(composed)
     verified = d is not None
     if d is None:
-        base_d = min_distance_exhaustive(base, workers=workers)
+        base_d = min_distance_exhaustive(base)
         d = base_d if family == "direct-sum" else base_d * s
     return GrowthRecord(
         family=family,
@@ -195,8 +190,6 @@ def growth_table(
     seed_index: int | None = None,
     base_code: LinearCode | None = None,
     verify: bool = True,
-    verify_field: PrimeField | None = None,
-    workers: int = 1,
 ) -> list[GrowthRecord]:
     """One record per index, deterministically ordered by index.
 
@@ -204,32 +197,27 @@ def growth_table(
     rm-third by m); seed-family indexes steps j from 0 and needs seed_index;
     direct-sum and repetition index the multiplier s from 1 and need a base
     code. Distances are verified by brute force where the row's code is
-    small enough to materialize and enumerate; the flag records which rows
-    that happened for.
+    small enough to materialize and enumerate (seed rows over GF(2)); the
+    flag records which rows that happened for.
     """
     if family not in FAMILIES:
         raise UnknownFamilyError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     if max_index < 0 or (family != "seed-family" and max_index < 1):
         raise ValueError("max_index out of range")
-    if verify and verify_field is None:
-        verify_field = make_field(2)
-    if not verify:
-        verify_field = None
-
     if family == "seed-series":
-        return [_seed_series_record(i, verify_field, workers) for i in range(1, max_index + 1)]
+        return [_seed_series_record(i, verify) for i in range(1, max_index + 1)]
     if family == "seed-family":
         if seed_index is None:
             raise ValueError("seed-family needs seed_index")
         top = min(max_index, max_family_steps(seed_index))
-        return [_seed_family_record(seed_index, j, verify_field, workers) for j in range(top + 1)]
+        return [_seed_family_record(seed_index, j, verify) for j in range(top + 1)]
     if family == "rm-diagonal":
-        return [_rm_diagonal_record(r, verify_field is not None, workers) for r in range(1, max_index + 1)]
+        return [_rm_diagonal_record(r, verify) for r in range(1, max_index + 1)]
     if family == "rm-third":
         return [_rm_third_record(m) for m in range(1, max_index + 1)]
     if base_code is None:
         raise ValueError(f"{family} needs a base code")
-    return [_composed_record(family, base_code, s, workers) for s in range(1, max_index + 1)]
+    return [_composed_record(family, base_code, s) for s in range(1, max_index + 1)]
 
 
 def _row_cells(record: GrowthRecord, extra_keys: tuple[str, ...]) -> dict:

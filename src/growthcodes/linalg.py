@@ -3,6 +3,13 @@
 Entries are stored as canonical int64 residues in numpy arrays; values are
 immutable after construction. Constructors accept plain integers (any sign,
 reduced mod p) as well as FieldElement instances.
+
+Array-backed types (FieldVector, FieldMatrix, LinearCode) accept only
+p < 2**16. Then (p-1)**2 < 2**32, so every int64 product of two residues and
+every dot product of fewer than 2**31 terms is exact: matrix products, row
+reduction, determinants, column scaling and the distance engines never wrap.
+Larger primes raise FieldTooLargeError; PrimeField and FieldElement compute
+with Python integers and stay unbounded.
 """
 
 from __future__ import annotations
@@ -13,11 +20,23 @@ import numpy as np
 
 from .errors import (
     FieldMismatchError,
+    FieldTooLargeError,
     LengthMismatchError,
     NotSquareError,
     ShapeMismatchError,
 )
 from .field import FieldElement, PrimeField
+
+
+ARRAY_PRIME_LIMIT = 1 << 16
+
+
+def check_array_field(field: PrimeField) -> None:
+    """Raise FieldTooLargeError unless int64 arrays over ``field`` stay exact."""
+    if field.p >= ARRAY_PRIME_LIMIT:
+        raise FieldTooLargeError(
+            f"GF({field.p}) is too large for exact int64 arrays; the limit is p < {ARRAY_PRIME_LIMIT}"
+        )
 
 
 def _check_same_field(a: PrimeField, b: PrimeField) -> None:
@@ -42,6 +61,7 @@ class FieldVector:
     __slots__ = ("field", "_data")
 
     def __init__(self, field: PrimeField, entries):
+        check_array_field(field)
         if isinstance(entries, np.ndarray) and entries.dtype == np.int64:
             data = entries % field.p
         else:
@@ -117,6 +137,7 @@ class FieldMatrix:
     __slots__ = ("field", "_data")
 
     def __init__(self, field: PrimeField, entries):
+        check_array_field(field)
         if isinstance(entries, np.ndarray):
             data = entries.astype(np.int64, copy=True) % field.p
         else:

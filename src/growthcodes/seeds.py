@@ -10,8 +10,7 @@ rate-times-distance equals 2i exactly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +22,7 @@ from .code import (
     min_distance_exhaustive,
     new_code,
 )
-from .construct import MATERIALIZATION_BUDGET, iterate_code
+from .construct import MATERIALIZATION_BUDGET, iterate_code, rising_factorial
 from .errors import BudgetExceededError, RangeViolationError, VerificationError
 from .field import PrimeField
 from .linalg import FieldMatrix
@@ -74,7 +73,6 @@ def seed_code(
     *,
     verify: bool = True,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    workers: int = 1,
 ) -> LinearCode:
     """The [2i, 2i-1, 1] code whose ordered basis is the first 2i-1 columns
     of the square seed matrix.
@@ -85,7 +83,7 @@ def seed_code(
     matrices = build_seed_matrices(field, index)
     code = new_code(field, FieldMatrix(field, matrices.a.array[:, : 2 * index - 1].T))
     if verify and field.p ** code.k <= budget:
-        min_distance_exhaustive(code, budget=budget, workers=workers)
+        min_distance_exhaustive(code, budget=budget)
     return code
 
 
@@ -105,8 +103,8 @@ def family_params(index: int, steps: int) -> CodeParams:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     two_i = 2 * index
-    growth = math.prod(range(two_i, two_i + steps))
-    shifted = math.prod(range(two_i - 1, two_i - 1 + steps))
+    growth = rising_factorial(two_i, steps)
+    shifted = growth * (two_i - 1) // (two_i - 1 + steps)
     return CodeParams(
         n=two_i * growth,
         k=two_i - 1 + steps,
@@ -123,7 +121,6 @@ def family_code(
     materialization_budget: int = MATERIALIZATION_BUDGET,
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
     verify: bool = True,
-    workers: int = 1,
 ) -> LinearCode | CodeParams:
     """Member ``steps`` of the chain grown from seed ``index``.
 
@@ -145,7 +142,7 @@ def family_code(
     base = seed_code(field, index, verify=False)
     code = iterate_code(base, steps, max_coordinates=materialization_budget)
     if verify and field.p ** code.k <= enumeration_budget:
-        min_distance_exhaustive(code, budget=enumeration_budget, workers=workers)
+        min_distance_exhaustive(code, budget=enumeration_budget)
     return code
 
 
@@ -208,7 +205,6 @@ def series_code(
     *,
     materialization_budget: int = MATERIALIZATION_BUDGET,
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-    workers: int = 1,
 ) -> SeriesMember:
     """Series member with a materialization attempt (index 1 is the only
     desk-scale member; larger indices come back parameters-only)."""
@@ -221,16 +217,6 @@ def series_code(
         member.resolved_steps,
         materialization_budget=materialization_budget,
         enumeration_budget=enumeration_budget,
-        workers=workers,
     )
     assert isinstance(built, LinearCode)
-    return SeriesMember(
-        index=member.index,
-        resolved_steps=member.resolved_steps,
-        declared_steps=member.declared_steps,
-        params=member.params,
-        kd_over_n=member.kd_over_n,
-        declared_k=member.declared_k,
-        declared_kd_over_n=member.declared_kd_over_n,
-        code=built,
-    )
+    return replace(member, code=built)

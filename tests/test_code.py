@@ -35,8 +35,6 @@ from conftest import lex_min_distance, random_small_codes
 
 F2 = make_field(2)
 F3 = make_field(3)
-F5 = make_field(5)
-F7 = make_field(7)
 
 
 def _code(field, rows) -> LinearCode:
@@ -164,18 +162,6 @@ def test_support_search_full_space_code():
     assert min_distance_by_weight_search(c) == 1
 
 
-def test_partitioned_search_matches_serial():
-    cases = random_small_codes(seed=3303, count=12)
-    cases.append(seed_code(F5, 2, verify=False))
-    cases.append(family_code(F5, 2, 2, verify=False))  # 5^5 messages, length 80
-    cases.append(family_code(F7, 2, 3, verify=False))  # 7^6 messages, length 480
-    for code in cases:
-        serial = min_distance_exhaustive(LinearCode(code.field, code.generator.array), workers=1)
-        for workers in (2, 8):
-            fresh = LinearCode(code.field, code.generator.array)
-            assert min_distance_exhaustive(fresh, workers=workers) == serial
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     p=st.sampled_from((2, 3, 5, 7, 11)),
@@ -193,8 +179,7 @@ def test_engine_matches_oracle_on_repeated_scaled_and_zero_columns(p, k, seed):
         want = lex_min_distance(_code(field, rows))
     except DependentBasisError:
         assume(False)
-    for workers in (1, 2):
-        assert min_distance_exhaustive(LinearCode(field, rows), workers=workers) == want
+    assert min_distance_exhaustive(LinearCode(field, rows)) == want
 
 
 def test_engine_matches_oracle_on_wider_prime_fields():

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from growthcodes import (
     FieldMatrix,
+    FieldTooLargeError,
     FieldVector,
     LengthMismatchError,
+    LinearCode,
     NotSquareError,
     ShapeMismatchError,
     determinant,
@@ -91,6 +93,31 @@ def test_stack_blocks_shape_mismatch():
 def test_matrix_product_checks_shapes():
     with pytest.raises(ShapeMismatchError):
         FieldMatrix.zeros(F2, 2, 3) @ FieldMatrix.zeros(F2, 2, 3)
+
+
+def test_array_types_refuse_fields_where_int64_would_wrap():
+    # int64 products over GF(2^61 - 1) wrap: this determinant came out as 28.
+    p = (1 << 61) - 1
+    big = make_field(p)
+    assert big.element(p - 1) * big.element(p - 1) == big.one()  # scalars stay exact
+    for build in (
+        lambda: FieldMatrix(big, [[p - 1, p - 2], [3, p - 1]]),
+        lambda: FieldMatrix(big, np.ones((2, 2), dtype=np.int64)),
+        lambda: FieldVector(big, [1, 2]),
+        lambda: LinearCode(big, np.ones((1, 2), dtype=np.int64)),
+    ):
+        with pytest.raises(FieldTooLargeError):
+            build()
+
+
+def test_largest_array_field_products_are_exact():
+    p = 65521  # the largest prime below 2^16
+    field = make_field(p)
+    rows = [[p - 1, p - 2, p - 3], [p - 4, 1, p - 1], [2, p - 5, p - 1]]
+    a = FieldMatrix(field, rows)
+    want = [[sum(rows[i][t] * rows[t][j] for t in range(3)) % p for j in range(3)] for i in range(3)]
+    assert (a @ a).array.tolist() == want
+    assert int(determinant(FieldMatrix(field, [[p - 1, p - 2], [3, p - 1]]))) == ((p - 1) ** 2 - 3 * (p - 2)) % p
 
 
 def test_vectors_are_immutable():

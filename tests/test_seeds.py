@@ -204,13 +204,13 @@ def test_series_member_materializes_only_first_index():
     assert series_code(F2, 2).code is None
 
 
-@pytest.mark.parametrize("field", (F2, F3, F5))
+@pytest.mark.parametrize("field", (F2, F3, F5, F7))
 def test_family_distance_field_independent(field):
-    # the same member has the same verified distance over every prime field
-    built = family_code(field, 2, 2)
-    assert built.d == 20
-    built3 = family_code(field, 3, 1)
-    assert built3.d == 6
+    # the same member has the same verified distance over every prime field;
+    # (2, 3) over GF(7) scans 7^6 messages of length 480
+    for i, j in ((2, 2), (3, 1), (2, 3)):
+        assert family_code(field, i, j).d == family_params(i, j).d
+    assert family_params(2, 2).d == 20 and family_params(3, 1).d == 6
 
 
 def test_seed_basis_weights_all_equal():
