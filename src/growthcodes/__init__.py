@@ -58,10 +58,8 @@ from .linalg import (
     weight,
 )
 from .reedmuller import (
-    RMCode,
     ThirdSeriesRecord,
     binomial_sum,
-    rm_code,
     rm_generator,
     rm_kd_over_n,
     rm_params,

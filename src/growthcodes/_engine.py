@@ -237,8 +237,8 @@ def min_weight_enumeration(p: int, cols: np.ndarray, mult: np.ndarray) -> int:
     """Exact minimum nonzero-codeword weight by full message enumeration.
 
     ``(cols, mult)`` is the code's projective column multiset (see
-    projective_columns); the caller is responsible for checking p**k against
-    the enumeration budget.
+    projective_columns); code.min_distance_exhaustive checks the enumeration
+    budget before calling it.
     """
     if p == 2:
         return _min_weight_gf2(cols, mult)
@@ -248,7 +248,7 @@ def min_weight_enumeration(p: int, cols: np.ndarray, mult: np.ndarray) -> int:
 def parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
     """An (n-k) x n matrix whose kernel is the row space of ``rows``."""
     k, n = rows.shape
-    reduced, pivots = _rref(rows, p)
+    reduced, pivots, _ = _rref(rows, p)
     if len(pivots) != k:
         raise DependentBasisError(f"parity check needs a full-rank generator, rank is {len(pivots)} of {k}")
     pivot_set = set(pivots)

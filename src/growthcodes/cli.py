@@ -31,10 +31,9 @@ from .code import (
     write_generator_file,
 )
 from .construct import check_bounded, iterate_code, predict_params
-from .errors import GrowthCodesError, VerificationError
+from .errors import BudgetExceededError, GrowthCodesError, VerificationError
 from .field import make_field
 from .growth import FAMILIES, exact_integer_text, growth_table, records_to_csv, records_to_json
-from .linalg import FieldMatrix
 from .reedmuller import rm_generator
 from .seeds import build_seed_matrices, family_code, seed_code, series_code
 
@@ -56,7 +55,7 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _enumeration_budget() -> int:
+def _budget_from_env() -> int:
     raw = os.environ.get("GROWTHCODES_BUDGET")
     if raw is None:
         return DEFAULT_ENUMERATION_BUDGET
@@ -206,7 +205,7 @@ def _parse_checks(text: str) -> list[tuple[str, list[int]]]:
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
-    budget = _enumeration_budget()
+    budget = _budget_from_env()
     checks = _parse_checks(args.checks)
     code = read_generator_file(args.infile)
     rows: list[dict] = []
@@ -278,7 +277,7 @@ def cmd_growth(args) -> int:
 
 def cmd_construct(args) -> int:
     started = time.perf_counter()
-    budget = _enumeration_budget()
+    budget = _budget_from_env()
     code = read_generator_file(args.infile)
     out_code = iterate_code(code, args.steps)
     write_generator_file(out_code, args.out)
@@ -286,12 +285,14 @@ def cmd_construct(args) -> int:
     notes: list[str] = []
     rows: list[dict] = []
     params = None
-    p = code.field.p
-    input_within = p**code.k <= budget
-    output_within = p**out_code.k <= budget
-    if input_within and output_within:
-        d_in = min_distance_exhaustive(code, budget=budget)
+    try:
+        # The output has the larger dimension, so searching it first refuses
+        # before any work whenever either search would be over budget.
         d_out = min_distance_exhaustive(out_code, budget=budget)
+    except BudgetExceededError:
+        notes.append("distance enumeration over budget; no brute-force comparison")
+    else:
+        d_in = min_distance_exhaustive(code, budget=budget)
         bound = code.k * d_in if args.steps >= 1 else d_in
         rows.append(
             {
@@ -323,8 +324,6 @@ def cmd_construct(args) -> int:
                 notes.append("input basis is not bounded; lower-bound path only")
         else:
             notes.append("input basis weights not uniform; lower-bound path only")
-    else:
-        notes.append("distance enumeration over budget; no brute-force comparison")
     report = _report(
         "construct",
         {"in": args.infile, "steps": args.steps, "out": args.out},

@@ -51,14 +51,23 @@ class LinearCode:
     """A linear code given by an ordered basis of k length-n vectors.
 
     ``d`` is None until an exhaustive search verifies the minimum distance;
-    it is written once and never holds a merely predicted value.
+    it is written once and never holds a merely predicted value. A writeable,
+    C-contiguous int64 array that owns its data becomes the code's storage
+    (and is frozen) without a copy; any other ``rows`` is copied.
     """
 
     __slots__ = ("field", "_rows", "n", "k", "_d", "_multiset")
 
     def __init__(self, field: PrimeField, rows: np.ndarray):
         check_array_field(field)
-        rows = np.array(rows, dtype=np.int64)
+        if not (
+            isinstance(rows, np.ndarray)
+            and rows.dtype == np.int64
+            and rows.flags.owndata
+            and rows.flags.writeable
+            and rows.flags.c_contiguous
+        ):
+            rows = np.array(rows, dtype=np.int64)
         # An int64 modulo over a materialized chain member costs more than
         # the two range checks, and most callers pass canonical residues.
         if rows.size and (rows.min() < 0 or rows.max() >= field.p):
@@ -155,6 +164,20 @@ def _checked_code(field: PrimeField, rows: np.ndarray) -> LinearCode:
     return code
 
 
+def _check_enumeration(p: int, k: int, budget: int) -> None:
+    """The one enumeration budget test: BudgetExceededError, carrying p^k,
+    when the p^k messages of a k-dimensional code over GF(p) exceed
+    ``budget``. It takes parameters, not a code, so a caller can refuse a
+    code before building it."""
+    total = p**k
+    if total > budget:
+        raise BudgetExceededError(
+            f"enumeration needs {p}^{k} codewords, budget is {budget}",
+            required=total,
+            budget=budget,
+        )
+
+
 def min_distance_exhaustive(
     code: LinearCode,
     *,
@@ -169,13 +192,7 @@ def min_distance_exhaustive(
     """
     if code.d is not None:
         return code.d
-    total = code.field.p**code.k
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumeration needs {total} codewords, budget is {budget}",
-            required=total,
-            budget=budget,
-        )
+    _check_enumeration(code.field.p, code.k, budget)
     d = _engine.min_weight_enumeration(code.field.p, *code._columns())
     code._record_distance(d)
     return d
@@ -271,7 +288,7 @@ def parse_generator(text: str) -> LinearCode:
         if any(v < 0 or v >= q for v in values):
             raise GeneratorFormatError(f"row {i + 1} has entries outside 0..{q - 1}")
         rows[i] = values
-    return new_code(field, FieldMatrix(field, rows))
+    return _checked_code(field, rows)
 
 
 def write_generator_file(code: LinearCode, path) -> None:

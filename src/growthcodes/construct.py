@@ -134,44 +134,34 @@ def construction_step(basis: Sequence[FieldVector]) -> list[FieldVector]:
     return list(_step_code(LinearCode(field, rows)).basis)
 
 
-def iterate_code(
-    code: LinearCode,
-    steps: int,
-    *,
-    max_coordinates: int = MATERIALIZATION_BUDGET,
-) -> LinearCode:
+def iterate_code(code: LinearCode, steps: int) -> LinearCode:
     """Apply the construction ``steps`` times; steps=0 returns the input.
 
     Raises BudgetExceededError before any work when the final length would
-    exceed ``max_coordinates``. Every step's output is checked for
+    exceed MATERIALIZATION_BUDGET. Every step's output is checked for
     independence.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     final_length = code.n * rising_factorial(code.k + 1, steps)
-    if final_length > max_coordinates:
+    if final_length > MATERIALIZATION_BUDGET:
         raise BudgetExceededError(
             f"iterating {steps} steps needs vectors of length {final_length}, "
-            f"budget is {max_coordinates}",
+            f"budget is {MATERIALIZATION_BUDGET}",
             required=final_length,
-            budget=max_coordinates,
+            budget=MATERIALIZATION_BUDGET,
         )
     for _ in range(steps):
         code = _step_code(code)
     return code
 
 
-def iterate(
-    basis: Sequence[FieldVector],
-    steps: int,
-    *,
-    max_coordinates: int = MATERIALIZATION_BUDGET,
-) -> list[FieldVector]:
+def iterate(basis: Sequence[FieldVector], steps: int) -> list[FieldVector]:
     """Apply the construction ``steps`` times; steps=0 returns the input."""
     if not basis:
         raise DependentBasisError("empty basis")
     code = LinearCode(basis[0].field, np.stack([v.entries for v in basis]))
-    return list(iterate_code(code, steps, max_coordinates=max_coordinates).basis)
+    return list(iterate_code(code, steps).basis)
 
 
 def predict_params(n: int, k: int, d: int, u: int, steps: int) -> ChainParams:

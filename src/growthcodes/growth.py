@@ -16,17 +16,13 @@ import json
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import partial
 
-from .code import (
-    LinearCode,
-    min_distance_exhaustive,
-    direct_sum,
-    repetition,
-)
-from .errors import UnknownFamilyError, VerificationError
+from .code import LinearCode, _check_enumeration, direct_sum, min_distance_exhaustive, repetition
+from .errors import BudgetExceededError, UnknownFamilyError, VerificationError
 from .field import make_field
 from .reedmuller import rm_generator, rm_params, rm_third_series
-from .seeds import family_code, family_params, max_family_steps, series_code, series_params
+from .seeds import family_code, family_params, max_family_steps, series_params
 
 FAMILIES = ("seed-series", "seed-family", "rm-diagonal", "rm-third", "direct-sum", "repetition")
 
@@ -63,26 +59,33 @@ def sqrt_bracket_check(i_max: int) -> list[tuple[int, bool]]:
     return out
 
 
-def _check_formula(searched: int, formula: int, what: str) -> None:
-    if searched != formula:
-        raise VerificationError(f"{what}: verified distance {searched} disagrees with the formula {formula}")
-
-
-def _try_verify(code: LinearCode) -> int | None:
-    if code.field.p**code.k > VERIFY_MESSAGE_CAP or code.n > VERIFY_LENGTH_CAP:
+def _row_distance(p: int, n: int, k: int, build) -> int | None:
+    """The searched distance of a table row's code, or None when the row is
+    over a verification cap. Both caps are tested on the row's parameters,
+    so ``build`` materializes only a code that will be searched."""
+    if n > VERIFY_LENGTH_CAP:
         return None
-    return min_distance_exhaustive(code, budget=VERIFY_MESSAGE_CAP)
+    try:
+        _check_enumeration(p, k, VERIFY_MESSAGE_CAP)
+        return min_distance_exhaustive(build(), budget=VERIFY_MESSAGE_CAP)
+    except BudgetExceededError:
+        return None
+
+
+def _matches_formula(searched: int | None, formula: int, what: str) -> bool:
+    """True when the row was searched; a search contradicting the formula raises."""
+    if searched is not None and searched != formula:
+        raise VerificationError(f"{what}: verified distance {searched} disagrees with the formula {formula}")
+    return searched is not None
 
 
 def _seed_series_record(i: int, verify: bool) -> GrowthRecord:
     member = series_params(i)
-    verified = False
     d = member.params.d
-    if verify and member.params.n <= VERIFY_LENGTH_CAP:
-        built = series_code(make_field(2), i, enumeration_budget=VERIFY_MESSAGE_CAP)
-        if built.code is not None and built.code.d is not None:
-            _check_formula(built.code.d, d, f"seed-series member {i}")
-            verified = True
+    build = partial(family_code, make_field(2), i + 1, member.resolved_steps, verify=False)
+    verified = verify and _matches_formula(
+        _row_distance(2, member.params.n, member.params.k, build), d, f"seed-series member {i}"
+    )
     bracket = (2 * i + 1) ** 2 > member.params.k and member.params.k > (2 * i) ** 2
     return GrowthRecord(
         family="seed-series",
@@ -106,12 +109,10 @@ def _seed_series_record(i: int, verify: bool) -> GrowthRecord:
 
 def _seed_family_record(seed_index: int, j: int, verify: bool) -> GrowthRecord:
     params = family_params(seed_index, j)
-    verified = False
-    if verify and params.n <= VERIFY_LENGTH_CAP and 2**params.k <= VERIFY_MESSAGE_CAP:
-        built = family_code(make_field(2), seed_index, j, enumeration_budget=VERIFY_MESSAGE_CAP)
-        if isinstance(built, LinearCode) and built.d is not None:
-            _check_formula(built.d, params.d, f"seed-family member ({seed_index}, {j})")
-            verified = True
+    build = partial(family_code, make_field(2), seed_index, j, verify=False)
+    verified = verify and _matches_formula(
+        _row_distance(2, params.n, params.k, build), params.d, f"seed-family member ({seed_index}, {j})"
+    )
     return GrowthRecord(
         family="seed-family",
         index=j,
@@ -128,13 +129,9 @@ def _seed_family_record(seed_index: int, j: int, verify: bool) -> GrowthRecord:
 def _rm_diagonal_record(r: int, verify: bool) -> GrowthRecord:
     m = 2 * r + 1
     params = rm_params(m, r)
-    verified = False
-    if verify and 2**params.k <= VERIFY_MESSAGE_CAP and params.n <= VERIFY_LENGTH_CAP:
-        code = rm_generator(m, r)
-        d = _try_verify(code)
-        if d is not None:
-            _check_formula(d, params.d, f"RM({m},{r})")
-            verified = True
+    verified = verify and _matches_formula(
+        _row_distance(2, params.n, params.k, partial(rm_generator, m, r)), params.d, f"RM({m},{r})"
+    )
     return GrowthRecord(
         family="rm-diagonal",
         index=r,
@@ -165,7 +162,7 @@ def _rm_third_record(m: int) -> GrowthRecord:
 
 def _composed_record(family: str, base: LinearCode, s: int) -> GrowthRecord:
     composed = direct_sum(base, s) if family == "direct-sum" else repetition(base, s)
-    d = _try_verify(composed)
+    d = _row_distance(composed.field.p, composed.n, composed.k, lambda: composed)
     verified = d is not None
     if d is None:
         base_d = min_distance_exhaustive(base)

@@ -139,7 +139,7 @@ class FieldMatrix:
     def __init__(self, field: PrimeField, entries):
         check_array_field(field)
         if isinstance(entries, np.ndarray):
-            data = entries.astype(np.int64, copy=True) % field.p
+            data = np.remainder(entries, field.p, dtype=np.int64, casting="unsafe")
         else:
             rows = [_to_residues(field, row) for row in entries]
             if rows:
@@ -249,11 +249,14 @@ def hamming_distance(x: FieldVector, y: FieldVector) -> int:
     return int(np.count_nonzero(x.entries != y.entries))
 
 
-def _rref(data: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form mod p and the list of pivot columns."""
+def _rref(data: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
+    """Reduced row-echelon form mod p, the list of pivot columns, and the
+    product of the pivots with the sign of the row swaps (mod p), which is
+    the determinant when ``data`` is square and of full rank."""
     m = (data % p).astype(np.int64)
     n_rows, n_cols = m.shape
     pivots: list[int] = []
+    scale = 1
     r = 0
     col = 0
     while r < n_rows and col < n_cols:
@@ -265,8 +268,10 @@ def _rref(data: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivot_row = r + int(np.argmax(m[r:, col] != 0))
         if pivot_row != r:
             m[[r, pivot_row]] = m[[pivot_row, r]]
-        inv = pow(int(m[r, col]), p - 2, p)
-        m[r] = m[r] * inv % p
+            scale = -scale
+        pivot = int(m[r, col])
+        scale = scale * pivot % p
+        m[r] = m[r] * pow(pivot, p - 2, p) % p
         factors = m[:, col].copy()
         factors[r] = 0
         hit = factors != 0
@@ -275,43 +280,24 @@ def _rref(data: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(col)
         r += 1
         col += 1
-    return m, pivots
+    return m, pivots, scale
 
 
 def rank(matrix: FieldMatrix) -> int:
     """Row rank, computed by elimination over the field."""
     if matrix.rows == 0 or matrix.cols == 0:
         return 0
-    _, pivots = _rref(matrix.array, matrix.field.p)
-    return len(pivots)
+    return len(_rref(matrix.array, matrix.field.p)[1])
 
 
 def determinant(matrix: FieldMatrix) -> FieldElement:
-    """Field determinant via Gaussian elimination with exact arithmetic."""
+    """Field determinant, read off the row reduction: zero below full rank."""
     if matrix.rows != matrix.cols:
         raise NotSquareError(f"matrix is {matrix.rows}x{matrix.cols}")
-    p = matrix.field.p
-    n = matrix.rows
-    if n == 0:
+    if matrix.rows == 0:
         return matrix.field.one()
-    m = matrix.array.astype(np.int64, copy=True)
-    det = 1
-    for col in range(n):
-        pivot_row = col + int(np.argmax(m[col:, col] != 0))
-        if m[pivot_row, col] == 0:
-            return matrix.field.zero()
-        if pivot_row != col:
-            m[[col, pivot_row]] = m[[pivot_row, col]]
-            det = -det % p
-        pivot = int(m[col, col])
-        det = det * pivot % p
-        inv = pow(pivot, p - 2, p)
-        m[col, col:] = m[col, col:] * inv % p
-        factors = m[col + 1 :, col]
-        hit = factors != 0
-        if hit.any():
-            m[col + 1 :][hit] = (m[col + 1 :][hit] - np.outer(factors[hit], m[col])) % p
-    return matrix.field.element(det)
+    _, pivots, scale = _rref(matrix.array, matrix.field.p)
+    return matrix.field.element(scale if len(pivots) == matrix.rows else 0)
 
 
 def stack_blocks(blocks: Sequence[Sequence[FieldMatrix]]) -> FieldMatrix:

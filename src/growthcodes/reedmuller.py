@@ -16,10 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .code import CodeParams, LinearCode, new_code
+from .code import CodeParams, LinearCode, _checked_code
 from .errors import BudgetExceededError
 from .field import make_field
-from .linalg import FieldMatrix
 
 MAX_RM_LENGTH = 2**20
 
@@ -48,15 +47,15 @@ def rm_kd_over_n(m: int, r: int) -> Fraction:
     return Fraction(params.k * params.d, params.n)
 
 
-def rm_generator(m: int, r: int, *, max_length: int = MAX_RM_LENGTH) -> LinearCode:
-    """Monomial-evaluation generator of RM(m, r) over GF(2)."""
+def rm_generator(m: int, r: int) -> LinearCode:
+    """Monomial-evaluation generator of RM(m, r) over GF(2); lengths past
+    MAX_RM_LENGTH raise BudgetExceededError before any work."""
     _check_orders(m, r)
     n = 2**m
-    if n > max_length:
+    if n > MAX_RM_LENGTH:
         raise BudgetExceededError(
-            f"RM({m},{r}) has length {n}, cap is {max_length}", required=n, budget=max_length
+            f"RM({m},{r}) has length {n}, cap is {MAX_RM_LENGTH}", required=n, budget=MAX_RM_LENGTH
         )
-    field = make_field(2)
     points = np.arange(n, dtype=np.int64)
     variables = np.stack([(points >> t) & 1 for t in range(m)])
     rows = []
@@ -66,25 +65,7 @@ def rm_generator(m: int, r: int, *, max_length: int = MAX_RM_LENGTH) -> LinearCo
                 rows.append(np.bitwise_and.reduce(variables[list(subset)], axis=0))
             else:
                 rows.append(np.ones(n, dtype=np.int64))
-    return new_code(field, FieldMatrix(field, np.stack(rows)))
-
-
-@dataclass(frozen=True)
-class RMCode:
-    """RM(m, r) with exact parameters and, when materialized, the code."""
-
-    m: int
-    r: int
-    params: CodeParams
-    code: LinearCode | None
-
-
-def rm_code(m: int, r: int, *, materialize: bool = True, max_length: int = MAX_RM_LENGTH) -> RMCode:
-    params = rm_params(m, r)
-    code = None
-    if materialize and params.n <= max_length:
-        code = rm_generator(m, r, max_length=max_length)
-    return RMCode(m, r, params, code)
+    return _checked_code(make_field(2), np.stack(rows))
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,13 @@ rate-times-distance equals 2i exactly.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .code import (
-    DEFAULT_ENUMERATION_BUDGET,
-    CodeParams,
-    LinearCode,
-    min_distance_exhaustive,
-    new_code,
-)
+from .code import CodeParams, LinearCode, _checked_code, min_distance_exhaustive
 from .construct import MATERIALIZATION_BUDGET, iterate_code, rising_factorial
 from .errors import BudgetExceededError, RangeViolationError, VerificationError
 from .field import PrimeField
@@ -39,7 +34,7 @@ class SeedMatrices:
     b: FieldMatrix
 
 
-def build_seed_matrices(field: PrimeField, index: int, *, max_size: int = MAX_SEED_SIZE) -> SeedMatrices:
+def build_seed_matrices(field: PrimeField, index: int) -> SeedMatrices:
     """Build the seed matrices iteratively (entries -1 map to p-1).
 
     The wide matrix at every level is just copies of its 2x2 base block laid
@@ -48,11 +43,11 @@ def build_seed_matrices(field: PrimeField, index: int, *, max_size: int = MAX_SE
     """
     if index < 1:
         raise ValueError("index must be >= 1")
-    if 2 * index > max_size:
+    if 2 * index > MAX_SEED_SIZE:
         raise BudgetExceededError(
-            f"seed matrix would be {2 * index} x {2 * index}, cap is {max_size}",
+            f"seed matrix would be {2 * index} x {2 * index}, cap is {MAX_SEED_SIZE}",
             required=2 * index,
-            budget=max_size,
+            budget=MAX_SEED_SIZE,
         )
     p = field.p
     a1 = np.array([[0, -1], [1, 0]], dtype=np.int64) % p
@@ -67,23 +62,19 @@ def build_seed_matrices(field: PrimeField, index: int, *, max_size: int = MAX_SE
     return SeedMatrices(index, FieldMatrix(field, a), FieldMatrix(field, b))
 
 
-def seed_code(
-    field: PrimeField,
-    index: int,
-    *,
-    verify: bool = True,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> LinearCode:
+def seed_code(field: PrimeField, index: int, *, verify: bool = True) -> LinearCode:
     """The [2i, 2i-1, 1] code whose ordered basis is the first 2i-1 columns
-    of the square seed matrix.
+    of the square seed matrix, its distance searched when ``verify`` is set
+    and the enumeration fits the default budget.
 
     index=1 is permitted but the resulting [2, 1, 1] code is not bounded
     (the inequality condition fails); the bounded family starts at index 2.
     """
     matrices = build_seed_matrices(field, index)
-    code = new_code(field, FieldMatrix(field, matrices.a.array[:, : 2 * index - 1].T))
-    if verify and field.p ** code.k <= budget:
-        min_distance_exhaustive(code, budget=budget)
+    code = _checked_code(field, matrices.a.array[:, : 2 * index - 1].T)
+    if verify:
+        with contextlib.suppress(BudgetExceededError):
+            min_distance_exhaustive(code)
     return code
 
 
@@ -118,17 +109,16 @@ def family_code(
     index: int,
     steps: int,
     *,
-    materialization_budget: int = MATERIALIZATION_BUDGET,
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
     verify: bool = True,
 ) -> LinearCode | CodeParams:
     """Member ``steps`` of the chain grown from seed ``index``.
 
-    Materializes the code when the final length fits the budget (verifying
-    the distance when the message count also fits), otherwise returns the
-    exact CodeParams. Raises RangeViolationError outside the bounded range
-    0 <= steps <= 4i^2 - 6i + 1; parameters beyond it are still computable
-    via construct.predict_params but carry no exactness guarantee.
+    Materializes the code when the final length fits MATERIALIZATION_BUDGET
+    (searching the distance when ``verify`` is set and the enumeration fits
+    the default budget), otherwise returns the exact CodeParams. Raises
+    RangeViolationError outside the bounded range 0 <= steps <= 4i^2 - 6i + 1;
+    parameters beyond it are still computable via construct.predict_params
+    but carry no exactness guarantee.
     """
     if index < 2:
         raise ValueError("the bounded family needs index >= 2")
@@ -137,12 +127,12 @@ def family_code(
             f"steps {steps} outside 0..{max_family_steps(index)} for index {index}"
         )
     params = family_params(index, steps)
-    if params.n > materialization_budget:
+    if params.n > MATERIALIZATION_BUDGET:
         return params
-    base = seed_code(field, index, verify=False)
-    code = iterate_code(base, steps, max_coordinates=materialization_budget)
-    if verify and field.p ** code.k <= enumeration_budget:
-        min_distance_exhaustive(code, budget=enumeration_budget)
+    code = iterate_code(seed_code(field, index, verify=False), steps)
+    if verify:
+        with contextlib.suppress(BudgetExceededError):
+            min_distance_exhaustive(code)
     return code
 
 
@@ -199,24 +189,9 @@ def series_params(index: int) -> SeriesMember:
     )
 
 
-def series_code(
-    field: PrimeField,
-    index: int,
-    *,
-    materialization_budget: int = MATERIALIZATION_BUDGET,
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> SeriesMember:
+def series_code(field: PrimeField, index: int) -> SeriesMember:
     """Series member with a materialization attempt (index 1 is the only
     desk-scale member; larger indices come back parameters-only)."""
     member = series_params(index)
-    if member.params.n > materialization_budget:
-        return member
-    built = family_code(
-        field,
-        index + 1,
-        member.resolved_steps,
-        materialization_budget=materialization_budget,
-        enumeration_budget=enumeration_budget,
-    )
-    assert isinstance(built, LinearCode)
-    return replace(member, code=built)
+    built = family_code(field, index + 1, member.resolved_steps)
+    return replace(member, code=built) if isinstance(built, LinearCode) else member

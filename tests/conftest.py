@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import growthcodes
 from growthcodes import FieldMatrix, LinearCode, make_field, new_code
+
+# The CLI tests run ``python -m growthcodes`` in subprocesses. Pytest's
+# ``pythonpath`` setting reaches only this process, so hand the package's
+# directory on to its children as well.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(growthcodes.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")))
+)
 
 
 def lex_min_distance(code: LinearCode) -> int:

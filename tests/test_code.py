@@ -136,6 +136,31 @@ def test_min_distance_budget_exceeded_carries_required_count():
     assert err.value.budget == 4
 
 
+def test_budget_refusal_past_the_int_to_str_digit_limit():
+    # 65521^1000 has 4817 decimal digits; the refusal must not print it
+    field = make_field(65521)
+    code = LinearCode(field, np.eye(1000, 1001, dtype=np.int64))
+    with pytest.raises(BudgetExceededError) as err:
+        min_distance_exhaustive(code)
+    assert err.value.required == 65521**1000
+
+
+def test_code_takes_over_fresh_rows_and_copies_the_rest():
+    fresh = np.array([[1, 0, 1], [0, 1, 3]], dtype=np.int64)
+    code = LinearCode(F2, fresh)
+    assert np.shares_memory(code._rows, fresh) and not fresh.flags.writeable
+    assert code._rows.tolist() == [[1, 0, 1], [0, 1, 1]]
+    base = np.array([[1, 0, 3], [0, 1, 1], [5, 5, 5]], dtype=np.int64)
+    frozen = base[:2].copy()
+    frozen.flags.writeable = False
+    fortran = np.asfortranarray(base[:2])
+    for rows in (base[:2], frozen, fortran):  # a C-contiguous view, read-only, Fortran order
+        code = LinearCode(F2, rows)
+        assert not np.shares_memory(code._rows, rows)
+        assert code._rows.tolist() == [[1, 0, 1], [0, 1, 1]]
+    assert base.flags.writeable and base[0, 2] == 3 and fortran[0, 2] == 3
+
+
 def test_distance_cache_is_search_only():
     c = _code(F2, [[1, 1, 0, 0], [0, 0, 1, 1]])
     assert c.d is None

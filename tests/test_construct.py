@@ -102,8 +102,9 @@ def test_iterate_lengths():
 def test_iterate_budget():
     basis = list(seed_code(F2, 2).basis)
     with pytest.raises(BudgetExceededError) as err:
-        iterate(basis, 7, max_coordinates=10**6)
+        iterate(basis, 7)
     assert err.value.required == 4 * 4 * 5 * 6 * 7 * 8 * 9 * 10
+    assert err.value.budget == construct.MATERIALIZATION_BUDGET
 
 
 def test_predict_params_examples():

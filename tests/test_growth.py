@@ -11,7 +11,10 @@ from growthcodes import (
     make_field,
     new_code,
 )
+from growthcodes import growth
 from growthcodes.growth import (
+    VERIFY_LENGTH_CAP,
+    VERIFY_MESSAGE_CAP,
     growth_table,
     records_to_csv,
     records_to_json,
@@ -57,6 +60,30 @@ def test_seed_family_table():
     assert [r.index for r in records] == [0, 1, 2, 3]
     assert [(r.n, r.k, r.d) for r in records[:2]] == [(4, 3, 1), (16, 4, 4)]
     assert all(r.verified for r in records)
+
+
+def test_seed_family_verified_flags_on_both_sides_of_each_cap():
+    # seed 3: j = 4 has n = 18144, j = 5 has n = 181440 > VERIFY_LENGTH_CAP
+    records = growth_table("seed-family", 5, seed_index=3)
+    assert [r.n for r in records[4:]] == [18144, 181440]
+    assert [r.verified for r in records] == [True] * 5 + [False]
+    # seed 8: j = 1 has 2^16 messages, j = 2 has 2^17 > VERIFY_MESSAGE_CAP
+    records = growth_table("seed-family", 2, seed_index=8)
+    assert [2**r.k for r in records[1:]] == [VERIFY_MESSAGE_CAP, 2 * VERIFY_MESSAGE_CAP]
+    assert [r.verified for r in records] == [True, True, False]
+    assert records[2].n <= VERIFY_LENGTH_CAP
+
+
+def test_rm_diagonal_rows_over_the_message_cap_are_not_built(monkeypatch):
+    # RM(13,6) is [8192, 4096]: under VERIFY_LENGTH_CAP but 2^4096 messages;
+    # building it would take minutes, so the row is refused on its parameters.
+    built = []
+    real = growth.rm_generator
+    monkeypatch.setattr(growth, "rm_generator", lambda m, r: built.append((m, r)) or real(m, r))
+    records = growth_table("rm-diagonal", 7)
+    assert built == [(3, 1), (5, 2)]
+    assert [r.verified for r in records] == [True, True] + [False] * 5
+    assert records[5].n <= VERIFY_LENGTH_CAP
 
 
 def test_composition_tables_preserve_ratio():

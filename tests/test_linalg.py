@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,47 @@ def test_determinant_multiplicative(p, seed, size):
     a = FieldMatrix(field, rng.integers(0, p, size=(size, size)))
     b = FieldMatrix(field, rng.integers(0, p, size=(size, size)))
     assert determinant(a @ b) == determinant(a) * determinant(b)
+
+
+def _leibniz(rows: list[list[int]], p: int) -> int:
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(len(perm)), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total % p
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    seed=st.integers(0, 10**6),
+    size=st.integers(1, 6),
+)
+def test_determinant_nonzero_exactly_at_full_rank(p, seed, size):
+    rng = np.random.default_rng(seed)
+    field = make_field(p)
+    entries = rng.integers(0, p, size=(size, size))
+    if rng.integers(0, 2):  # force a dependent row half the time
+        entries[-1] = entries[0] * int(rng.integers(0, p)) % p
+    mat = FieldMatrix(field, entries)
+    det = determinant(mat)
+    assert (int(det) != 0) == (rank(mat) == size)
+    assert int(det) == _leibniz(entries.tolist(), p)
+
+
+def test_matrix_from_any_integer_array_is_one_canonical_copy():
+    for source in (
+        np.array([[-1, 7], [12, -6]], dtype=np.int8),
+        np.array([[-1, 7], [12, -6]], dtype=np.int32),
+        np.array([[-1, 7], [12, -6]], dtype=np.int64),
+    ):
+        mat = FieldMatrix(F5, source)
+        assert mat.array.dtype == np.int64 and mat.array.tolist() == [[4, 2], [2, 4]]
+        assert not np.shares_memory(mat.array, source) and source.flags.writeable
+    assert FieldMatrix(F3, np.array([[True, False]])).array.tolist() == [[1, 0]]
 
 
 @settings(max_examples=40)

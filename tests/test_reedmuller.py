@@ -11,8 +11,8 @@ from growthcodes import (
     make_field,
 )
 from growthcodes.reedmuller import (
+    MAX_RM_LENGTH,
     binomial_sum,
-    rm_code,
     rm_generator,
     rm_kd_over_n,
     rm_params,
@@ -64,14 +64,10 @@ def test_generator_dimensions_and_distances_to_m4():
 
 
 def test_generator_budget():
-    with pytest.raises(BudgetExceededError):
-        rm_generator(8, 2, max_length=100)
-
-
-def test_rm_code_wrapper():
-    built = rm_code(3, 1)
-    assert built.code is not None and built.params.d == 4
-    assert rm_code(3, 1, materialize=False).code is None
+    # 2^21 > MAX_RM_LENGTH: refused before any array is built.
+    with pytest.raises(BudgetExceededError) as err:
+        rm_generator(21, 0)
+    assert (err.value.required, err.value.budget) == (2**21, MAX_RM_LENGTH)
 
 
 def test_diagonal_identity_parameter_level():

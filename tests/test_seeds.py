@@ -16,6 +16,7 @@ from growthcodes import (
     weight,
 )
 from growthcodes.seeds import (
+    MAX_SEED_SIZE,
     build_seed_matrices,
     family_code,
     family_params,
@@ -63,8 +64,10 @@ def test_wide_matrix_is_tiled_base_block():
 
 
 def test_size_budget():
-    with pytest.raises(BudgetExceededError):
-        build_seed_matrices(F2, 100, max_size=100)
+    # 2 * 2049 > MAX_SEED_SIZE: refused before any array is built.
+    with pytest.raises(BudgetExceededError) as err:
+        build_seed_matrices(F2, 2049)
+    assert (err.value.required, err.value.budget) == (4098, MAX_SEED_SIZE)
 
 
 @pytest.mark.parametrize("field", LEMMA_FIELDS)
@@ -148,6 +151,16 @@ def test_family_code_returns_params_when_too_long():
     assert isinstance(got, CodeParams)
     assert got.k == 27
     assert got.n == 8 * got.d
+
+
+def test_verification_stops_at_the_default_budget():
+    # seed_code and family_code search only when q^k <= 2^26, else leave d unset
+    assert seed_code(F2, 13).d == 1  # 2^25 messages
+    assert seed_code(F2, 14).d is None  # 2^27
+    f11 = make_field(11)
+    assert family_code(f11, 2, 4).d == family_params(2, 4).d  # 11^7 messages
+    over = family_code(f11, 2, 5)  # 11^8
+    assert isinstance(over, LinearCode) and over.d is None
 
 
 def test_family_range_violation():
