@@ -42,8 +42,8 @@ import math
 
 import numpy as np
 
-from .errors import BudgetExceededError, DependentBasisError
-from .linalg import _rref
+from .errors import BudgetExceededError
+from .linalg import _echelon
 
 # Batch-size caps: trailing-digit combinations per vectorized block, and a
 # memory cap on the cells (words or columns) of the transient tables.
@@ -246,11 +246,17 @@ def min_weight_enumeration(p: int, cols: np.ndarray, mult: np.ndarray) -> int:
 
 
 def parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
-    """An (n-k) x n matrix whose kernel is the row space of ``rows``."""
+    """An (n-k) x n matrix whose kernel is the row space of ``rows``, which
+    are independent (a LinearCode's rows)."""
     k, n = rows.shape
-    reduced, pivots, _ = _rref(rows, p)
-    if len(pivots) != k:
-        raise DependentBasisError(f"parity check needs a full-rank generator, rank is {len(pivots)} of {k}")
+    reduced, pivots, _ = _echelon(rows, p)
+    # Back-substitution, bottom up: scale each pivot to 1 and clear above it.
+    for r in range(k - 1, -1, -1):
+        col = pivots[r]
+        reduced[r] = reduced[r] * pow(int(reduced[r, col]), p - 2, p) % p
+        above = np.flatnonzero(reduced[:r, col])
+        if above.size:
+            reduced[above] = (reduced[above] - np.outer(reduced[above, col], reduced[r])) % p
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
     check = np.zeros((n - k, n), dtype=np.int64)

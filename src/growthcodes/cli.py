@@ -189,8 +189,8 @@ def _parse_checks(text: str) -> list[tuple[str, list[int]]]:
                 except ValueError:
                     raise GrowthCodesError(f"non-integer argument {tokens[i]!r} for params check")
         elif name == "bounded":
-            if len(args) != 1:
-                raise GrowthCodesError("bounded check needs one integer: bounded:u")
+            if len(args) != 1 or args[0] < 1:
+                raise GrowthCodesError("bounded check needs one positive integer: bounded:u")
         elif name in ("distance", "singleton"):
             if args:
                 raise GrowthCodesError(f"check {name!r} takes no arguments")

@@ -19,11 +19,11 @@ from .errors import (
     DependentBasisError,
     FieldMismatchError,
     GeneratorFormatError,
-    LengthMismatchError,
+    ShapeMismatchError,
     VerificationError,
 )
 from .field import PrimeField, make_field
-from .linalg import FieldMatrix, FieldVector, _rref, check_array_field
+from .linalg import FieldMatrix, FieldVector, _echelon, check_array_field
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 26
 
@@ -50,13 +50,20 @@ class CodeParams:
 class LinearCode:
     """A linear code given by an ordered basis of k length-n vectors.
 
+    The rows must be independent: construction raises DependentBasisError
+    otherwise, and for an empty basis, so ``k`` is always the dimension.
+    The rank is taken over the weighted projective column multiset
+    ``_columns`` (see _engine.projective_columns), which the distance search
+    then reuses: dropping zero, repeated and scalar-multiple columns leaves
+    the column rank unchanged.
+
     ``d`` is None until an exhaustive search verifies the minimum distance;
     it is written once and never holds a merely predicted value. A writeable,
     C-contiguous int64 array that owns its data becomes the code's storage
     (and is frozen) without a copy; any other ``rows`` is copied.
     """
 
-    __slots__ = ("field", "_rows", "n", "k", "_d", "_multiset")
+    __slots__ = ("field", "_rows", "n", "k", "_d", "_columns")
 
     def __init__(self, field: PrimeField, rows: np.ndarray):
         check_array_field(field)
@@ -68,17 +75,26 @@ class LinearCode:
             and rows.flags.c_contiguous
         ):
             rows = np.array(rows, dtype=np.int64)
+        if rows.ndim != 2:
+            raise ShapeMismatchError("a basis must be a two-dimensional array of rows")
+        k, n = rows.shape
+        if k == 0:
+            raise DependentBasisError("empty basis")
         # An int64 modulo over a materialized chain member costs more than
         # the two range checks, and most callers pass canonical residues.
         if rows.size and (rows.min() < 0 or rows.max() >= field.p):
             rows %= field.p
-        rows.flags.writeable = False
+        cols, mult = _engine.projective_columns(field.p, rows)
+        rank = len(_echelon(cols, field.p)[1])
+        if rank < k:
+            raise DependentBasisError(f"basis has rank {rank} but {k} vectors")
+        rows.flags.writeable = cols.flags.writeable = mult.flags.writeable = False
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "k", int(rows.shape[0]))
-        object.__setattr__(self, "n", int(rows.shape[1]))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "_d", None)
-        object.__setattr__(self, "_multiset", None)
+        object.__setattr__(self, "_columns", (cols, mult))
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"LinearCode is immutable ({name})")
@@ -95,17 +111,8 @@ class LinearCode:
     def generator(self) -> FieldMatrix:
         return FieldMatrix(self.field, self._rows)
 
-    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The weighted projective column multiset ``(cols, mult)``, computed
-        once; see _engine.projective_columns."""
-        if self._multiset is None:
-            cols, mult = _engine.projective_columns(self.field.p, self._rows)
-            cols.flags.writeable = mult.flags.writeable = False
-            object.__setattr__(self, "_multiset", (cols, mult))
-        return self._multiset
-
     def basis_weights(self) -> tuple[int, ...]:
-        cols, mult = self._columns()
+        cols, mult = self._columns
         return tuple(int(w) for w in (cols != 0).astype(np.int64) @ mult)
 
     def params(self, u: int | None = None) -> CodeParams:
@@ -130,38 +137,16 @@ class LinearCode:
 
 
 def new_code(field: PrimeField, basis: Sequence[FieldVector] | FieldMatrix) -> LinearCode:
-    """Validate an ordered basis and wrap it as a LinearCode (d unset)."""
-    if isinstance(basis, FieldMatrix):
-        if basis.field.p != field.p:
-            raise FieldMismatchError(f"matrix over GF({basis.field.p}), field is GF({field.p})")
-        rows = basis.array
-    else:
-        if len(basis) == 0:
+    """Wrap an ordered basis, FieldVectors or a FieldMatrix over ``field``, as
+    a LinearCode (d unset). The vectors' field and length checks are
+    FieldMatrix.from_rows'; LinearCode checks independence."""
+    if not isinstance(basis, FieldMatrix):
+        if not basis:
             raise DependentBasisError("empty basis")
-        width = len(basis[0])
-        for v in basis:
-            if v.field.p != field.p:
-                raise FieldMismatchError(f"vector over GF({v.field.p}), field is GF({field.p})")
-            if len(v) != width:
-                raise LengthMismatchError("basis vectors have unequal lengths")
-        rows = np.stack([v.entries for v in basis])
-    return _checked_code(field, rows)
-
-
-def _checked_code(field: PrimeField, rows: np.ndarray) -> LinearCode:
-    """Wrap ``rows`` as a LinearCode after checking that they are independent.
-
-    The rank is taken over the distinct projective columns, which the
-    distance search then reuses: dropping zero, repeated and scalar-multiple
-    columns leaves the column rank unchanged, so the check stays exact.
-    """
-    if rows.shape[0] == 0 or rows.shape[1] == 0:
-        raise DependentBasisError("empty basis")
-    code = LinearCode(field, rows)
-    rank = len(_rref(code._columns()[0], field.p)[1])
-    if rank < code.k:
-        raise DependentBasisError(f"basis has rank {rank} but {code.k} vectors")
-    return code
+        basis = FieldMatrix.from_rows(basis)
+    if basis.field.p != field.p:
+        raise FieldMismatchError(f"basis over GF({basis.field.p}), field is GF({field.p})")
+    return LinearCode(field, basis.array)
 
 
 def _check_enumeration(p: int, k: int, budget: int) -> None:
@@ -193,7 +178,7 @@ def min_distance_exhaustive(
     if code.d is not None:
         return code.d
     _check_enumeration(code.field.p, code.k, budget)
-    d = _engine.min_weight_enumeration(code.field.p, *code._columns())
+    d = _engine.min_weight_enumeration(code.field.p, *code._columns)
     code._record_distance(d)
     return d
 
@@ -288,7 +273,7 @@ def parse_generator(text: str) -> LinearCode:
         if any(v < 0 or v >= q for v in values):
             raise GeneratorFormatError(f"row {i + 1} has entries outside 0..{q - 1}")
         rows[i] = values
-    return _checked_code(field, rows)
+    return LinearCode(field, rows)
 
 
 def write_generator_file(code: LinearCode, path) -> None:

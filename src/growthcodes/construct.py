@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .code import DEFAULT_ENUMERATION_BUDGET, LinearCode, _checked_code, min_distance_exhaustive
+from .code import DEFAULT_ENUMERATION_BUDGET, LinearCode, min_distance_exhaustive, new_code
 from .errors import BudgetExceededError, DependentBasisError, NotBoundedError
 from .linalg import FieldVector
 
@@ -81,7 +81,7 @@ def check_bounded(
         raise ValueError("u must be a positive integer")
     weights = code.basis_weights()
     d = min_distance_exhaustive(code, budget=budget)
-    cols, mult = code._columns()
+    cols, mult = code._columns
     sum_weight = int(mult[cols.sum(axis=0) % code.field.p != 0].sum())
     return BoundednessReport(
         u=u,
@@ -113,10 +113,10 @@ def _step_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_code(code: LinearCode) -> LinearCode:
-    """One construction step on a code's rows, its output checked for
-    independence; a failure there would be an implementation bug."""
-    return _checked_code(code.field, _step_rows(code._rows))
+def _basis_code(basis: Sequence[FieldVector]) -> LinearCode:
+    if not basis:
+        raise DependentBasisError("empty basis")
+    return new_code(basis[0].field, basis)
 
 
 def construction_step(basis: Sequence[FieldVector]) -> list[FieldVector]:
@@ -124,14 +124,12 @@ def construction_step(basis: Sequence[FieldVector]) -> list[FieldVector]:
 
     Block row i of the t-th output vector is a_{(i-t) mod (k+1)}, with the
     residue 0 giving the zero block; so the first output vector starts with
-    the zero block and the last one ends with it. The output is re-validated
-    for independence; a failure there would be an implementation bug.
+    the zero block and the last one ends with it. The input and the output
+    are checked for independence (LinearCode); a dependent output would be an
+    implementation bug.
     """
-    if not basis:
-        raise DependentBasisError("empty basis")
-    field = basis[0].field
-    rows = np.stack([v.entries for v in basis])
-    return list(_step_code(LinearCode(field, rows)).basis)
+    code = _basis_code(basis)
+    return list(LinearCode(code.field, _step_rows(code._rows)).basis)
 
 
 def iterate_code(code: LinearCode, steps: int) -> LinearCode:
@@ -139,7 +137,7 @@ def iterate_code(code: LinearCode, steps: int) -> LinearCode:
 
     Raises BudgetExceededError before any work when the final length would
     exceed MATERIALIZATION_BUDGET. Every step's output is checked for
-    independence.
+    independence (LinearCode).
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -152,16 +150,14 @@ def iterate_code(code: LinearCode, steps: int) -> LinearCode:
             budget=MATERIALIZATION_BUDGET,
         )
     for _ in range(steps):
-        code = _step_code(code)
+        code = LinearCode(code.field, _step_rows(code._rows))
     return code
 
 
 def iterate(basis: Sequence[FieldVector], steps: int) -> list[FieldVector]:
-    """Apply the construction ``steps`` times; steps=0 returns the input."""
-    if not basis:
-        raise DependentBasisError("empty basis")
-    code = LinearCode(basis[0].field, np.stack([v.entries for v in basis]))
-    return list(iterate_code(code, steps).basis)
+    """Apply the construction ``steps`` times; steps=0 returns the input,
+    which must be independent."""
+    return list(iterate_code(_basis_code(basis), steps).basis)
 
 
 def predict_params(n: int, k: int, d: int, u: int, steps: int) -> ChainParams:

@@ -161,8 +161,9 @@ def _rm_third_record(m: int) -> GrowthRecord:
 
 
 def _composed_record(family: str, base: LinearCode, s: int) -> GrowthRecord:
-    composed = direct_sum(base, s) if family == "direct-sum" else repetition(base, s)
-    d = _row_distance(composed.field.p, composed.n, composed.k, lambda: composed)
+    n = base.n * s
+    k, compose = (base.k * s, direct_sum) if family == "direct-sum" else (base.k, repetition)
+    d = _row_distance(base.field.p, n, k, partial(compose, base, s))
     verified = d is not None
     if d is None:
         base_d = min_distance_exhaustive(base)
@@ -170,11 +171,11 @@ def _composed_record(family: str, base: LinearCode, s: int) -> GrowthRecord:
     return GrowthRecord(
         family=family,
         index=s,
-        n=composed.n,
-        k=composed.k,
+        n=n,
+        k=k,
         d=d,
         u=None,
-        kd_over_n=Fraction(composed.k * d, composed.n),
+        kd_over_n=Fraction(k * d, n),
         verified=verified,
         extras={},
     )
@@ -237,8 +238,10 @@ def _row_cells(record: GrowthRecord, extra_keys: tuple[str, ...]) -> dict:
 def _extra_keys(records: list[GrowthRecord]) -> tuple[str, ...]:
     if not records:
         return ()
-    keys = tuple(records[0].extras.keys())
-    assert all(tuple(r.extras.keys()) == keys for r in records), "non-uniform extras"
+    keys = tuple(records[0].extras)
+    for record in records:
+        if tuple(record.extras) != keys:
+            raise ValueError(f"one table cannot mix extra columns {list(keys)} and {list(record.extras)}")
     return keys
 
 

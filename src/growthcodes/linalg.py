@@ -249,54 +249,48 @@ def hamming_distance(x: FieldVector, y: FieldVector) -> int:
     return int(np.count_nonzero(x.entries != y.entries))
 
 
-def _rref(data: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
-    """Reduced row-echelon form mod p, the list of pivot columns, and the
-    product of the pivots with the sign of the row swaps (mod p), which is
-    the determinant when ``data`` is square and of full rank."""
-    m = (data % p).astype(np.int64)
+def _echelon(data: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
+    """Row-echelon form mod p by forward elimination, the list of pivot
+    columns, and the product of the pivots with the sign of the row swaps
+    (mod p), which is the determinant when ``data`` is square and of full
+    rank. Each pivot updates only the rows below it, from its column on:
+    nothing is cleared above a pivot and no pivot is scaled to 1."""
+    m = data % p
     n_rows, n_cols = m.shape
     pivots: list[int] = []
     scale = 1
     r = 0
-    col = 0
-    while r < n_rows and col < n_cols:
-        sub = m[r:, col:]
-        nonzero_cols = (sub != 0).any(axis=0)
-        if not nonzero_cols.any():
+    for col in range(n_cols):
+        if r == n_rows:
             break
-        col += int(np.argmax(nonzero_cols))
-        pivot_row = r + int(np.argmax(m[r:, col] != 0))
-        if pivot_row != r:
-            m[[r, pivot_row]] = m[[pivot_row, r]]
+        nonzero = np.flatnonzero(m[r:, col])
+        if not nonzero.size:
+            continue
+        # Rows r.. are zero left of ``col``, so swaps and updates start there.
+        if nonzero[0]:
+            m[[r, r + nonzero[0]], col:] = m[[r + nonzero[0], r], col:]
             scale = -scale
         pivot = int(m[r, col])
         scale = scale * pivot % p
-        m[r] = m[r] * pow(pivot, p - 2, p) % p
-        factors = m[:, col].copy()
-        factors[r] = 0
-        hit = factors != 0
-        if hit.any():
-            m[hit] = (m[hit] - np.outer(factors[hit], m[r])) % p
+        hit = r + nonzero[1:]  # after a swap the row moved down is zero in ``col``
+        if hit.size:
+            factors = m[hit, col] * pow(pivot, p - 2, p) % p
+            m[hit, col:] = (m[hit, col:] - np.outer(factors, m[r, col:])) % p
         pivots.append(col)
         r += 1
-        col += 1
     return m, pivots, scale
 
 
 def rank(matrix: FieldMatrix) -> int:
     """Row rank, computed by elimination over the field."""
-    if matrix.rows == 0 or matrix.cols == 0:
-        return 0
-    return len(_rref(matrix.array, matrix.field.p)[1])
+    return len(_echelon(matrix.array, matrix.field.p)[1])
 
 
 def determinant(matrix: FieldMatrix) -> FieldElement:
-    """Field determinant, read off the row reduction: zero below full rank."""
+    """Field determinant, read off the forward elimination: zero below full rank."""
     if matrix.rows != matrix.cols:
         raise NotSquareError(f"matrix is {matrix.rows}x{matrix.cols}")
-    if matrix.rows == 0:
-        return matrix.field.one()
-    _, pivots, scale = _rref(matrix.array, matrix.field.p)
+    _, pivots, scale = _echelon(matrix.array, matrix.field.p)
     return matrix.field.element(scale if len(pivots) == matrix.rows else 0)
 
 

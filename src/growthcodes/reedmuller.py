@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .code import CodeParams, LinearCode, _checked_code
+from .code import CodeParams, LinearCode
 from .errors import BudgetExceededError
 from .field import make_field
 
@@ -65,7 +65,7 @@ def rm_generator(m: int, r: int) -> LinearCode:
                 rows.append(np.bitwise_and.reduce(variables[list(subset)], axis=0))
             else:
                 rows.append(np.ones(n, dtype=np.int64))
-    return _checked_code(make_field(2), np.stack(rows))
+    return LinearCode(make_field(2), np.stack(rows))
 
 
 @dataclass(frozen=True)

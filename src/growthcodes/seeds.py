@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .code import CodeParams, LinearCode, _checked_code, min_distance_exhaustive
+from .code import CodeParams, LinearCode, min_distance_exhaustive
 from .construct import MATERIALIZATION_BUDGET, iterate_code, rising_factorial
 from .errors import BudgetExceededError, RangeViolationError, VerificationError
 from .field import PrimeField
@@ -71,7 +71,7 @@ def seed_code(field: PrimeField, index: int, *, verify: bool = True) -> LinearCo
     (the inequality condition fails); the bounded family starts at index 2.
     """
     matrices = build_seed_matrices(field, index)
-    code = _checked_code(field, matrices.a.array[:, : 2 * index - 1].T)
+    code = LinearCode(field, matrices.a.array[:, : 2 * index - 1].T)
     if verify:
         with contextlib.suppress(BudgetExceededError):
             min_distance_exhaustive(code)

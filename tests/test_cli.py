@@ -152,6 +152,14 @@ def test_verify_unknown_check(tmp_path):
     assert run_cli("verify", "--in", str(out), "--checks", "nonsense").returncode == 2
 
 
+def test_verify_bounded_needs_a_positive_weight(tmp_path):
+    out = tmp_path / "c2.txt"
+    run_cli("build", "--family", "seed", "--i", "2", "--field", "2", "--out", str(out))
+    proc = run_cli("verify", "--in", str(out), "--checks", "bounded:0")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: bounded check needs one positive integer: bounded:u"]
+
+
 def test_growth_unknown_family_exits_2():
     assert run_cli("growth", "--family", "nope", "--max-index", "2").returncode == 2
 

@@ -12,6 +12,7 @@ from growthcodes import (
     CodeParams,
     DependentBasisError,
     FieldMatrix,
+    FieldMismatchError,
     FieldVector,
     GeneratorFormatError,
     LengthMismatchError,
@@ -112,6 +113,24 @@ def test_record_distance_guards_hold_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "refused None"
+
+
+def test_linear_code_refuses_dependent_and_empty_bases():
+    with pytest.raises(DependentBasisError):
+        rate(LinearCode(F2, [[1, 1, 0], [1, 1, 0]]))
+    with pytest.raises(DependentBasisError):
+        LinearCode(F3, np.array([[1, 2, 0], [2, 1, 0]], dtype=np.int64))  # row 2 = 2 * row 1
+    for rows in (np.zeros((0, 3), dtype=np.int64), np.zeros((2, 0), dtype=np.int64)):
+        with pytest.raises(DependentBasisError):
+            LinearCode(F2, rows)
+    assert LinearCode(F3, [[1, 2, 0], [2, 2, 0]]).k == 2
+
+
+def test_new_code_rejects_mixed_fields():
+    with pytest.raises(FieldMismatchError):
+        new_code(F2, [FieldVector(F2, [1, 0]), FieldVector(F3, [0, 1])])
+    with pytest.raises(FieldMismatchError):
+        new_code(F3, FieldMatrix(F2, [[1, 1]]))
 
 
 def test_new_code_rejects_unequal_lengths():

@@ -6,6 +6,7 @@ from growthcodes import (
     BudgetExceededError,
     DependentBasisError,
     FieldMatrix,
+    FieldMismatchError,
     FieldVector,
     NotBoundedError,
     check_bounded,
@@ -67,6 +68,23 @@ def test_construction_step_weight_identity_on_random_codes():
         total = sum(code.basis_weights())
         for v in construction_step(list(code.basis)):
             assert weight(v) == total
+
+
+def test_step_and_iterate_refuse_a_mixed_field_basis():
+    mixed = [FieldVector(F2, [1, 0]), FieldVector(F3, [0, 2])]
+    with pytest.raises(FieldMismatchError):
+        construction_step(mixed)
+    with pytest.raises(FieldMismatchError):
+        iterate(mixed, 1)
+
+
+def test_step_and_iterate_refuse_a_dependent_basis_even_at_zero_steps():
+    dependent = [FieldVector(F3, [1, 2, 0]), FieldVector(F3, [2, 1, 0])]
+    for steps in (0, 1):
+        with pytest.raises(DependentBasisError):
+            iterate(dependent, steps)
+    with pytest.raises(DependentBasisError):
+        construction_step(dependent)
 
 
 def test_construction_step_rejects_dependent_output(monkeypatch):

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -20,7 +22,7 @@ from growthcodes.growth import (
     records_to_json,
     sqrt_bracket_check,
 )
-from growthcodes.seeds import family_params, max_family_steps
+from growthcodes.seeds import family_params, max_family_steps, seed_code
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -94,6 +96,37 @@ def test_composition_tables_preserve_ratio():
         assert all(r.verified for r in records)
     reps = growth_table("repetition", 2, base_code=base)
     assert [(r.n, r.k, r.d) for r in reps] == [(4, 2, 2), (8, 2, 4)]
+
+
+def test_composed_rows_past_the_caps_are_not_built(monkeypatch):
+    # direct_sum(seed [4, 3, 1], s) has k = 3s: only s <= 5 fits VERIFY_MESSAGE_CAP = 2^16
+    built = []
+    real = growth.direct_sum
+    monkeypatch.setattr(growth, "direct_sum", lambda code, s: built.append(s) or real(code, s))
+    records = growth_table("direct-sum", 40, base_code=seed_code(F2, 2))
+    assert built == [1, 2, 3, 4, 5]
+    assert [r.verified for r in records] == [True] * 5 + [False] * 35
+    assert [(r.n, r.k, r.d) for r in records[38:]] == [(156, 117, 1), (160, 120, 1)]
+
+
+def test_tables_mixing_extra_columns_are_refused_under_optimize():
+    script = "\n".join(
+        [
+            "from growthcodes import FieldMatrix, make_field, new_code",
+            "from growthcodes.growth import growth_table, records_to_csv, records_to_json",
+            "f = make_field(2)",
+            "base = new_code(f, FieldMatrix(f, [[1, 1]]))",
+            "records = growth_table('repetition', 1, base_code=base) + growth_table('seed-family', 0, seed_index=2)",
+            "for write in (records_to_csv, records_to_json):",
+            "    try:",
+            "        write(records)",
+            "    except ValueError as exc:",
+            "        print('refused', 'seed_index' in str(exc))",
+        ]
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["refused True", "refused True", ""]
 
 
 def test_unknown_family():

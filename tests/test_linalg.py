@@ -20,6 +20,7 @@ from growthcodes import (
     stack_blocks,
     weight,
 )
+from growthcodes._engine import parity_check_matrix
 from growthcodes.seeds import build_seed_matrices
 
 F2 = make_field(2)
@@ -207,3 +208,23 @@ def test_rank_equals_rank_of_transpose(p, seed, m, n):
     field = make_field(p)
     mat = FieldMatrix(field, rng.integers(0, p, size=(m, n)))
     assert rank(mat) == rank(mat.transpose())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    seed=st.integers(0, 10**6),
+    k=st.integers(1, 5),
+    extra=st.integers(0, 4),
+)
+def test_parity_check_spans_the_dual_of_a_full_rank_generator(p, seed, k, extra):
+    rng = np.random.default_rng(seed)
+    field = make_field(p)
+    n = k + extra
+    generator = rng.integers(0, p, size=(k, n), dtype=np.int64)
+    if rank(FieldMatrix(field, generator)) < k:
+        generator[:, rng.permutation(n)[:k]] = np.eye(k, dtype=np.int64)  # force full rank
+    check = parity_check_matrix(generator, p)
+    assert check.shape == (n - k, n)
+    assert not (generator @ check.T % p).any()
+    assert rank(FieldMatrix(field, check)) == n - k
