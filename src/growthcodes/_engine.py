@@ -25,10 +25,11 @@ member at j = 5 has n = 760320 but D = 1716 over GF(2). The rank checks in
   trailing-digit combinations at a time: x.c = 0 exactly where the table
   entry equals -base(c), and the multiplicities of those columns are summed
   by one matrix-vector product.
-* support enumeration searches codewords by increasing support size against
-  the parity-check matrix, exhausting every candidate of weight < w before
-  accepting w. Exact, and cheap precisely when the code rate is high (small
-  redundancy forces a small minimum distance).
+* High-rate codes are searched through their dual: the scan above, run over
+  the q^(n-k) words of the dual, gives the dual's weight distribution, and
+  the MacWilliams identity (MacWilliams & Sloane, "The Theory of
+  Error-Correcting Codes", ch. 5) turns it into the code's, exactly, in
+  Python integers. Cheap precisely when the redundancy n - k is small.
 
 All engines are deterministic and run serially: on every benchmarked input a
 thread pool over message ranges was slower than one scan (two threads took
@@ -37,12 +38,11 @@ twice the serial time on the GF(7) chain members).
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import VerificationError
 from .linalg import _echelon
 
 # Batch-size caps: trailing-digit combinations per vectorized block, and a
@@ -132,9 +132,9 @@ def projective_columns(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return cols, mult
 
 
-def _min_weight_gf2(cols: np.ndarray, mult: np.ndarray) -> int:
+def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
+    """Yield the codeword weights of every nonzero message, one block at a time."""
     k = cols.shape[0]
-    n = int(mult.sum())
     classes, sizes = np.unique(mult, return_counts=True)
     order = np.argsort(mult, kind="stable")
     class_words = (sizes + 63) // 64
@@ -162,25 +162,19 @@ def _min_weight_gf2(cols: np.ndarray, mult: np.ndarray) -> int:
     # High digits in Gray-code order: message h differs from message h - 1
     # in the row of h's lowest set bit.
     base = np.zeros(width, dtype=np.uint64)
-    best = n + 1
-    for h in range(1 << (k - t)):
-        if h:
-            base = base ^ packed[(h & -h).bit_length() - 1]
-        weights = weigh(base[None, :] ^ offsets)
-        if h == 0:
-            weights[0] = n + 1
-        m = int(weights.min())
-        if m < best:
-            best = m
-            if best == 1:
-                break
-    return best
+    yield weigh(offsets[1:])
+    for h in range(1, 1 << (k - t)):
+        base = base ^ packed[(h & -h).bit_length() - 1]
+        yield weigh(base[None, :] ^ offsets)
 
 
-def _min_weight_odd(p: int, cols: np.ndarray, mult: np.ndarray) -> int:
+def _message_weights_odd(p: int, cols: np.ndarray, mult: np.ndarray):
+    """Yield the codeword weights of one message per scalar class, one block
+    at a time: the zero prefix with the head, then every prefix whose most
+    significant nonzero digit is 1 (the numbers p**g .. 2*p**g - 1 for
+    g = 0 .. high-1, stepped by an odometer) with the whole table."""
     k, width = cols.shape
     n = int(mult.sum())
-    floor = int(mult.min())
     t = 0
     while t < k - 1 and p ** (t + 1) <= _MAX_BATCH and p ** (t + 1) * width <= _MAX_BATCH_CELLS:
         t += 1
@@ -197,40 +191,34 @@ def _min_weight_odd(p: int, cols: np.ndarray, mult: np.ndarray) -> int:
     weights = mult.astype(dtype)
     high_rows = cols[:high]
 
-    def lightest(block: np.ndarray, base: np.ndarray) -> int:
-        if len(block) == 0:
-            return n + 1
+    def weigh(block: np.ndarray, base: np.ndarray) -> np.ndarray:
         target = ((p - base) % p).astype(block.dtype)
-        return n - int(((block == target).astype(dtype) @ weights).max())
+        return n - ((block == target).astype(dtype) @ weights).astype(np.int64)
 
-    def prefixes():
-        """The zero prefix with the head, then every prefix whose most
-        significant nonzero digit is 1 (the numbers p**g .. 2*p**g - 1 for
-        g = 0 .. high-1, stepped by an odometer) with the whole table."""
-        yield head, np.zeros(width, dtype=np.int64)
-        for g in range(high):
-            digits = np.zeros(high, dtype=np.int64)
-            digits[g] = 1
-            base = high_rows[g].copy()
-            yield table, base
-            for _ in range(p**g - 1):
-                i = 0
-                while True:
-                    base += high_rows[i]
-                    np.subtract(base, p, out=base, where=base >= p)
-                    digits[i] += 1
-                    if digits[i] < p:
-                        break
-                    digits[i] = 0
-                    i += 1
-                yield table, base
+    if len(head):
+        yield weigh(head, np.zeros(width, dtype=np.int64))
+    for g in range(high):
+        digits = np.zeros(high, dtype=np.int64)
+        digits[g] = 1
+        base = high_rows[g].copy()
+        yield weigh(table, base)
+        for _ in range(p**g - 1):
+            i = 0
+            while True:
+                base += high_rows[i]
+                np.subtract(base, p, out=base, where=base >= p)
+                digits[i] += 1
+                if digits[i] < p:
+                    break
+                digits[i] = 0
+                i += 1
+            yield weigh(table, base)
 
-    best = n + 1
-    for block, base in prefixes():
-        best = min(best, lightest(block, base))
-        if best == floor:
-            break
-    return best
+
+def _message_weights(p: int, cols: np.ndarray, mult: np.ndarray):
+    if p == 2:
+        return _message_weights_gf2(cols, mult)
+    return _message_weights_odd(p, cols, mult)
 
 
 def min_weight_enumeration(p: int, cols: np.ndarray, mult: np.ndarray) -> int:
@@ -238,11 +226,58 @@ def min_weight_enumeration(p: int, cols: np.ndarray, mult: np.ndarray) -> int:
 
     ``(cols, mult)`` is the code's projective column multiset (see
     projective_columns); code.min_distance_exhaustive checks the enumeration
-    budget before calling it.
+    budget before calling it. The scan stops early at the smallest
+    multiplicity, which no nonzero codeword can undercut.
     """
-    if p == 2:
-        return _min_weight_gf2(cols, mult)
-    return _min_weight_odd(p, cols, mult)
+    floor = int(mult.min())
+    best = int(mult.sum())
+    for weights in _message_weights(p, cols, mult):
+        best = min(best, int(weights.min()))
+        if best == floor:
+            break
+    return best
+
+
+def weight_distribution(p: int, cols: np.ndarray, mult: np.ndarray) -> list[int]:
+    """The number of codewords of each weight 0 .. sum(mult), by full message
+    enumeration; the caller checks the enumeration budget."""
+    counts = np.zeros(int(mult.sum()) + 1, dtype=np.int64)
+    for weights in _message_weights(p, cols, mult):
+        block = np.bincount(weights)
+        counts[: len(block)] += block
+    return [1] + [int(c) * (p - 1) for c in counts[1:]]
+
+
+def _krawtchouk(p: int, n: int, w: int, i: int) -> int:
+    """K_w(i) = sum_j (-1)^j (p-1)^(w-j) C(i, j) C(n-i, w-j)."""
+    return sum(
+        (-1) ** j * (p - 1) ** (w - j) * math.comb(i, j) * math.comb(n - i, w - j) for j in range(w + 1)
+    )
+
+
+def min_weight_from_dual(p: int, n: int, redundancy: int, dual: list[int]) -> int:
+    """The minimum distance of a length-n code over GF(p) whose dual, of
+    dimension ``redundancy``, has ``dual[i]`` words of weight i.
+
+    By the MacWilliams identity the code has
+    A_w = p^-redundancy * sum_i dual[i] K_w(i) words of weight w; the smallest
+    w >= 1 with A_w > 0 is returned. ``n`` must be the code's own length:
+    zero columns, which the dual's multiset drops, still count in K_w.
+    VerificationError is raised, under ``python -O`` too, when the counts
+    cannot come from a code: a total other than p^redundancy, a fractional
+    or negative A_w, or no nonzero codeword at all.
+    """
+    size = p**redundancy
+    if sum(dual) != size:
+        raise VerificationError(f"dual weight counts sum to {sum(dual)}, not {p}^{redundancy}")
+    terms = [(i, b) for i, b in enumerate(dual) if b]
+    for w in range(1, n + 1):
+        a, remainder = divmod(sum(b * _krawtchouk(p, n, w, i) for i, b in terms), size)
+        if remainder or a < 0:
+            raise VerificationError(f"MacWilliams transform gives a non-count at weight {w}")
+        if a:
+            return w
+    raise VerificationError("MacWilliams transform leaves no nonzero codeword")
 
 
 def parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
@@ -265,54 +300,3 @@ def parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
         check[idx, f] = 1
         check[idx, pivot_idx] = (-reduced[:k, f]) % p
     return check
-
-
-def min_weight_support_search(p: int, rows: np.ndarray, *, budget: int) -> int:
-    """Exact minimum weight by increasing-support enumeration.
-
-    Enumerates every support of size w (and every value pattern up to
-    scaling) against the parity-check matrix, for w = 1, 2, ... until a
-    codeword is found; all lighter candidates have then been exhausted. The
-    budget counts candidate vectors tested.
-    """
-    k, n = rows.shape
-    if k == n:
-        return 1
-    check = parity_check_matrix(rows, p)
-    spent = 0
-    if p == 2:
-        col_words = [int.from_bytes(np.packbits(check[:, j] != 0).tobytes(), "big") for j in range(n)]
-        for w in range(1, n + 1):
-            layer = math.comb(n, w)
-            if spent + layer > budget:
-                raise BudgetExceededError(
-                    f"support search needs {spent + layer} candidates, budget is {budget}",
-                    required=spent + layer,
-                    budget=budget,
-                )
-            spent += layer
-            for combo in itertools.combinations(range(n), w):
-                acc = 0
-                for j in combo:
-                    acc ^= col_words[j]
-                if acc == 0:
-                    return w
-    else:
-        for w in range(1, n + 1):
-            layer = math.comb(n, w) * (p - 1) ** (w - 1)
-            if spent + layer > budget:
-                raise BudgetExceededError(
-                    f"support search needs {spent + layer} candidates, budget is {budget}",
-                    required=spent + layer,
-                    budget=budget,
-                )
-            spent += layer
-            patterns = np.array(
-                [(1,) + tail for tail in itertools.product(range(1, p), repeat=w - 1)],
-                dtype=np.int64,
-            )
-            for combo in itertools.combinations(range(n), w):
-                syndromes = check[:, combo] @ patterns.T % p
-                if not syndromes.any(axis=0).all():
-                    return w
-    raise AssertionError("unreachable: a nonzero codeword of weight <= n always exists")

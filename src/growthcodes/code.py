@@ -188,15 +188,25 @@ def min_distance_by_weight_search(
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> int:
-    """Exact minimum distance by increasing-support enumeration.
+    """Exact minimum distance from the dual code's weight distribution.
 
-    Complements the message-enumeration engine for high-rate codes whose
-    message space is out of budget but whose minimum distance is small; the
-    budget counts candidate support/value patterns tested.
+    Enumerates the q^(n-k) words of the dual (with the message-enumeration
+    engine) and turns their weight counts into the code's by the MacWilliams
+    identity, so it suits high-rate codes, whose messages are out of budget
+    but whose dual is small. The budget counts q^(n-k): BudgetExceededError
+    (carrying that count) is raised past it, so a code with large redundancy
+    is refused even when d is tiny.
     """
     if code.d is not None:
         return code.d
-    d = _engine.min_weight_support_search(code.field.p, code._rows, budget=budget)
+    p, redundancy = code.field.p, code.n - code.k
+    if redundancy == 0:
+        d = 1
+    else:
+        _check_enumeration(p, redundancy, budget)
+        dual = LinearCode(code.field, _engine.parity_check_matrix(code._rows, p))
+        counts = _engine.weight_distribution(p, *dual._columns)
+        d = _engine.min_weight_from_dual(p, code.n, redundancy, counts)
     code._record_distance(d)
     return d
 
@@ -257,6 +267,8 @@ def parse_generator(text: str) -> LinearCode:
         q, n, k = (int(x) for x in header)
     except ValueError as exc:
         raise GeneratorFormatError(f"non-integer header {lines[0]!r}") from exc
+    if n < 1 or k < 1:
+        raise GeneratorFormatError(f"header needs n >= 1 and k >= 1, got {lines[0]!r}")
     field = make_field(q)
     check_array_field(field)
     if len(lines) != 1 + k:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 
 from .code import LinearCode, _check_enumeration, direct_sum, min_distance_exhaustive, repetition
-from .errors import BudgetExceededError, UnknownFamilyError, VerificationError
+from .errors import BudgetExceededError, RangeViolationError, UnknownFamilyError, VerificationError
 from .field import make_field
 from .reedmuller import rm_generator, rm_params, rm_third_series
 from .seeds import family_code, family_params, max_family_steps, series_params
@@ -201,12 +201,14 @@ def growth_table(
     if family not in FAMILIES:
         raise UnknownFamilyError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     if max_index < 0 or (family != "seed-family" and max_index < 1):
-        raise ValueError("max_index out of range")
+        raise RangeViolationError(f"max_index {max_index} out of range for {family}")
     if family == "seed-series":
         return [_seed_series_record(i, verify) for i in range(1, max_index + 1)]
     if family == "seed-family":
         if seed_index is None:
             raise ValueError("seed-family needs seed_index")
+        if seed_index < 2:
+            raise RangeViolationError(f"the bounded family needs seed index >= 2, got {seed_index}")
         top = min(max_index, max_family_steps(seed_index))
         return [_seed_family_record(seed_index, j, verify) for j in range(top + 1)]
     if family == "rm-diagonal":

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .code import CodeParams, LinearCode
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, RangeViolationError
 from .field import make_field
 
 MAX_RM_LENGTH = 2**20
@@ -30,9 +30,9 @@ def binomial_sum(m: int, r: int) -> int:
 
 def _check_orders(m: int, r: int) -> None:
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise RangeViolationError(f"m must be >= 1, got {m}")
     if r < 0 or r > m:
-        raise ValueError(f"order r={r} outside 0..{m}")
+        raise RangeViolationError(f"order r={r} outside 0..{m}")
 
 
 def rm_params(m: int, r: int) -> CodeParams:

@@ -90,7 +90,7 @@ def family_params(index: int, steps: int) -> CodeParams:
     u = (2i-1) * prod(2i-2+l), products over l = 1..steps.
     """
     if index < 2:
-        raise ValueError("the bounded family needs index >= 2")
+        raise RangeViolationError(f"the bounded family needs index >= 2, got {index}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     two_i = 2 * index
@@ -121,7 +121,7 @@ def family_code(
     but carry no exactness guarantee.
     """
     if index < 2:
-        raise ValueError("the bounded family needs index >= 2")
+        raise RangeViolationError(f"the bounded family needs index >= 2, got {index}")
     if steps < 0 or steps > max_family_steps(index):
         raise RangeViolationError(
             f"steps {steps} outside 0..{max_family_steps(index)} for index {index}"

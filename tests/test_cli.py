@@ -160,6 +160,27 @@ def test_verify_bounded_needs_a_positive_weight(tmp_path):
     assert proc.stderr.splitlines() == ["error: bounded check needs one positive integer: bounded:u"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("build", "--family", "family", "--i", "1", "--j", "0", "--out", "OUT"),
+        ("build", "--family", "rm", "--m", "3", "--r", "5", "--out", "OUT"),
+        ("growth", "--family", "seed-series", "--max-index", "0", "--out", "OUT"),
+        ("growth", "--family", "rm-diagonal", "--max-index", "0", "--out", "OUT"),
+        ("growth", "--family", "seed-family", "--i", "1", "--max-index", "3", "--out", "OUT"),
+        ("verify", "--in", "BAD", "--checks", "distance"),
+    ],
+)
+def test_out_of_range_input_exits_2_with_one_line(tmp_path, args):
+    out, bad = tmp_path / "out", tmp_path / "bad.txt"
+    bad.write_text("2 -3 0\n")
+    proc = run_cli(*(str({"OUT": out, "BAD": bad}.get(a, a)) for a in args))
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_growth_unknown_family_exits_2():
     assert run_cli("growth", "--family", "nope", "--max-index", "2").returncode == 2
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from growthcodes import _engine
 from growthcodes import (
     BudgetExceededError,
     CodeParams,
@@ -206,29 +207,83 @@ def test_support_search_full_space_code():
     assert min_distance_by_weight_search(c) == 1
 
 
-@settings(max_examples=80, deadline=None)
+def test_weight_search_counts_zero_columns_in_the_code_length():
+    # The dual of this code, spanned by (0, 1, 1), has a zero column, so its
+    # multiset has length 2; MacWilliams over n = 2 would miss (1, 0, 0).
+    assert min_distance_by_weight_search(_code(F2, [[1, 0, 0], [0, 1, 1]])) == 1
+    with_zero_column = _code(F3, [[1, 0, 0, 1, 1], [0, 1, 0, 1, 2]])
+    assert lex_min_distance(with_zero_column) == 3
+    assert min_distance_by_weight_search(with_zero_column) == 3
+
+
+def test_weight_search_refusal_carries_the_dual_word_count():
+    code = _code(F3, np.hstack([np.eye(2, dtype=np.int64), np.ones((2, 8), dtype=np.int64)]))
+    with pytest.raises(BudgetExceededError) as err:
+        min_distance_by_weight_search(code, budget=3**8 - 1)
+    assert (err.value.required, err.value.budget) == (3**8, 3**8 - 1)
+    assert code.d is None
+
+
+# (p, n, redundancy, dual weight counts) that no code has: the repetition
+# code's counts doubled (summing to 4, not 2^1, though A_2 = 2 is a count),
+# a fractional A_1 (2/4) and a negative A_1 (-1).
+INCONSISTENT_DUALS = [(2, 2, 1, [2, 0, 2]), (2, 3, 2, [1, 2, 0, 1]), (2, 1, 1, [0, 2])]
+
+
+@pytest.mark.parametrize("p,n,redundancy,dual", INCONSISTENT_DUALS)
+def test_macwilliams_refuses_inconsistent_dual_counts(p, n, redundancy, dual):
+    with pytest.raises(VerificationError):
+        _engine.min_weight_from_dual(p, n, redundancy, dual)
+
+
+def test_macwilliams_guards_hold_under_optimize():
+    script = "\n".join(
+        [
+            "from growthcodes import VerificationError",
+            "from growthcodes._engine import min_weight_from_dual",
+            f"for case in {INCONSISTENT_DUALS!r}:",
+            "    try:",
+            "        print('accepted', min_weight_from_dual(*case))",
+            "    except VerificationError:",
+            "        print('refused')",
+        ]
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["refused"] * len(INCONSISTENT_DUALS)
+
+
+@settings(max_examples=120, deadline=None)
 @given(
     p=st.sampled_from((2, 3, 5, 7, 11)),
     k=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
+    search=st.sampled_from((min_distance_exhaustive, min_distance_by_weight_search)),
 )
-def test_engine_matches_oracle_on_repeated_scaled_and_zero_columns(p, k, seed):
-    # The lexicographic oracle materializes every codeword, so q^k is capped.
+def test_engine_matches_oracle_on_repeated_scaled_and_zero_columns(p, k, seed, search):
+    # The lexicographic oracle materializes every codeword, so q^k is capped,
+    # and the weight search enumerates the dual, so q^(n-k) is capped for it.
     assume(p**k <= 1 << 15)
     rng = np.random.default_rng(seed)
     field = make_field(p)
     distinct = rng.integers(0, p, size=(k, k + int(rng.integers(1, 5))), dtype=np.int64)
     rows = _repeated_columns(rng, p, distinct)
+    assume(search is min_distance_exhaustive or p ** (rows.shape[1] - k) <= 1 << 15)
     try:
         want = lex_min_distance(_code(field, rows))
     except DependentBasisError:
         assume(False)
-    assert min_distance_exhaustive(LinearCode(field, rows)) == want
+    assert search(LinearCode(field, rows)) == want
 
 
 def test_engine_matches_oracle_on_wider_prime_fields():
     for code in random_small_codes(seed=6611, count=20, max_messages=1 << 10, primes=(11, 13)):
         assert min_distance_exhaustive(code) == lex_min_distance(code)
+    # n <= 5 keeps the dual within 13^4 <= 2^15 words for the weight search.
+    short = random_small_codes(seed=6612, count=20, max_messages=1 << 10, max_length=5, primes=(11, 13))
+    for code in short:
+        assert code.field.p ** (code.n - code.k) <= 1 << 15
+        assert min_distance_by_weight_search(code) == lex_min_distance(code)
 
 
 def test_rate_examples():
@@ -295,6 +350,8 @@ def test_generator_format_shape():
         "2 2 2\n1 0\n",
         "2 2 1\n1 2\n",
         "2 2 1\nx y\n",
+        "2 -3 0\n",
+        "2 -3 1\n1\n",
     ],
 )
 def test_parse_generator_rejects_malformed(text):

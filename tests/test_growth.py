@@ -9,6 +9,7 @@ import pytest
 
 from growthcodes import (
     FieldMatrix,
+    RangeViolationError,
     UnknownFamilyError,
     make_field,
     new_code,
@@ -132,6 +133,12 @@ def test_tables_mixing_extra_columns_are_refused_under_optimize():
 def test_unknown_family():
     with pytest.raises(UnknownFamilyError):
         growth_table("nope", 3)
+
+
+def test_seed_family_refuses_an_unbounded_seed():
+    # max_family_steps(1) = -1: seed 1 has no bounded chain member
+    with pytest.raises(RangeViolationError):
+        growth_table("seed-family", 3, seed_index=1)
 
 
 def test_missing_family_arguments():
