@@ -16,10 +16,14 @@ member at j = 5 has n = 760320 but D = 1716 over GF(2). The rank checks in
 
 * GF(2) keeps the codeword bit-packed and steps the high message digits in
   Gray-code order (one XOR per step, hardware popcount for weights) against
-  a table of all trailing-digit combinations. Columns are packed by
-  multiplicity class and each word's popcount is weighted by its class; when
-  every column has multiplicity 1 (Reed-Muller codes) the inner loop is a
-  plain popcount.
+  a table of all trailing-digit combinations. Blocks are word-major: the
+  table is (width, 2^t), one column per trailing combination, XORed with the
+  running base as a (width, 1) column, and 2^t is the largest power of two
+  whose block fits in 2^15 words (256 KiB). A block's weights are then a
+  sum over the leading (word) axis. Columns are packed by multiplicity class;
+  when every column has multiplicity 1 (Reed-Muller codes) the weights are
+  plain popcount sums, otherwise an exact float product of the per-word
+  class multiplicities with the popcounts.
 * Odd primes step the leading digits with a mixed-radix odometer and
   compare the remaining digits' table of partial products, one block of
   trailing-digit combinations at a time: x.c = 0 exactly where the table
@@ -45,27 +49,39 @@ import numpy as np
 from .errors import VerificationError
 from .linalg import _echelon
 
-# Batch-size caps: trailing-digit combinations per vectorized block, and a
-# memory cap on the cells (words or columns) of the transient tables.
+# Odd-prime batch-size caps: trailing-digit combinations per vectorized block,
+# and a memory cap on the cells (columns) of the transient tables. They are not
+# the GF(2) block cap: a cap of 2^15 cells costs the odd-prime scan more in
+# per-block overhead than it saves in cache misses (the GF(7) seed-2 member at
+# j = 5 took 0.61 s instead of 0.14 s).
 _MAX_BATCH = 4096
 _MAX_BATCH_CELLS = 8_000_000
+
+# GF(2) words per block: the largest power-of-two block of messages whose
+# packed codewords fit in 2^15 uint64 words (256 KiB), so that the trailing
+# table, its XOR with the running base and the popcounts stay in cache.
+_GF2_BLOCK_WORDS = 1 << 15
 
 # Integer column keys are exact while p**k fits in an int64 with room to spare.
 _KEY_LIMIT = 1 << 62
 
-if hasattr(np, "bitwise_count"):
-    _word_popcount = np.bitwise_count
-
-else:  # numpy < 2.0
-    _BYTE_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-    def _word_popcount(words: np.ndarray) -> np.ndarray:
-        as_bytes = words.view(np.uint8).reshape(words.shape + (8,))
-        return _BYTE_POP[as_bytes].sum(axis=-1, dtype=np.int64)
+_BYTE_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
-def _row_popcount(words: np.ndarray) -> np.ndarray:
-    return _word_popcount(words).sum(axis=-1, dtype=np.int64)
+def _byte_table_popcount(words: np.ndarray) -> np.ndarray:
+    """The set bits of each uint64 word, as uint8, by a byte table: what
+    ``np.bitwise_count`` computes, for numpy < 2.0, which lacks it."""
+    as_bytes = np.ascontiguousarray(words).view(np.uint8).reshape(words.shape + (8,))
+    return _BYTE_POP[as_bytes].sum(axis=-1, dtype=np.uint8)
+
+
+_word_popcount = getattr(np, "bitwise_count", _byte_table_popcount)
+
+
+def _exact_sum_dtype(n: int):
+    """A float dtype whose sums of nonnegative integers up to ``n`` are exact,
+    for the multiplicity-weighted matrix-vector products."""
+    return np.float32 if n < 1 << 24 else np.float64
 
 
 def _pack_rows(bools: np.ndarray, width_words: int) -> np.ndarray:
@@ -133,7 +149,12 @@ def projective_columns(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
-    """Yield the codeword weights of every nonzero message, one block at a time."""
+    """Yield the codeword weights of every nonzero message, one block at a time.
+
+    Blocks are word-major: a block of 2^t messages is a (width, 2^t) array of
+    packed codeword words, so its weights are a reduction over the leading
+    axis, which numpy runs far faster than over a short trailing one.
+    """
     k = cols.shape[0]
     classes, sizes = np.unique(mult, return_counts=True)
     order = np.argsort(mult, kind="stable")
@@ -145,27 +166,30 @@ def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
     packed = np.hstack(blocks)
     width = packed.shape[1]
     if classes.tolist() == [1]:
-        weigh = _row_popcount
-    else:
-        word_mult = np.repeat(classes, class_words)
 
         def weigh(words: np.ndarray) -> np.ndarray:
-            return _word_popcount(words) @ word_mult
+            return _word_popcount(words).sum(axis=0, dtype=np.int64)
+
+    else:
+        word_mult = np.repeat(classes, class_words).astype(_exact_sum_dtype(int(mult.sum())))
+
+        def weigh(words: np.ndarray) -> np.ndarray:
+            return (word_mult @ _word_popcount(words)).astype(np.int64)
 
     t = 1
-    while t < k and (1 << (t + 1)) <= _MAX_BATCH and (1 << (t + 1)) * width <= _MAX_BATCH_CELLS:
+    while t < k and (1 << (t + 1)) * width <= _GF2_BLOCK_WORDS:
         t += 1
-    # offsets[m] is the XOR of packed[k - t + b] over the set bits b of m.
-    offsets = np.zeros((1, width), dtype=np.uint64)
+    # offsets[:, m] is the XOR of packed[k - t + b] over the set bits b of m.
+    offsets = np.zeros((width, 1), dtype=np.uint64)
     for row in packed[k - t :]:
-        offsets = np.vstack([offsets, offsets ^ row])
+        offsets = np.hstack([offsets, offsets ^ row[:, None]])
     # High digits in Gray-code order: message h differs from message h - 1
     # in the row of h's lowest set bit.
-    base = np.zeros(width, dtype=np.uint64)
-    yield weigh(offsets[1:])
+    base = np.zeros((width, 1), dtype=np.uint64)
+    yield weigh(offsets[:, 1:])
     for h in range(1, 1 << (k - t)):
-        base = base ^ packed[(h & -h).bit_length() - 1]
-        yield weigh(base[None, :] ^ offsets)
+        base = base ^ packed[(h & -h).bit_length() - 1, :, None]
+        yield weigh(base ^ offsets)
 
 
 def _message_weights_odd(p: int, cols: np.ndarray, mult: np.ndarray):
@@ -187,7 +211,7 @@ def _message_weights_odd(p: int, cols: np.ndarray, mult: np.ndarray):
     # With a zero prefix, only trailing parts whose most significant nonzero
     # digit is 1 are enumerated: one per scalar class.
     head = table[[m for g in range(t) for m in range(p**g, 2 * p**g)]]
-    dtype = np.float32 if n < 1 << 24 else np.float64  # exact integer sums
+    dtype = _exact_sum_dtype(n)
     weights = mult.astype(dtype)
     high_rows = cols[:high]
 

@@ -273,6 +273,11 @@ def parse_generator(text: str) -> LinearCode:
     check_array_field(field)
     if len(lines) != 1 + k:
         raise GeneratorFormatError(f"expected {k} rows, found {len(lines) - 1}")
+    # Every entry takes at least one character, so only a malformed file has
+    # k x n above its length; refusing that first bounds the array by
+    # the size of the input, whatever the header claims.
+    if k * n > len(text):
+        raise GeneratorFormatError(f"header {lines[0]!r} declares more entries than the file holds")
     rows = np.zeros((k, n), dtype=np.int64)
     for i, line in enumerate(lines[1:]):
         parts = line.split()

@@ -169,12 +169,15 @@ def test_verify_bounded_needs_a_positive_weight(tmp_path):
         ("growth", "--family", "rm-diagonal", "--max-index", "0", "--out", "OUT"),
         ("growth", "--family", "seed-family", "--i", "1", "--max-index", "3", "--out", "OUT"),
         ("verify", "--in", "BAD", "--checks", "distance"),
+        ("verify", "--in", "HUGE", "--checks", "distance"),
     ],
 )
 def test_out_of_range_input_exits_2_with_one_line(tmp_path, args):
-    out, bad = tmp_path / "out", tmp_path / "bad.txt"
+    out, bad, huge = tmp_path / "out", tmp_path / "bad.txt", tmp_path / "huge.txt"
     bad.write_text("2 -3 0\n")
-    proc = run_cli(*(str({"OUT": out, "BAD": bad}.get(a, a)) for a in args))
+    # A header whose n (10^12) no row matches: refused before any allocation.
+    huge.write_text("2 1000000000000 1\n1\n")
+    proc = run_cli(*(str({"OUT": out, "BAD": bad, "HUGE": huge}.get(a, a)) for a in args))
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr

@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 from fractions import Fraction
@@ -286,6 +287,49 @@ def test_engine_matches_oracle_on_wider_prime_fields():
         assert min_distance_by_weight_search(code) == lex_min_distance(code)
 
 
+def _gf2_multiset_code(rng: np.random.Generator, k: int, class_sizes: dict[int, int]) -> LinearCode:
+    """A GF(2) code with ``class_sizes[m]`` distinct columns of multiplicity m."""
+    picks = rng.choice(np.arange(1, 1 << k), size=sum(class_sizes.values()), replace=False)
+    distinct = (picks[None, :] >> np.arange(k)[:, None]) & 1
+    parts, start = [], 0
+    for m, size in class_sizes.items():
+        parts.append(np.repeat(distinct[:, start : start + size], m, axis=1))
+        start += size
+    return _code(F2, np.hstack(parts))
+
+
+@pytest.mark.parametrize("popcount", ["bitwise_count", "byte_table"])
+@pytest.mark.parametrize("class_sizes", [{1: 150}, {1: 130, 3: 70}, {2: 66, 5: 80, 7: 3}])
+def test_gf2_scan_matches_direct_count_across_words_and_blocks(monkeypatch, class_sizes, popcount):
+    # Every class of more than 64 columns spans several packed words, and a
+    # 16-word block cap splits the 2^10 messages into hundreds of Gray-code
+    # blocks.
+    monkeypatch.setattr(_engine, "_GF2_BLOCK_WORDS", 16)
+    if popcount == "byte_table":
+        monkeypatch.setattr(_engine, "_word_popcount", _engine._byte_table_popcount)
+    code = _gf2_multiset_code(np.random.default_rng(7411), 10, class_sizes)
+    cols, mult = code._columns
+    assert len(list(_engine._message_weights_gf2(cols, mult))) >= 2
+    messages = np.array(list(itertools.product((0, 1), repeat=code.k)))
+    weights = np.count_nonzero(messages @ code.generator.array % 2, axis=1)
+    assert _engine.weight_distribution(2, cols, mult) == np.bincount(weights, minlength=code.n + 1).tolist()
+    d = lex_min_distance(code)
+    assert _engine.min_weight_enumeration(2, cols, mult) == d
+    # Weights past 2^24 are summed in float64, still exactly.
+    scale = (1 << 24) + 1
+    assert _engine.min_weight_enumeration(2, cols, mult * scale) == d * scale
+
+
+def test_byte_table_popcount_matches_bitwise_count_on_word_major_blocks():
+    offsets = np.random.default_rng(7412).integers(0, 1 << 64, size=(5, 64), dtype=np.uint64, endpoint=False)
+    for words in (offsets, offsets[:, 1:], offsets[:, ::3], offsets.T, offsets[:, :1] ^ offsets):
+        got = _engine._byte_table_popcount(words)
+        assert got.dtype == np.uint8
+        assert got.tolist() == [[bin(w).count("1") for w in row] for row in words.tolist()]
+        if hasattr(np, "bitwise_count"):
+            assert np.array_equal(got, np.bitwise_count(words))
+
+
 def test_rate_examples():
     assert rate(_code(F2, [[1, 1]])) == Fraction(1, 2)
     assert rate(seed_code(F2, 3, verify=False)) == Fraction(5, 6)
@@ -352,6 +396,7 @@ def test_generator_format_shape():
         "2 2 1\nx y\n",
         "2 -3 0\n",
         "2 -3 1\n1\n",
+        "2 1000000000000 1\n1\n",
     ],
 )
 def test_parse_generator_rejects_malformed(text):
