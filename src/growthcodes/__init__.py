@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .code import (
     CodeParams,
     DEFAULT_ENUMERATION_BUDGET,
+    MATERIALIZATION_BUDGET,
     LinearCode,
     direct_sum,
     format_generator,
@@ -22,7 +23,6 @@ from .code import (
 from .construct import (
     BoundednessReport,
     ChainParams,
-    MATERIALIZATION_BUDGET,
     check_bounded,
     construction_step,
     iterate,

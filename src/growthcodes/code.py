@@ -3,6 +3,10 @@ minimum-distance search, rate, Singleton check, direct sum and repetition.
 
 The minimum distance cached on a LinearCode is always the result of an
 exhaustive search; formula-predicted distances belong in CodeParams.
+
+The two budgets of the package live here, each tested by one function that
+takes parameters rather than a code: _check_enumeration (messages searched)
+and _check_materialization (int64 cells of a generator to be allocated).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .field import PrimeField, make_field
 from .linalg import FieldMatrix, FieldVector, _echelon, check_array_field
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 26
+MATERIALIZATION_BUDGET = 1 << 24  # int64 cells (128 MiB) of one k x n generator
 
 
 @dataclass(frozen=True)
@@ -163,6 +168,20 @@ def _check_enumeration(p: int, k: int, budget: int) -> None:
         )
 
 
+def _check_materialization(k: int, n: int) -> None:
+    """The one materialization budget test: BudgetExceededError, carrying
+    k * n, when a k x n int64 generator would exceed MATERIALIZATION_BUDGET
+    cells. Callers test the shape before allocating it. The message names
+    neither n nor k * n, which can have more digits than int-to-str allows."""
+    cells = k * n
+    if cells > MATERIALIZATION_BUDGET:
+        raise BudgetExceededError(
+            f"generator exceeds the materialization budget of {MATERIALIZATION_BUDGET} int64 cells",
+            required=cells,
+            budget=MATERIALIZATION_BUDGET,
+        )
+
+
 def min_distance_exhaustive(
     code: LinearCode,
     *,
@@ -229,6 +248,7 @@ def direct_sum(code: LinearCode, s: int) -> LinearCode:
     """
     if s < 1:
         raise ValueError("s must be >= 1")
+    _check_materialization(code.k * s, code.n * s)
     rows = np.kron(np.eye(s, dtype=np.int64), code._rows)
     return LinearCode(code.field, rows)
 
@@ -240,6 +260,7 @@ def repetition(code: LinearCode, s: int) -> LinearCode:
     """
     if s < 1:
         raise ValueError("s must be >= 1")
+    _check_materialization(code.k, code.n * s)
     rows = np.tile(code._rows, (1, s))
     return LinearCode(code.field, rows)
 
@@ -278,6 +299,7 @@ def parse_generator(text: str) -> LinearCode:
     # the size of the input, whatever the header claims.
     if k * n > len(text):
         raise GeneratorFormatError(f"header {lines[0]!r} declares more entries than the file holds")
+    _check_materialization(k, n)
     rows = np.zeros((k, n), dtype=np.int64)
     for i, line in enumerate(lines[1:]):
         parts = line.split()

@@ -20,11 +20,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .code import DEFAULT_ENUMERATION_BUDGET, LinearCode, min_distance_exhaustive, new_code
-from .errors import BudgetExceededError, DependentBasisError, NotBoundedError
+from .code import (
+    DEFAULT_ENUMERATION_BUDGET,
+    LinearCode,
+    _check_materialization,
+    min_distance_exhaustive,
+    new_code,
+)
+from .errors import DependentBasisError, NotBoundedError
 from .linalg import FieldVector
-
-MATERIALIZATION_BUDGET = 10**6  # coordinates per basis vector
 
 
 @dataclass(frozen=True)
@@ -120,35 +124,27 @@ def _basis_code(basis: Sequence[FieldVector]) -> LinearCode:
 
 
 def construction_step(basis: Sequence[FieldVector]) -> list[FieldVector]:
-    """One construction step on an ordered basis.
+    """One construction step on an ordered basis: iterate(basis, 1).
 
     Block row i of the t-th output vector is a_{(i-t) mod (k+1)}, with the
     residue 0 giving the zero block; so the first output vector starts with
-    the zero block and the last one ends with it. The input and the output
-    are checked for independence (LinearCode); a dependent output would be an
-    implementation bug.
+    the zero block and the last one ends with it.
     """
-    code = _basis_code(basis)
-    return list(LinearCode(code.field, _step_rows(code._rows)).basis)
+    return iterate(basis, 1)
 
 
 def iterate_code(code: LinearCode, steps: int) -> LinearCode:
     """Apply the construction ``steps`` times; steps=0 returns the input.
 
-    Raises BudgetExceededError before any work when the final length would
-    exceed MATERIALIZATION_BUDGET. Every step's output is checked for
-    independence (LinearCode).
+    The final generator, k + steps rows of length n * (k+1)(k+2)...(k+steps),
+    is the largest one built, so code._check_materialization refuses it
+    (BudgetExceededError) before any work. Every step's output is checked
+    for independence (LinearCode); a dependent output would be an
+    implementation bug.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    final_length = code.n * rising_factorial(code.k + 1, steps)
-    if final_length > MATERIALIZATION_BUDGET:
-        raise BudgetExceededError(
-            f"iterating {steps} steps needs vectors of length {final_length}, "
-            f"budget is {MATERIALIZATION_BUDGET}",
-            required=final_length,
-            budget=MATERIALIZATION_BUDGET,
-        )
+    _check_materialization(code.k + steps, code.n * rising_factorial(code.k + 1, steps))
     for _ in range(steps):
         code = LinearCode(code.field, _step_rows(code._rows))
     return code

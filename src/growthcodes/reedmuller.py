@@ -16,16 +16,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from .code import CodeParams, LinearCode
-from .errors import BudgetExceededError, RangeViolationError
+from .code import CodeParams, LinearCode, _check_materialization
+from .errors import RangeViolationError
 from .field import make_field
-
-MAX_RM_LENGTH = 2**20
 
 
 def binomial_sum(m: int, r: int) -> int:
-    """Sum of C(m, j) for j = 0..r: the dimension of RM(m, r)."""
-    return sum(math.comb(m, j) for j in range(r + 1))
+    """Sum of C(m, j) for j = 0..r: the dimension of RM(m, r).
+
+    Each term comes exactly from the one before, C(m, j+1) = C(m, j)(m-j)/(j+1):
+    one product and one quotient by small integers per term rather than a
+    math.comb, so rm_generator's budget test on a huge m stays cheap.
+    """
+    total, term = 0, 1
+    for j in range(r + 1):
+        total += term
+        term = term * (m - j) // (j + 1)
+    return total
 
 
 def _check_orders(m: int, r: int) -> None:
@@ -48,24 +55,23 @@ def rm_kd_over_n(m: int, r: int) -> Fraction:
 
 
 def rm_generator(m: int, r: int) -> LinearCode:
-    """Monomial-evaluation generator of RM(m, r) over GF(2); lengths past
-    MAX_RM_LENGTH raise BudgetExceededError before any work."""
+    """Monomial-evaluation generator of RM(m, r) over GF(2). A generator of
+    binomial_sum(m, r) x 2^m cells past the materialization budget raises
+    BudgetExceededError before any work."""
     _check_orders(m, r)
     n = 2**m
-    if n > MAX_RM_LENGTH:
-        raise BudgetExceededError(
-            f"RM({m},{r}) has length {n}, cap is {MAX_RM_LENGTH}", required=n, budget=MAX_RM_LENGTH
-        )
+    k = binomial_sum(m, r)
+    _check_materialization(k, n)
+    # Each row is filled in place from the point indices, so the generator is
+    # the only array of its size: the monomial over variable set S is 1 at
+    # exactly the points whose bits include the mask of S.
     points = np.arange(n, dtype=np.int64)
-    variables = np.stack([(points >> t) & 1 for t in range(m)])
-    rows = []
-    for degree in range(r + 1):
-        for subset in itertools.combinations(range(m), degree):
-            if subset:
-                rows.append(np.bitwise_and.reduce(variables[list(subset)], axis=0))
-            else:
-                rows.append(np.ones(n, dtype=np.int64))
-    return LinearCode(make_field(2), np.stack(rows))
+    rows = np.empty((k, n), dtype=np.int64)
+    subsets = (s for degree in range(r + 1) for s in itertools.combinations(range(m), degree))
+    for row, subset in zip(rows, subsets):
+        mask = sum(1 << t for t in subset)
+        np.equal(points & mask, mask, out=row)
+    return LinearCode(make_field(2), rows)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .code import CodeParams, LinearCode, min_distance_exhaustive
-from .construct import MATERIALIZATION_BUDGET, iterate_code, rising_factorial
+from .code import CodeParams, LinearCode, _check_materialization, min_distance_exhaustive
+from .construct import iterate_code, rising_factorial
 from .errors import BudgetExceededError, RangeViolationError, VerificationError
 from .field import PrimeField
 from .linalg import FieldMatrix
-
-MAX_SEED_SIZE = 4096  # rows of the square seed matrix
 
 
 @dataclass(frozen=True)
@@ -39,16 +37,12 @@ def build_seed_matrices(field: PrimeField, index: int) -> SeedMatrices:
 
     The wide matrix at every level is just copies of its 2x2 base block laid
     side by side, so the square matrix is assembled in one loop without
-    re-deriving the wide blocks.
+    re-deriving the wide blocks. The 2i x 2i matrix is refused past the
+    materialization budget (index > 2048) before any work.
     """
     if index < 1:
         raise ValueError("index must be >= 1")
-    if 2 * index > MAX_SEED_SIZE:
-        raise BudgetExceededError(
-            f"seed matrix would be {2 * index} x {2 * index}, cap is {MAX_SEED_SIZE}",
-            required=2 * index,
-            budget=MAX_SEED_SIZE,
-        )
+    _check_materialization(2 * index, 2 * index)
     p = field.p
     a1 = np.array([[0, -1], [1, 0]], dtype=np.int64) % p
     b1 = np.array([[1, -1], [-1, 1]], dtype=np.int64) % p
@@ -113,9 +107,10 @@ def family_code(
 ) -> LinearCode | CodeParams:
     """Member ``steps`` of the chain grown from seed ``index``.
 
-    Materializes the code when the final length fits MATERIALIZATION_BUDGET
-    (searching the distance when ``verify`` is set and the enumeration fits
-    the default budget), otherwise returns the exact CodeParams. Raises
+    Materializes the code when its k x n generator fits the materialization
+    budget (searching the distance when ``verify`` is set and the enumeration
+    fits the default budget), otherwise returns the exact CodeParams, tested
+    before the seed is built. Raises
     RangeViolationError outside the bounded range 0 <= steps <= 4i^2 - 6i + 1;
     parameters beyond it are still computable via construct.predict_params
     but carry no exactness guarantee.
@@ -127,7 +122,9 @@ def family_code(
             f"steps {steps} outside 0..{max_family_steps(index)} for index {index}"
         )
     params = family_params(index, steps)
-    if params.n > MATERIALIZATION_BUDGET:
+    try:
+        _check_materialization(params.k, params.n)
+    except BudgetExceededError:
         return params
     code = iterate_code(seed_code(field, index, verify=False), steps)
     if verify:

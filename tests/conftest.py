@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import os
 from pathlib import Path
 
@@ -23,16 +22,22 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 def lex_min_distance(code: LinearCode) -> int:
     """Independent minimum-distance oracle.
 
-    Enumerates all nonzero messages in lexicographic order and computes each
+    Enumerates all nonzero messages in lexicographic order (message i has
+    the base-p digits of i, most significant first) and computes each
     codeword by a direct matrix product; shares no code with the search
-    engines (which step in Gray-code / odometer order incrementally).
+    engines (which step in Gray-code / odometer order incrementally). The
+    messages go in slices of about 2^22 codeword entries, so a code over a
+    large field such as GF(4099) with k = 2 needs no array of all p^k words.
     """
-    p = code.field.p
-    messages = np.array(
-        list(itertools.product(range(p), repeat=code.k))[1:], dtype=np.int64
-    )
-    words = (messages @ code.generator.array) % p
-    return int(np.count_nonzero(words, axis=1).min())
+    p, k, n = code.field.p, code.k, code.n
+    powers = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    step = max(1, (1 << 22) // n)
+    best = n
+    for start in range(1, p**k, step):
+        index = np.arange(start, min(start + step, p**k), dtype=np.int64)
+        words = (index[:, None] // powers % p) @ code.generator.array % p
+        best = min(best, int(np.count_nonzero(words, axis=1).min()))
+    return best
 
 
 def random_code(rng: np.random.Generator, p: int, k: int, n: int) -> LinearCode:

@@ -11,7 +11,7 @@ import pytest
 
 from growthcodes import VerificationError, cli
 from growthcodes.growth import exact_integer_text
-from growthcodes.seeds import series_params
+from growthcodes.seeds import family_params, series_params
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -93,6 +93,21 @@ def test_build_series_params_only(tmp_path):
     assert payload["declared_kd_over_n"] == {"num": 8, "den": 3}
 
 
+def test_build_family_past_the_materialization_budget_writes_params(tmp_path):
+    # 30 x 682,080 int64 cells: n is small, but the generator is over budget.
+    out = tmp_path / "family_14_3.json"
+    proc = run_cli("build", "--family", "family", "--i", "14", "--j", "3", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    want = family_params(14, 3)
+    assert json.loads(out.read_text()) == {
+        "family": "family",
+        "seed_index": 14,
+        "steps": 3,
+        "materializable": False,
+        "params": {"n": want.n, "k": want.k, "d": want.d, "u": want.u},
+    }
+
+
 def test_build_series_materialized(tmp_path):
     out = tmp_path / "series1.txt"
     assert run_cli("build", "--family", "series", "--i", "1", "--out", str(out)).returncode == 0
@@ -165,6 +180,8 @@ def test_verify_bounded_needs_a_positive_weight(tmp_path):
     [
         ("build", "--family", "family", "--i", "1", "--j", "0", "--out", "OUT"),
         ("build", "--family", "rm", "--m", "3", "--r", "5", "--out", "OUT"),
+        # 4096 x 2^13 = 2^25 int64 cells: past the materialization budget.
+        ("build", "--family", "rm", "--m", "13", "--r", "6", "--out", "OUT"),
         ("growth", "--family", "seed-series", "--max-index", "0", "--out", "OUT"),
         ("growth", "--family", "rm-diagonal", "--max-index", "0", "--out", "OUT"),
         ("growth", "--family", "seed-family", "--i", "1", "--max-index", "3", "--out", "OUT"),

@@ -9,7 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from growthcodes import _engine
+from growthcodes import code as code_module
 from growthcodes import (
+    DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
     CodeParams,
     DependentBasisError,
@@ -31,8 +33,9 @@ from growthcodes import (
     repetition,
     singleton_check,
 )
+from growthcodes.construct import construction_step, iterate_code
 from growthcodes.reedmuller import rm_generator
-from growthcodes.seeds import build_seed_matrices, family_code, seed_code
+from growthcodes.seeds import build_seed_matrices, family_code, family_params, seed_code
 
 from conftest import lex_min_distance, random_small_codes
 
@@ -287,6 +290,24 @@ def test_engine_matches_oracle_on_wider_prime_fields():
         assert min_distance_by_weight_search(code) == lex_min_distance(code)
 
 
+@pytest.mark.parametrize("p,k", [(4099, 1), (4099, 2), (65521, 1)])
+def test_engine_matches_oracle_past_the_batch_table(p, k):
+    # Past _engine._MAX_BATCH the odd-prime scan has no table digits: a
+    # one-row table, an empty head and one message per block. The weight
+    # search enumerates the p^(n-k) dual words, so n - k stays within the
+    # default budget; the oracle's p^k messages keep n short.
+    assert p > _engine._MAX_BATCH
+    redundancy = 2 if p**2 <= DEFAULT_ENUMERATION_BUDGET else 1
+    random_columns = np.random.default_rng(p + k).integers(1, p, size=(k, k), dtype=np.int64)
+    # A scalar multiple of the first column, then a zero column if n - k allows.
+    extra = [5 * random_columns[:, :1] % p, np.zeros((k, 1), dtype=np.int64)][:redundancy]
+    rows = np.hstack([random_columns, *extra])
+    field = make_field(p)
+    want = lex_min_distance(_code(field, rows))
+    for search in (min_distance_exhaustive, min_distance_by_weight_search):
+        assert search(LinearCode(field, rows)) == want
+
+
 def _gf2_multiset_code(rng: np.random.Generator, k: int, class_sizes: dict[int, int]) -> LinearCode:
     """A GF(2) code with ``class_sizes[m]`` distinct columns of multiplicity m."""
     picks = rng.choice(np.arange(1, 1 << k), size=sum(class_sizes.values()), replace=False)
@@ -328,6 +349,29 @@ def test_byte_table_popcount_matches_bitwise_count_on_word_major_blocks():
         assert got.tolist() == [[bin(w).count("1") for w in row] for row in words.tolist()]
         if hasattr(np, "bitwise_count"):
             assert np.array_equal(got, np.bitwise_count(words))
+
+
+def test_every_generator_allocation_checks_the_one_materialization_budget(monkeypatch):
+    base = seed_code(F3, 2)  # [4, 3]
+    text = format_generator(repetition(base, 5))
+    monkeypatch.setattr(code_module, "MATERIALIZATION_BUDGET", 48)
+    refused = [
+        (lambda: build_seed_matrices(F2, 4), 8, 8),
+        (lambda: rm_generator(4, 1), 5, 16),
+        (lambda: iterate_code(base, 1), 4, 16),
+        (lambda: construction_step(list(base.basis)), 4, 16),
+        (lambda: direct_sum(base, 4), 12, 16),
+        (lambda: repetition(base, 5), 3, 20),
+        (lambda: parse_generator(text), 3, 20),
+    ]
+    for call, k, n in refused:
+        with pytest.raises(BudgetExceededError) as err:
+            call()
+        assert (err.value.required, err.value.budget) == (k * n, 48)
+    # Exactly at the budget is admitted.
+    assert repetition(base, 4).n == 16
+    assert family_code(F3, 2, 1) == family_params(2, 1)
+    assert isinstance(family_code(F3, 2, 0), LinearCode)
 
 
 def test_rate_examples():

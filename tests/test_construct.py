@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from growthcodes import (
+    MATERIALIZATION_BUDGET,
     BudgetExceededError,
     DependentBasisError,
     FieldMatrix,
@@ -121,8 +122,9 @@ def test_iterate_budget():
     basis = list(seed_code(F2, 2).basis)
     with pytest.raises(BudgetExceededError) as err:
         iterate(basis, 7)
-    assert err.value.required == 4 * 4 * 5 * 6 * 7 * 8 * 9 * 10
-    assert err.value.budget == construct.MATERIALIZATION_BUDGET
+    # The final generator: k = 10 rows of length 4 * 4 * 5 * ... * 10.
+    assert err.value.required == 10 * 2419200
+    assert err.value.budget == MATERIALIZATION_BUDGET
 
 
 def test_predict_params_examples():

@@ -1,17 +1,18 @@
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from growthcodes import (
+    MATERIALIZATION_BUDGET,
     BudgetExceededError,
     format_generator,
     min_distance_exhaustive,
     make_field,
 )
 from growthcodes.reedmuller import (
-    MAX_RM_LENGTH,
     binomial_sum,
     rm_generator,
     rm_kd_over_n,
@@ -64,10 +65,14 @@ def test_generator_dimensions_and_distances_to_m4():
 
 
 def test_generator_budget():
-    # 2^21 > MAX_RM_LENGTH: refused before any array is built.
+    # 4096 x 2^13 = 2^25 int64 cells > MATERIALIZATION_BUDGET: refused before
+    # any array is built.
     with pytest.raises(BudgetExceededError) as err:
-        rm_generator(21, 0)
-    assert (err.value.required, err.value.budget) == (2**21, MAX_RM_LENGTH)
+        rm_generator(13, 6)
+    assert (err.value.required, err.value.budget) == (2**25, MATERIALIZATION_BUDGET)
+    # The budget counts cells, not the length: one row of 2^21 fits.
+    code = rm_generator(21, 0)
+    assert (code.n, code.k) == (2**21, 1)
 
 
 def test_diagonal_identity_parameter_level():
@@ -81,6 +86,9 @@ def test_binomial_sum_self_check():
     for r in range(0, 12):
         assert binomial_sum(2 * r + 1, 2 * r + 1) == 2 ** (2 * r + 1)
     assert binomial_sum(5, 2) == 16
+    for m in range(40):
+        for r in range(-1, m + 2):
+            assert binomial_sum(m, r) == sum(math.comb(m, j) for j in range(r + 1))
 
 
 def test_third_series_examples():

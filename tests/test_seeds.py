@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from growthcodes import (
+    MATERIALIZATION_BUDGET,
     BudgetExceededError,
     CodeParams,
     LinearCode,
@@ -16,7 +17,6 @@ from growthcodes import (
     weight,
 )
 from growthcodes.seeds import (
-    MAX_SEED_SIZE,
     build_seed_matrices,
     family_code,
     family_params,
@@ -64,10 +64,11 @@ def test_wide_matrix_is_tiled_base_block():
 
 
 def test_size_budget():
-    # 2 * 2049 > MAX_SEED_SIZE: refused before any array is built.
+    # 4098^2 int64 cells > MATERIALIZATION_BUDGET = 4096^2: refused before any
+    # array is built.
     with pytest.raises(BudgetExceededError) as err:
         build_seed_matrices(F2, 2049)
-    assert (err.value.required, err.value.budget) == (4098, MAX_SEED_SIZE)
+    assert (err.value.required, err.value.budget) == (4098**2, MATERIALIZATION_BUDGET)
 
 
 @pytest.mark.parametrize("field", LEMMA_FIELDS)
