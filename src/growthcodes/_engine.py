@@ -18,12 +18,10 @@ member at j = 5 has n = 760320 but D = 1716 over GF(2). The rank checks in
   Gray-code order (one XOR per step, hardware popcount for weights) against
   a table of all trailing-digit combinations. Blocks are word-major: the
   table is (width, 2^t), one column per trailing combination, XORed with the
-  running base as a (width, 1) column, and 2^t is the largest power of two
-  whose block fits in 2^15 words (256 KiB). A block's weights are then a
-  sum over the leading (word) axis. Columns are packed by multiplicity class;
-  when every column has multiplicity 1 (Reed-Muller codes) the weights are
-  plain popcount sums, otherwise an exact float product of the per-word
-  class multiplicities with the popcounts.
+  running base as a (width, 1) column. A block's weights are then a sum
+  over the leading (word) axis: columns are packed by multiplicity class, and
+  every code is weighed by one exact float product of the per-word class
+  multiplicities with the popcounts.
 * Odd primes step the leading digits with a mixed-radix odometer and
   compare the remaining digits' table of partial products, one block of
   trailing-digit combinations at a time: x.c = 0 exactly where the table
@@ -34,6 +32,9 @@ member at j = 5 has n = 760320 but D = 1716 over GF(2). The rank checks in
   the MacWilliams identity (MacWilliams & Sloane, "The Theory of
   Error-Correcting Codes", ch. 5) turns it into the code's, exactly, in
   Python integers. Cheap precisely when the redundancy n - k is small.
+
+Both scans size their blocks by one budget, ``_BLOCK_BYTES``: the trailing
+table holds the largest number of digits whose table fits in 256 KiB.
 
 All engines are deterministic and run serially: on every benchmarked input a
 thread pool over message ranges was slower than one scan (two threads took
@@ -49,18 +50,12 @@ import numpy as np
 from .errors import VerificationError
 from .linalg import _echelon
 
-# Odd-prime batch-size caps: trailing-digit combinations per vectorized block,
-# and a memory cap on the cells (columns) of the transient tables. They are not
-# the GF(2) block cap: a cap of 2^15 cells costs the odd-prime scan more in
-# per-block overhead than it saves in cache misses (the GF(7) seed-2 member at
-# j = 5 took 0.61 s instead of 0.14 s).
-_MAX_BATCH = 4096
-_MAX_BATCH_CELLS = 8_000_000
-
-# GF(2) words per block: the largest power-of-two block of messages whose
-# packed codewords fit in 2^15 uint64 words (256 KiB), so that the trailing
-# table, its XOR with the running base and the popcounts stay in cache.
-_GF2_BLOCK_WORDS = 1 << 15
+# Bytes of one block's trailing-digit table, for both scans: each picks the
+# largest number t of trailing digits whose table fits. Over GF(2) that is the
+# packed (width, 2^t) uint64 table, 2^15 words, so that the table, its XOR with
+# the running base and the popcounts stay in cache; over an odd prime it is the
+# (p^t, width) table narrowed to np.min_scalar_type(p - 1).
+_BLOCK_BYTES = 1 << 18
 
 # Integer column keys are exact while p**k fits in an int64 with room to spare.
 _KEY_LIMIT = 1 << 62
@@ -165,19 +160,13 @@ def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
         start += size
     packed = np.hstack(blocks)
     width = packed.shape[1]
-    if classes.tolist() == [1]:
+    word_mult = np.repeat(classes, class_words).astype(_exact_sum_dtype(int(mult.sum())))
 
-        def weigh(words: np.ndarray) -> np.ndarray:
-            return _word_popcount(words).sum(axis=0, dtype=np.int64)
-
-    else:
-        word_mult = np.repeat(classes, class_words).astype(_exact_sum_dtype(int(mult.sum())))
-
-        def weigh(words: np.ndarray) -> np.ndarray:
-            return (word_mult @ _word_popcount(words)).astype(np.int64)
+    def weigh(words: np.ndarray) -> np.ndarray:
+        return (word_mult @ _word_popcount(words)).astype(np.int64)
 
     t = 1
-    while t < k and (1 << (t + 1)) * width <= _GF2_BLOCK_WORDS:
+    while t < k and (1 << (t + 1)) * width * 8 <= _BLOCK_BYTES:
         t += 1
     # offsets[:, m] is the XOR of packed[k - t + b] over the set bits b of m.
     offsets = np.zeros((width, 1), dtype=np.uint64)
@@ -199,15 +188,16 @@ def _message_weights_odd(p: int, cols: np.ndarray, mult: np.ndarray):
     g = 0 .. high-1, stepped by an odometer) with the whole table."""
     k, width = cols.shape
     n = int(mult.sum())
+    narrow = np.min_scalar_type(p - 1)
     t = 0
-    while t < k - 1 and p ** (t + 1) <= _MAX_BATCH and p ** (t + 1) * width <= _MAX_BATCH_CELLS:
+    while t < k - 1 and p ** (t + 1) * width * narrow.itemsize <= _BLOCK_BYTES:
         t += 1
     high = k - t
     # table[m] = sum_d digit_d(m) * cols[high + d] (mod p), digit d worth p**d.
     table = np.zeros((1, width), dtype=np.int64)
     for row in cols[high:][::-1]:
         table = ((table[:, None, :] + np.arange(p)[None, :, None] * row) % p).reshape(-1, width)
-    table = table.astype(np.min_scalar_type(p - 1))
+    table = table.astype(narrow)
     # With a zero prefix, only trailing parts whose most significant nonzero
     # digit is 1 are enumerated: one per scalar class.
     head = table[[m for g in range(t) for m in range(p**g, 2 * p**g)]]

@@ -71,6 +71,9 @@ def rm_generator(m: int, r: int) -> LinearCode:
     for row, subset in zip(rows, subsets):
         mask = sum(1 << t for t in subset)
         np.equal(points & mask, mask, out=row)
+    # The index is not needed by the code, so it is freed before the code is
+    # built (RM(24, 0) peaks 128 MiB lower).
+    del points
     return LinearCode(make_field(2), rows)
 
 

@@ -33,12 +33,12 @@ class SeedMatrices:
 
 
 def build_seed_matrices(field: PrimeField, index: int) -> SeedMatrices:
-    """Build the seed matrices iteratively (entries -1 map to p-1).
+    """Build the seed matrices directly (entries -1 map to p-1).
 
-    The wide matrix at every level is just copies of its 2x2 base block laid
-    side by side, so the square matrix is assembled in one loop without
-    re-deriving the wide blocks. The 2i x 2i matrix is refused past the
-    materialization budget (index > 2048) before any work.
+    Unfolding the block recursion A_{m+1} = [[A_1, B_m], [-B_m^T, A_m]], with
+    B_m = [B_1 ... B_1], puts A_1 on the block diagonal of A_i, B_1 above it
+    and -B_1^T below it, so each 2x2 block is written once. The 2i x 2i matrix
+    is refused past the materialization budget (index > 2048) before any work.
     """
     if index < 1:
         raise ValueError("index must be >= 1")
@@ -46,12 +46,13 @@ def build_seed_matrices(field: PrimeField, index: int) -> SeedMatrices:
     p = field.p
     a1 = np.array([[0, -1], [1, 0]], dtype=np.int64) % p
     b1 = np.array([[1, -1], [-1, 1]], dtype=np.int64) % p
-    a = a1.copy()
-    for m in range(1, index):
-        b_m = np.tile(b1, (1, m))
-        top = np.hstack([a1, b_m])
-        bottom = np.hstack([(-b_m.T) % p, a])
-        a = np.vstack([top, bottom])
+    a = np.empty((index, 2, index, 2), dtype=np.int64)
+    blocks = a.transpose(0, 2, 1, 3)  # blocks[r, c] is the 2x2 block (r, c)
+    above = np.triu(np.ones((index, index), dtype=bool), 1)
+    blocks[above] = b1
+    blocks[~above] = (-b1.T) % p
+    blocks[np.arange(index), np.arange(index)] = a1
+    a = a.reshape(2 * index, 2 * index)
     b = np.tile(b1, (1, index))
     return SeedMatrices(index, FieldMatrix(field, a), FieldMatrix(field, b))
 

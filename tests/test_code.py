@@ -1,7 +1,10 @@
+import importlib
 import itertools
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,11 +295,9 @@ def test_engine_matches_oracle_on_wider_prime_fields():
 
 @pytest.mark.parametrize("p,k", [(4099, 1), (4099, 2), (65521, 1)])
 def test_engine_matches_oracle_past_the_batch_table(p, k):
-    # Past _engine._MAX_BATCH the odd-prime scan has no table digits: a
-    # one-row table, an empty head and one message per block. The weight
+    # Fields past GF(2^12), with a table of at most one digit. The weight
     # search enumerates the p^(n-k) dual words, so n - k stays within the
     # default budget; the oracle's p^k messages keep n short.
-    assert p > _engine._MAX_BATCH
     redundancy = 2 if p**2 <= DEFAULT_ENUMERATION_BUDGET else 1
     random_columns = np.random.default_rng(p + k).integers(1, p, size=(k, k), dtype=np.int64)
     # A scalar multiple of the first column, then a zero column if n - k allows.
@@ -306,6 +307,41 @@ def test_engine_matches_oracle_past_the_batch_table(p, k):
     want = lex_min_distance(_code(field, rows))
     for search in (min_distance_exhaustive, min_distance_by_weight_search):
         assert search(LinearCode(field, rows)) == want
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 4), (5, 3), (7, 3)])
+def test_odd_scan_without_table_digits_matches_oracle(monkeypatch, p, k):
+    # A block budget below one table row leaves the odd-prime scan no table
+    # digits: a one-row table, an empty head and one message per block.
+    monkeypatch.setattr(_engine, "_BLOCK_BYTES", 1)
+    # A random column, a scalar multiple of it and a zero column keep the
+    # weight search's p^(n-k) dual words few.
+    column = np.random.default_rng(100 * p + k).integers(1, p, size=(k, 1), dtype=np.int64)
+    rows = np.hstack([np.eye(k, dtype=np.int64), column, 2 * column % p, np.zeros((k, 1), dtype=np.int64)])
+    cols, mult = LinearCode(make_field(p), rows)._columns
+    blocks = list(_engine._message_weights_odd(p, cols, mult))
+    assert [len(block) for block in blocks] == [1] * ((p**k - 1) // (p - 1))
+    want = lex_min_distance(_code(make_field(p), rows))
+    for search in (min_distance_exhaustive, min_distance_by_weight_search):
+        assert search(LinearCode(make_field(p), rows)) == want
+
+
+def _check_scan_against_direct_count(p: int, rows: np.ndarray) -> None:
+    """The block scan of the code spanned by ``rows`` runs in several blocks,
+    its weight distribution equals a direct count over every message,
+    and its minimum equals the oracle's, with weights past 2^24 too."""
+    code = _code(make_field(p), rows)
+    cols, mult = code._columns
+    assert len(list(_engine._message_weights(p, cols, mult))) >= 2
+    messages = np.array(list(itertools.product(range(p), repeat=code.k)))
+    weights = np.count_nonzero(messages @ code.generator.array % p, axis=1)
+    want = np.bincount(weights, minlength=int(mult.sum()) + 1).tolist()
+    assert _engine.weight_distribution(p, cols, mult) == want
+    d = lex_min_distance(code)
+    assert _engine.min_weight_enumeration(p, cols, mult) == d
+    # Weights past 2^24 are summed in float64, still exactly.
+    scale = (1 << 24) + 1
+    assert _engine.min_weight_enumeration(p, cols, mult * scale) == d * scale
 
 
 def _gf2_multiset_code(rng: np.random.Generator, k: int, class_sizes: dict[int, int]) -> LinearCode:
@@ -323,22 +359,25 @@ def _gf2_multiset_code(rng: np.random.Generator, k: int, class_sizes: dict[int, 
 @pytest.mark.parametrize("class_sizes", [{1: 150}, {1: 130, 3: 70}, {2: 66, 5: 80, 7: 3}])
 def test_gf2_scan_matches_direct_count_across_words_and_blocks(monkeypatch, class_sizes, popcount):
     # Every class of more than 64 columns spans several packed words, and a
-    # 16-word block cap splits the 2^10 messages into hundreds of Gray-code
-    # blocks.
-    monkeypatch.setattr(_engine, "_GF2_BLOCK_WORDS", 16)
+    # 128-byte (16-word) block budget splits the 2^10 messages into hundreds of
+    # Gray-code blocks.
+    monkeypatch.setattr(_engine, "_BLOCK_BYTES", 128)
     if popcount == "byte_table":
         monkeypatch.setattr(_engine, "_word_popcount", _engine._byte_table_popcount)
     code = _gf2_multiset_code(np.random.default_rng(7411), 10, class_sizes)
-    cols, mult = code._columns
-    assert len(list(_engine._message_weights_gf2(cols, mult))) >= 2
-    messages = np.array(list(itertools.product((0, 1), repeat=code.k)))
-    weights = np.count_nonzero(messages @ code.generator.array % 2, axis=1)
-    assert _engine.weight_distribution(2, cols, mult) == np.bincount(weights, minlength=code.n + 1).tolist()
-    d = lex_min_distance(code)
-    assert _engine.min_weight_enumeration(2, cols, mult) == d
-    # Weights past 2^24 are summed in float64, still exactly.
-    scale = (1 << 24) + 1
-    assert _engine.min_weight_enumeration(2, cols, mult * scale) == d * scale
+    _check_scan_against_direct_count(2, code.generator.array)
+
+
+@pytest.mark.parametrize("p,k", [(3, 7), (5, 4), (7, 4)])
+def test_odd_scan_matches_direct_count_across_blocks(monkeypatch, p, k):
+    # Repeated, scaled and zero columns; a budget of one table digit splits
+    # the scan into a head block and p^(k-2) + ... + 1 table blocks.
+    rng = np.random.default_rng(7413 + p)
+    distinct = np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, p, size=(k, 12), dtype=np.int64)])
+    rows = _repeated_columns(rng, p, distinct)
+    width = LinearCode(make_field(p), rows)._columns[0].shape[1]
+    monkeypatch.setattr(_engine, "_BLOCK_BYTES", p * width)
+    _check_scan_against_direct_count(p, rows)
 
 
 def test_byte_table_popcount_matches_bitwise_count_on_word_major_blocks():
@@ -458,3 +497,21 @@ def test_parse_generator_rejects_composite_modulus():
 def test_parse_generator_rejects_dependent_rows():
     with pytest.raises(DependentBasisError):
         parse_generator("2 3 2\n1 0 1\n1 0 1\n")
+
+
+def test_readme_budget_table_names_live_constants():
+    # Every `module.NAME` in the first column of the README's budget table
+    # is an attribute of growthcodes.<module>, so a renamed or deleted cap
+    # cannot stay documented.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.split("### Budgets and determinism", 1)[1].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    table = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:]))
+    rows = table[2:]  # past the header and its rule
+    assert len(rows) >= 5
+    for row in rows:
+        names = re.findall(r"`([^`]*)`", row.split("|")[1])
+        assert names, row
+        for name in names:
+            module, _, attribute = name.partition(".")
+            assert hasattr(importlib.import_module(f"growthcodes.{module}"), attribute), name

@@ -14,6 +14,7 @@ from growthcodes import (
     make_field,
     min_distance_exhaustive,
     predict_params,
+    stack_blocks,
     weight,
 )
 from growthcodes.seeds import (
@@ -61,6 +62,18 @@ def test_wide_matrix_is_tiled_base_block():
     for a in range(2):
         for b in range(6):
             assert seeds.b.array[a, b] == (1 if (a + b) % 2 == 0 else -1) % 5
+
+
+@pytest.mark.parametrize("field", (F2, F3, F5, F7))
+def test_square_matrix_follows_block_recursion(field):
+    # The paper's recursion A_{i+1} = [[A_1, B_i], [-B_i^T, A_i]], with
+    # B_i = [B_1 ... B_1], assembled block by block.
+    base = build_seed_matrices(field, 1)
+    a = base.a
+    for i in range(1, 40):
+        b = stack_blocks([[base.b] * i])
+        a = stack_blocks([[base.a, b], [-(b.transpose()), a]])
+        assert build_seed_matrices(field, i + 1).a == a
 
 
 def test_size_budget():
