@@ -24,13 +24,13 @@ from . import __version__
 from .code import (
     DEFAULT_ENUMERATION_BUDGET,
     LinearCode,
+    _format_rows,
     min_distance_exhaustive,
-    new_code,
     read_generator_file,
     singleton_check,
     write_generator_file,
 )
-from .construct import check_bounded, iterate_code, predict_params
+from .construct import check_bounded, iterate_code, predict_params, rising_factorial
 from .errors import BudgetExceededError, GrowthCodesError, VerificationError
 from .field import make_field
 from .growth import FAMILIES, exact_integer_text, growth_table, records_to_csv, records_to_json
@@ -99,8 +99,9 @@ def _write_payload(path, payload: dict) -> None:
 def cmd_seed_matrix(args) -> int:
     field = make_field(args.field)
     matrices = build_seed_matrices(field, args.i)
-    code = new_code(field, matrices.a)
-    write_generator_file(code, args.out)
+    # A_i has determinant 1, so it is written as rows with no code built.
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_format_rows(field.p, matrices.a.array))
     return 0
 
 
@@ -293,7 +294,9 @@ def cmd_construct(args) -> int:
         notes.append("distance enumeration over budget; no brute-force comparison")
     else:
         d_in = min_distance_exhaustive(code, budget=budget)
-        bound = code.k * d_in if args.steps >= 1 else d_in
+        # Holds for every code: a nonzero message leaves at most one zero
+        # block, so each step multiplies d by at least the current k.
+        bound = d_in * rising_factorial(code.k, args.steps)
         rows.append(
             {
                 "name": "distance_lower_bound",

@@ -270,10 +270,14 @@ def format_generator(code: LinearCode) -> str:
 
     Line 1 is ``q n k``; then k lines of n whitespace-separated residues.
     """
-    lines = [f"{code.field.p} {code.n} {code.k}"]
-    for i in range(code.k):
-        lines.append(" ".join(str(int(v)) for v in code._rows[i]))
-    return "\n".join(lines) + "\n"
+    return _format_rows(code.field.p, code._rows)
+
+
+def _format_rows(p: int, rows: np.ndarray) -> str:
+    """The generator-matrix text of a k x n array of residues mod ``p``,
+    with no code built (and so no independence check)."""
+    k, n = rows.shape
+    return "\n".join([f"{p} {n} {k}", *(" ".join(map(str, row.tolist())) for row in rows)]) + "\n"
 
 
 def parse_generator(text: str) -> LinearCode:

@@ -7,15 +7,15 @@ single zero block. Applied to a u-bounded basis the step multiplies the
 minimum distance by exactly k+1; iterating gives codes with predictable
 exact parameters as long as a boundedness inequality holds.
 
-All inequality comparisons use exact rationals: the legal step range ends in
-an equality case, so floating point is not acceptable here.
+The one inequality, u >= d(1 + s/k), is tested by exact integer
+cross-multiplication, u*k >= d*(k + s) (_exact_through): the legal step range
+ends in an equality case, so floating point is not acceptable here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -91,10 +91,15 @@ def check_bounded(
         u=u,
         cond_weights_ok=all(w == u for w in weights),
         cond_sum_ok=sum_weight == d,
-        cond_inequality_ok=Fraction(u) >= Fraction(d) * (1 + Fraction(1, code.k)),
+        cond_inequality_ok=_exact_through(code.k, d, u, 1),
         d_used=d,
         basis_weights=weights,
     )
+
+
+def _exact_through(k: int, d: int, u: int, steps: int) -> bool:
+    """u >= d(1 + steps/k), the one chain inequality, cross-multiplied."""
+    return u * k >= d * (k + steps)
 
 
 def rising_factorial(a: int, s: int) -> int:
@@ -117,12 +122,6 @@ def _step_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _basis_code(basis: Sequence[FieldVector]) -> LinearCode:
-    if not basis:
-        raise DependentBasisError("empty basis")
-    return new_code(basis[0].field, basis)
-
-
 def construction_step(basis: Sequence[FieldVector]) -> list[FieldVector]:
     """One construction step on an ordered basis: iterate(basis, 1).
 
@@ -138,31 +137,38 @@ def iterate_code(code: LinearCode, steps: int) -> LinearCode:
 
     The final generator, k + steps rows of length n * (k+1)(k+2)...(k+steps),
     is the largest one built, so code._check_materialization refuses it
-    (BudgetExceededError) before any work. Every step's output is checked
-    for independence (LinearCode); a dependent output would be an
-    implementation bug.
+    (BudgetExceededError) before any work. Only the final rows become a
+    LinearCode: if sum_t lambda_t out_t = 0, block i (sum over t != i of
+    lambda_t a_{(i-t) mod (k+1)}) forces lambda_t = 0 for every t != i, so
+    blocks 0 and 1 force all lambda = 0. A step thus keeps an independent
+    basis independent, and the constructor's check still catches a broken one.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     _check_materialization(code.k + steps, code.n * rising_factorial(code.k + 1, steps))
+    if steps == 0:
+        return code
+    rows = code._rows
     for _ in range(steps):
-        code = LinearCode(code.field, _step_rows(code._rows))
-    return code
+        rows = _step_rows(rows)
+    return LinearCode(code.field, rows)
 
 
 def iterate(basis: Sequence[FieldVector], steps: int) -> list[FieldVector]:
     """Apply the construction ``steps`` times; steps=0 returns the input,
     which must be independent."""
-    return list(iterate_code(_basis_code(basis), steps).basis)
+    if not basis:
+        raise DependentBasisError("empty basis")
+    return list(iterate_code(new_code(basis[0].field, basis), steps).basis)
 
 
 def predict_params(n: int, k: int, d: int, u: int, steps: int) -> ChainParams:
-    """Exact parameter prediction for a u-bounded [n, k, d] input code.
+    """The package's one chain formula, for a u-bounded [n, k, d] input code.
 
-    The distance is exact iff u >= d(1 + steps/k); past that point only the
-    lower bound d * prod(k + l - 1) is guaranteed. ``bounded_after`` holds
-    iff u >= d(1 + (steps+1)/k). The caller is responsible for the input
-    actually being u-bounded.
+    After s = steps steps the distance d(k+1)...(k+s) is exact iff
+    u >= d(1 + s/k); past that only the lower bound d k(k+1)...(k+s-1) is
+    guaranteed. ``bounded_after`` holds iff u >= d(1 + (s+1)/k). The caller
+    is responsible for the input actually being u-bounded.
     """
     if min(n, k, d, u) < 1:
         raise ValueError("n, k, d, u must be positive")
@@ -170,15 +176,15 @@ def predict_params(n: int, k: int, d: int, u: int, steps: int) -> ChainParams:
         raise ValueError("steps must be >= 0")
     growth = rising_factorial(k + 1, steps)
     shifted = growth * k // (k + steps)
-    d_exact = Fraction(u) >= Fraction(d) * (1 + Fraction(steps, k))
+    d_exact = _exact_through(k, d, u, steps)
     return ChainParams(
         steps=steps,
         n=n * growth,
         k=k + steps,
         d=d * growth if d_exact else d * shifted,
         u=u * shifted,
-        d_exact=bool(d_exact),
-        bounded_after=Fraction(u) >= Fraction(d) * (1 + Fraction(steps + 1, k)),
+        d_exact=d_exact,
+        bounded_after=_exact_through(k, d, u, steps + 1),
     )
 
 
@@ -187,6 +193,6 @@ def max_exact_steps(k: int, d: int, u: int) -> int:
 
     Requires u >= d(1 + 1/k), i.e. the input is plausibly u-bounded at all.
     """
-    if Fraction(u) < Fraction(d) * (1 + Fraction(1, k)):
+    if not _exact_through(k, d, u, 1):
         raise NotBoundedError(f"u={u} < d(1+1/k) = {d}*(1+1/{k})")
-    return math.floor(k * (Fraction(u, d) - 1))
+    return k * (u - d) // d

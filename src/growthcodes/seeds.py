@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .code import CodeParams, LinearCode, _check_materialization, min_distance_exhaustive
-from .construct import iterate_code, rising_factorial
+from .construct import iterate_code, predict_params
 from .errors import BudgetExceededError, RangeViolationError, VerificationError
 from .field import PrimeField
 from .linalg import FieldMatrix
@@ -79,24 +79,18 @@ def max_family_steps(index: int) -> int:
 
 
 def family_params(index: int, steps: int) -> CodeParams:
-    """Exact chain parameters for the seed family:
-
-    n = 2i * prod(2i-1+l), k = 2i-1+steps, d = prod(2i-1+l),
-    u = (2i-1) * prod(2i-2+l), products over l = 1..steps.
+    """predict_params(2i, 2i-1, 1, 2i-1, steps): the seed is a (2i-1)-bounded
+    [2i, 2i-1, 1] code. RangeViolationError outside the bounded range
+    0 <= steps <= 4i^2 - 6i + 1; predict_params labels d beyond it.
     """
     if index < 2:
         raise RangeViolationError(f"the bounded family needs index >= 2, got {index}")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    two_i = 2 * index
-    growth = rising_factorial(two_i, steps)
-    shifted = growth * (two_i - 1) // (two_i - 1 + steps)
-    return CodeParams(
-        n=two_i * growth,
-        k=two_i - 1 + steps,
-        d=growth,
-        u=(two_i - 1) * shifted,
-    )
+    if steps < 0 or steps > max_family_steps(index):
+        raise RangeViolationError(
+            f"steps {steps} outside 0..{max_family_steps(index)} for index {index}"
+        )
+    chain = predict_params(2 * index, 2 * index - 1, 1, 2 * index - 1, steps)
+    return CodeParams(n=chain.n, k=chain.k, d=chain.d, u=chain.u)
 
 
 def family_code(
@@ -111,17 +105,9 @@ def family_code(
     Materializes the code when its k x n generator fits the materialization
     budget (searching the distance when ``verify`` is set and the enumeration
     fits the default budget), otherwise returns the exact CodeParams, tested
-    before the seed is built. Raises
-    RangeViolationError outside the bounded range 0 <= steps <= 4i^2 - 6i + 1;
-    parameters beyond it are still computable via construct.predict_params
-    but carry no exactness guarantee.
+    before the seed is built. Raises RangeViolationError outside the bounded
+    range, as family_params does.
     """
-    if index < 2:
-        raise RangeViolationError(f"the bounded family needs index >= 2, got {index}")
-    if steps < 0 or steps > max_family_steps(index):
-        raise RangeViolationError(
-            f"steps {steps} outside 0..{max_family_steps(index)} for index {index}"
-        )
     params = family_params(index, steps)
     try:
         _check_materialization(params.k, params.n)
@@ -148,7 +134,7 @@ def series_resolved_steps(index: int) -> int:
     it also matches the stated intent of taking the deepest bounded member.
     Both candidates are reported wherever the series is emitted.
     """
-    return 4 * index * index + 2 * index - 1
+    return max_family_steps(index + 1)
 
 
 @dataclass(frozen=True)

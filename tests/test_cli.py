@@ -313,6 +313,14 @@ def test_construct_unbounded_input_lower_bound_only(tmp_path):
     names = [c["name"] for c in report["checks"]]
     assert names == ["distance_lower_bound"]
     assert report["params"] is None
+    assert report["checks"][0]["expected"] == ">= 9"  # k * d, with d = 3
+    # two steps: the bound is d * k * (k + 1)
+    proc = run_cli("construct", "--in", str(src), "--steps", "2", "--out", str(out))
+    assert proc.returncode == 0
+    report = report_of(proc)
+    assert [c["name"] for c in report["checks"]] == ["distance_lower_bound"]
+    assert report["checks"][0]["expected"] == ">= " + str(3 * 3 * 4)
+    assert report["checks"][0]["pass"]
 
 
 def test_round_trip_is_byte_exact(tmp_path):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from growthcodes import (
     FieldMatrix,
     FieldMismatchError,
     FieldVector,
+    LinearCode,
     NotBoundedError,
     check_bounded,
     construction_step,
@@ -21,6 +23,7 @@ from growthcodes import (
     weight,
 )
 from growthcodes import construct
+from growthcodes.construct import iterate_code, rising_factorial
 from growthcodes.seeds import family_code, seed_code
 
 from conftest import random_small_codes
@@ -152,6 +155,21 @@ def test_max_exact_steps():
         assert max_exact_steps(2 * i - 1, 1, 2 * i - 1) == (2 * i - 1) * (2 * i - 2)
     with pytest.raises(NotBoundedError):
         max_exact_steps(1, 1, 1)
+    # the integer test u*k >= d*(k+s) against the rational form; the grid
+    # meets u = d(1 + s/k) with equality wherever d*s/k is an integer
+    for k in range(1, 9):
+        for d in range(1, 7):
+            for u in range(1, 3 * d + 2):
+                exact_range = Fraction(u) >= Fraction(d) * (1 + Fraction(1, k))
+                if exact_range:
+                    assert max_exact_steps(k, d, u) == math.floor(k * (Fraction(u, d) - 1))
+                else:
+                    with pytest.raises(NotBoundedError):
+                        max_exact_steps(k, d, u)
+                for s in range(2 * k + 2):
+                    got = predict_params(k, k, d, u, s)
+                    assert got.d_exact == (Fraction(u) >= Fraction(d) * (1 + Fraction(s, k)))
+                    assert got.bounded_after == (Fraction(u) >= Fraction(d) * (1 + Fraction(s + 1, k)))
 
 
 # materializable bounded seed instances: (field, seed index, deepest step)
@@ -190,8 +208,24 @@ def test_bounded_after_matches_check_bounded(field, index, max_steps):
 
 
 def test_step_lower_bound_on_random_codes():
-    # spot check; the acceptance suite runs the full 100-case version
+    # spot check; the acceptance suite runs the full 100-case version of s = 1
     for code in random_small_codes(seed=7707, count=25, max_length=10):
         d = min_distance_exhaustive(code)
-        stepped = new_code(code.field, construction_step(list(code.basis)))
-        assert min_distance_exhaustive(stepped) >= code.k * d
+        for s in (1, 2, 3):
+            stepped = iterate_code(code, s)
+            assert min_distance_exhaustive(stepped) >= d * rising_factorial(code.k, s)
+
+
+@pytest.mark.parametrize("steps,built", [(0, 0), (1, 1), (2, 1), (4, 1)])
+def test_iterate_code_builds_one_code(monkeypatch, steps, built):
+    base = seed_code(F3, 2)
+    calls = []
+
+    def counting(field, rows):
+        calls.append(rows.shape)
+        return LinearCode(field, rows)
+
+    monkeypatch.setattr(construct, "LinearCode", counting)
+    out = iterate_code(base, steps)
+    assert len(calls) == built
+    assert (out.n, out.k) == (predict_params(4, 3, 1, 3, steps).n, 3 + steps)

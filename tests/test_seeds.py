@@ -183,16 +183,26 @@ def test_family_range_violation():
         family_code(F2, 2, 6)
     with pytest.raises(RangeViolationError):
         family_code(F2, 3, max_family_steps(3) + 1)
+    # past the range the family's closed form is unproven: at (2, 7) it
+    # would give d = 604800, where a multiset search over GF(2) and GF(3)
+    # finds 544320
+    for index, steps in ((2, 6), (2, 7), (2, -1), (3, max_family_steps(3) + 1)):
+        with pytest.raises(RangeViolationError):
+            family_params(index, steps)
 
 
 def test_family_params_match_chain_prediction():
     for i in range(2, 21):
         top = max_family_steps(i)
+        # one step at a time: [n, k, d] -> [n(k+1), k+1, (k+1)d], u -> uk
+        n, k, d, u = 2 * i, 2 * i - 1, 1, 2 * i - 1
         for j in range(top + 1):
             ours = family_params(i, j)
             chain = predict_params(2 * i, 2 * i - 1, 1, 2 * i - 1, j)
             assert chain.d_exact
             assert (ours.n, ours.k, ours.d, ours.u) == (chain.n, chain.k, chain.d, chain.u)
+            assert (ours.n, ours.k, ours.d, ours.u) == (n, k, d, u)
+            n, k, d, u = n * (k + 1), k + 1, d * (k + 1), u * k
         # one step past the bounded range the chain is no longer bounded
         assert predict_params(2 * i, 2 * i - 1, 1, 2 * i - 1, top).bounded_after
         assert not predict_params(2 * i, 2 * i - 1, 1, 2 * i - 1, top + 1).bounded_after
