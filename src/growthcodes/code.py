@@ -182,6 +182,11 @@ def _check_materialization(k: int, n: int) -> None:
         )
 
 
+def _check_searchable(code) -> None:
+    if not isinstance(code, LinearCode):
+        raise TypeError(f"a distance search needs a LinearCode, got {type(code).__name__}")
+
+
 def min_distance_exhaustive(
     code: LinearCode,
     *,
@@ -192,8 +197,11 @@ def min_distance_exhaustive(
     The engine visits one message per scalar class, (q^k - 1)/(q - 1) of
     them, against the code's distinct projective columns. The budget still
     counts q^k: BudgetExceededError (carrying that count) is raised when q^k
-    exceeds it, so callers can fall back to formula-level checks.
+    exceeds it, so callers can fall back to formula-level checks. Anything
+    but a LinearCode raises TypeError: a CodeParams' d is a formula, not a
+    search result.
     """
+    _check_searchable(code)
     if code.d is not None:
         return code.d
     _check_enumeration(code.field.p, code.k, budget)
@@ -214,8 +222,10 @@ def min_distance_by_weight_search(
     identity, so it suits high-rate codes, whose messages are out of budget
     but whose dual is small. The budget counts q^(n-k): BudgetExceededError
     (carrying that count) is raised past it, so a code with large redundancy
-    is refused even when d is tiny.
+    is refused even when d is tiny. Anything but a LinearCode raises
+    TypeError, as for min_distance_exhaustive.
     """
+    _check_searchable(code)
     if code.d is not None:
         return code.d
     p, redundancy = code.field.p, code.n - code.k

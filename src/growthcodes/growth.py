@@ -3,8 +3,12 @@ square-root bracket check for the headline series.
 
 Every record carries exact big integers plus kd/n as an exact rational, and
 a flag telling whether the distance was verified by exhaustive search or
-comes from a formula. Output orders are fixed so emitted tables are
-byte-identical across runs.
+comes from a formula. Each family supplies a row's formula parameters and a
+builder for its code; one row function searches every row small enough
+(seed-series, seed-family, rm-diagonal, direct-sum and repetition; rm-third
+has no builder) and raises VerificationError when a search contradicts the
+formula. Output orders are fixed so emitted tables are byte-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import partial
 
-from .code import LinearCode, _check_enumeration, direct_sum, min_distance_exhaustive, repetition
+from .code import CodeParams, LinearCode, _check_enumeration, direct_sum, min_distance_exhaustive, repetition
 from .errors import BudgetExceededError, RangeViolationError, UnknownFamilyError, VerificationError
 from .field import make_field
 from .reedmuller import rm_generator, rm_params, rm_third_series
@@ -26,8 +30,9 @@ from .seeds import family_code, family_params, max_family_steps, series_params
 
 FAMILIES = ("seed-series", "seed-family", "rm-diagonal", "rm-third", "direct-sum", "repetition")
 
-# Verification ceilings for table rows: materialize and brute-force only
-# when the code is this small, otherwise report formula distances.
+# Verification ceilings for table rows, tested on the row's formula
+# parameters: materialize and brute-force only when the code is this small,
+# otherwise report formula distances.
 VERIFY_MESSAGE_CAP = 1 << 16
 VERIFY_LENGTH_CAP = 10**5
 
@@ -47,138 +52,89 @@ class GrowthRecord:
     extras: dict = dataclass_field(default_factory=dict)
 
 
+def _bracket_holds(i: int, k: int) -> bool:
+    """2i > sqrt(k) - 1 > 2i - 1, by integer squaring: (2i+1)^2 > k > (2i)^2."""
+    return (2 * i + 1) ** 2 > k > (2 * i) ** 2
+
+
 def sqrt_bracket_check(i_max: int) -> list[tuple[int, bool]]:
-    """For each i <= i_max, check 2i > sqrt(k_i) - 1 > 2i - 1 with
-    k_i = 4i(i+1), done by integer squaring: (2i+1)^2 > k_i > (2i)^2."""
+    """For each i <= i_max, the square-root bracket of k_i = 4i(i+1)."""
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
-    out = []
-    for i in range(1, i_max + 1):
-        k_i = 4 * i * (i + 1)
-        out.append((i, (2 * i + 1) ** 2 > k_i and k_i > (2 * i) ** 2))
-    return out
+    return [(i, _bracket_holds(i, 4 * i * (i + 1))) for i in range(1, i_max + 1)]
 
 
-def _row_distance(p: int, n: int, k: int, build) -> int | None:
-    """The searched distance of a table row's code, or None when the row is
-    over a verification cap. Both caps are tested on the row's parameters,
-    so ``build`` materializes only a code that will be searched."""
-    if n > VERIFY_LENGTH_CAP:
-        return None
-    try:
-        _check_enumeration(p, k, VERIFY_MESSAGE_CAP)
-        return min_distance_exhaustive(build(), budget=VERIFY_MESSAGE_CAP)
-    except BudgetExceededError:
-        return None
+def _row(family: str, index: int, params: CodeParams, extras: dict, build, p: int) -> GrowthRecord:
+    """The one table row: ``params`` is the row's formula, ``build`` makes its
+    code over GF(p), or is None when the row is not to be searched.
 
-
-def _matches_formula(searched: int | None, formula: int, what: str) -> bool:
-    """True when the row was searched; a search contradicting the formula raises."""
-    if searched is not None and searched != formula:
-        raise VerificationError(f"{what}: verified distance {searched} disagrees with the formula {formula}")
-    return searched is not None
-
-
-def _seed_series_record(i: int, verify: bool) -> GrowthRecord:
-    member = series_params(i)
-    d = member.params.d
-    build = partial(family_code, make_field(2), i + 1, member.resolved_steps, verify=False)
-    verified = verify and _matches_formula(
-        _row_distance(2, member.params.n, member.params.k, build), d, f"seed-series member {i}"
-    )
-    bracket = (2 * i + 1) ** 2 > member.params.k and member.params.k > (2 * i) ** 2
+    Both caps are tested on the formula's parameters, so ``build`` runs only
+    for a code that will be searched; a search contradicting the formula
+    raises VerificationError.
+    """
+    searched = None
+    if build is not None and params.n <= VERIFY_LENGTH_CAP:
+        try:
+            _check_enumeration(p, params.k, VERIFY_MESSAGE_CAP)
+            searched = min_distance_exhaustive(build(), budget=VERIFY_MESSAGE_CAP)
+        except BudgetExceededError:
+            pass
+    if searched is not None and searched != params.d:
+        raise VerificationError(
+            f"{family} row {index}: searched distance {searched} disagrees with the formula {params.d}"
+        )
     return GrowthRecord(
-        family="seed-series",
-        index=i,
-        n=member.params.n,
-        k=member.params.k,
-        d=d,
-        u=member.params.u,
-        kd_over_n=member.kd_over_n,
-        verified=verified,
-        extras={
-            "resolved_steps": member.resolved_steps,
-            "declared_steps": member.declared_steps,
-            "declared_k": member.declared_k,
-            "declared_kd_over_n_num": member.declared_kd_over_n.numerator,
-            "declared_kd_over_n_den": member.declared_kd_over_n.denominator,
-            "bracket_holds": bracket,
-        },
-    )
-
-
-def _seed_family_record(seed_index: int, j: int, verify: bool) -> GrowthRecord:
-    params = family_params(seed_index, j)
-    build = partial(family_code, make_field(2), seed_index, j, verify=False)
-    verified = verify and _matches_formula(
-        _row_distance(2, params.n, params.k, build), params.d, f"seed-family member ({seed_index}, {j})"
-    )
-    return GrowthRecord(
-        family="seed-family",
-        index=j,
+        family=family,
+        index=index,
         n=params.n,
         k=params.k,
         d=params.d,
         u=params.u,
         kd_over_n=Fraction(params.k * params.d, params.n),
-        verified=verified,
-        extras={"seed_index": seed_index},
+        verified=searched is not None,
+        extras=extras,
     )
 
 
-def _rm_diagonal_record(r: int, verify: bool) -> GrowthRecord:
-    m = 2 * r + 1
-    params = rm_params(m, r)
-    verified = verify and _matches_formula(
-        _row_distance(2, params.n, params.k, partial(rm_generator, m, r)), params.d, f"RM({m},{r})"
-    )
-    return GrowthRecord(
-        family="rm-diagonal",
-        index=r,
-        n=params.n,
-        k=params.k,
-        d=params.d,
-        u=None,
-        kd_over_n=Fraction(params.k * params.d, params.n),
-        verified=verified,
-        extras={"m": m, "r": r},
-    )
-
-
-def _rm_third_record(m: int) -> GrowthRecord:
-    rec = rm_third_series(m)
-    return GrowthRecord(
-        family="rm-third",
-        index=m,
-        n=rec.params.n,
-        k=rec.params.k,
-        d=rec.params.d,
-        u=None,
-        kd_over_n=rec.kd_over_n,
-        verified=False,
-        extras={"r": rec.r, "asymptote_ratio": rec.asymptote_ratio},
-    )
-
-
-def _composed_record(family: str, base: LinearCode, s: int) -> GrowthRecord:
-    n = base.n * s
-    k, compose = (base.k * s, direct_sum) if family == "direct-sum" else (base.k, repetition)
-    d = _row_distance(base.field.p, n, k, partial(compose, base, s))
-    verified = d is not None
-    if d is None:
-        base_d = min_distance_exhaustive(base)
-        d = base_d if family == "direct-sum" else base_d * s
-    return GrowthRecord(
-        family=family,
-        index=s,
-        n=n,
-        k=k,
-        d=d,
-        u=None,
-        kd_over_n=Fraction(k * d, n),
-        verified=verified,
-        extras={},
-    )
+def _row_inputs(family: str, max_index: int, seed_index: int | None, base_code: LinearCode | None):
+    """(index, formula parameters, extras, builder or None) of each row."""
+    f2 = make_field(2)
+    if family == "seed-series":
+        for i in range(1, max_index + 1):
+            member = series_params(i)
+            extras = {
+                "resolved_steps": member.resolved_steps,
+                "declared_steps": member.declared_steps,
+                "declared_k": member.declared_k,
+                "declared_kd_over_n_num": member.declared_kd_over_n.numerator,
+                "declared_kd_over_n_den": member.declared_kd_over_n.denominator,
+                "bracket_holds": _bracket_holds(i, member.params.k),
+            }
+            yield i, member.params, extras, partial(family_code, f2, i + 1, member.resolved_steps, verify=False)
+    elif family == "seed-family":
+        if seed_index is None:
+            raise ValueError("seed-family needs seed_index")
+        if seed_index < 2:
+            raise RangeViolationError(f"the bounded family needs seed index >= 2, got {seed_index}")
+        for j in range(min(max_index, max_family_steps(seed_index)) + 1):
+            build = partial(family_code, f2, seed_index, j, verify=False)
+            yield j, family_params(seed_index, j), {"seed_index": seed_index}, build
+    elif family == "rm-diagonal":
+        for r in range(1, max_index + 1):
+            yield r, rm_params(2 * r + 1, r), {"m": 2 * r + 1, "r": r}, partial(rm_generator, 2 * r + 1, r)
+    elif family == "rm-third":
+        for m in range(1, max_index + 1):
+            rec = rm_third_series(m)
+            yield m, rec.params, {"r": rec.r, "asymptote_ratio": rec.asymptote_ratio}, None
+    else:
+        if base_code is None:
+            raise ValueError(f"{family} needs a base code")
+        n, k, d = base_code.n, base_code.k, min_distance_exhaustive(base_code)
+        for s in range(1, max_index + 1):
+            if family == "direct-sum":
+                yield s, CodeParams(n * s, k * s, d), {}, partial(direct_sum, base_code, s)
+            else:
+                yield s, CodeParams(n * s, k, s * d), {}, partial(repetition, base_code, s)
 
 
 def growth_table(
@@ -194,30 +150,20 @@ def growth_table(
     seed-series and rm-diagonal/rm-third index from 1 (rm-diagonal by r,
     rm-third by m); seed-family indexes steps j from 0 and needs seed_index;
     direct-sum and repetition index the multiplier s from 1 and need a base
-    code. Distances are verified by brute force where the row's code is
-    small enough to materialize and enumerate (seed rows over GF(2)); the
-    flag records which rows that happened for.
+    code, whose distance is searched and gives their formula. With
+    ``verify``, every row but rm-third's is searched by brute force when its
+    formula's n and q^k are under VERIFY_LENGTH_CAP and VERIFY_MESSAGE_CAP;
+    the flag records which rows that happened for.
     """
     if family not in FAMILIES:
         raise UnknownFamilyError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     if max_index < 0 or (family != "seed-family" and max_index < 1):
         raise RangeViolationError(f"max_index {max_index} out of range for {family}")
-    if family == "seed-series":
-        return [_seed_series_record(i, verify) for i in range(1, max_index + 1)]
-    if family == "seed-family":
-        if seed_index is None:
-            raise ValueError("seed-family needs seed_index")
-        if seed_index < 2:
-            raise RangeViolationError(f"the bounded family needs seed index >= 2, got {seed_index}")
-        top = min(max_index, max_family_steps(seed_index))
-        return [_seed_family_record(seed_index, j, verify) for j in range(top + 1)]
-    if family == "rm-diagonal":
-        return [_rm_diagonal_record(r, verify) for r in range(1, max_index + 1)]
-    if family == "rm-third":
-        return [_rm_third_record(m) for m in range(1, max_index + 1)]
-    if base_code is None:
-        raise ValueError(f"{family} needs a base code")
-    return [_composed_record(family, base_code, s) for s in range(1, max_index + 1)]
+    p = base_code.field.p if family in ("direct-sum", "repetition") and base_code is not None else 2
+    return [
+        _row(family, index, params, extras, build if verify else None, p)
+        for index, params, extras, build in _row_inputs(family, max_index, seed_index, base_code)
+    ]
 
 
 def _row_cells(record: GrowthRecord, extra_keys: tuple[str, ...]) -> dict:

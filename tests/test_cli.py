@@ -161,6 +161,19 @@ def test_verify_bounded_check(tmp_path):
     assert names == ["distance", "params", "bounded"]
 
 
+def test_verify_searches_once_for_every_check(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "c3.txt"
+    assert cli.main(["build", "--family", "seed", "--i", "3", "--field", "2", "--out", str(out)]) == 0
+    calls = []
+    real = cli.min_distance_exhaustive
+    monkeypatch.setattr(cli, "min_distance_exhaustive", lambda code, **kw: calls.append(1) or real(code, **kw))
+    checks = "distance,params:6,5,1,singleton,bounded:5"
+    assert cli.main(["verify", "--in", str(out), "--checks", checks]) == 0
+    assert calls == [1]
+    report = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in report["checks"]] == ["distance", "params", "singleton", "bounded"]
+
+
 def test_verify_unknown_check(tmp_path):
     out = tmp_path / "c2.txt"
     run_cli("build", "--family", "seed", "--i", "2", "--field", "2", "--out", str(out))

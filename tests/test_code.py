@@ -163,6 +163,17 @@ def test_min_distance_budget_exceeded_carries_required_count():
     assert err.value.budget == 4
 
 
+@pytest.mark.parametrize("search", (min_distance_exhaustive, min_distance_by_weight_search))
+def test_searches_refuse_a_non_code(search):
+    # family_code returns the formula's CodeParams past the materialization
+    # budget; its d was never searched, so neither search may pass it on.
+    over_budget = family_code(F2, 3, 6)
+    assert isinstance(over_budget, CodeParams)
+    for params in (family_params(2, 1), over_budget):
+        with pytest.raises(TypeError):
+            search(params)
+
+
 def test_budget_refusal_past_the_int_to_str_digit_limit():
     # 65521^1000 has 4817 decimal digits; the refusal must not print it
     field = make_field(65521)

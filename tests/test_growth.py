@@ -11,6 +11,8 @@ from growthcodes import (
     FieldMatrix,
     RangeViolationError,
     UnknownFamilyError,
+    VerificationError,
+    cli,
     make_field,
     new_code,
 )
@@ -108,6 +110,53 @@ def test_composed_rows_past_the_caps_are_not_built(monkeypatch):
     assert built == [1, 2, 3, 4, 5]
     assert [r.verified for r in records] == [True] * 5 + [False] * 35
     assert [(r.n, r.k, r.d) for r in records[38:]] == [(156, 117, 1), (160, 120, 1)]
+
+
+def test_composed_rows_without_verify_build_nothing(monkeypatch):
+    built = []
+    for name in ("direct_sum", "repetition"):
+        real = getattr(growth, name)
+        monkeypatch.setattr(growth, name, lambda code, s, real=real: built.append(s) or real(code, s))
+    base = seed_code(F2, 2)
+    sums = growth_table("direct-sum", 4, base_code=base, verify=False)
+    reps = growth_table("repetition", 4, base_code=base, verify=False)
+    assert built == []
+    assert not any(r.verified for r in sums + reps)
+    assert [(r.n, r.k, r.d) for r in sums] == [(4 * s, 3 * s, 1) for s in range(1, 5)]
+    assert [(r.n, r.k, r.d) for r in reps] == [(4 * s, 3, s) for s in range(1, 5)]
+
+
+def _searches_one_too_high(monkeypatch, base):
+    """Make every row search report one more than the true distance; the
+    composed rows' base keeps its true distance."""
+    real = growth.min_distance_exhaustive
+
+    def wrong(code, **kwargs):
+        return real(code, **kwargs) + (code is not base)
+
+    monkeypatch.setattr(growth, "min_distance_exhaustive", wrong)
+
+
+@pytest.mark.parametrize(
+    "family,kwargs",
+    [
+        ("seed-series", {}),
+        ("seed-family", {"seed_index": 2}),
+        ("rm-diagonal", {}),
+        ("direct-sum", {"base_code": _base_422()}),
+        ("repetition", {"base_code": _base_422()}),
+    ],
+)
+def test_a_search_contradicting_the_formula_raises(monkeypatch, family, kwargs):
+    _searches_one_too_high(monkeypatch, kwargs.get("base_code"))
+    with pytest.raises(VerificationError, match="disagrees with the formula"):
+        growth_table(family, 1, **kwargs)
+
+
+def test_cli_growth_exits_1_when_a_search_contradicts_the_formula(monkeypatch, capsys):
+    _searches_one_too_high(monkeypatch, None)
+    assert cli.main(["growth", "--family", "rm-diagonal", "--max-index", "1"]) == 1
+    assert "disagrees with the formula" in capsys.readouterr().err
 
 
 def test_tables_mixing_extra_columns_are_refused_under_optimize():
