@@ -262,6 +262,9 @@ def cmd_growth(args) -> int:
         if args.infile is None:
             raise GrowthCodesError(f"--family {args.family} needs --in with a base generator file")
         base = read_generator_file(args.infile)
+        # the table's formula rests on the base's distance: search it under the
+        # caller's budget; row searches stay under VERIFY_MESSAGE_CAP
+        min_distance_exhaustive(base, budget=_budget_from_env())
     if args.family == "seed-family" and args.i is None:
         raise GrowthCodesError("--family seed-family needs --i")
     records = growth_table(args.family, args.max_index, seed_index=args.i, base_code=base)

@@ -9,12 +9,16 @@ builder for its code; one row function searches every row small enough
 has no builder) and raises VerificationError when a search contradicts the
 formula. Output orders are fixed so emitted tables are byte-identical across
 runs.
+
+Records are frozen. A record converts its integer base columns to decimal
+once, on its first write, and the CSV and JSON writers both build their
+text from that conversion; the exact parameters of the headline series run
+to thousands of digits, and converting them dominates writing a table.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import io
 import json
 import sys
@@ -39,8 +43,12 @@ VERIFY_LENGTH_CAP = 10**5
 BASE_COLUMNS = ("family", "index", "n", "k", "d", "u", "kd_over_n_num", "kd_over_n_den", "verified")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class GrowthRecord:
+    """One table row. Frozen, so the decimal text cached on its first write
+    always matches its integers; ``dataclasses.replace`` makes a record with
+    no text yet."""
+
     family: str
     index: int
     n: int
@@ -50,6 +58,16 @@ class GrowthRecord:
     kd_over_n: Fraction
     verified: bool
     extras: dict = dataclass_field(default_factory=dict)
+    _decimal: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)
+
+    def _decimal_text(self) -> tuple:
+        """index, n, k, d, u, kd_over_n_num and kd_over_n_den as decimal
+        text (None for an absent u), converted on the first call. Call it
+        inside exact_integer_text()."""
+        if self._decimal is None:
+            values = (self.index, self.n, self.k, self.d, self.u, self.kd_over_n.numerator, self.kd_over_n.denominator)
+            object.__setattr__(self, "_decimal", tuple(None if value is None else str(value) for value in values))
+        return self._decimal
 
 
 def _bracket_holds(i: int, k: int) -> bool:
@@ -130,11 +148,11 @@ def _row_inputs(family: str, max_index: int, seed_index: int | None, base_code: 
         if base_code is None:
             raise ValueError(f"{family} needs a base code")
         n, k, d = base_code.n, base_code.k, min_distance_exhaustive(base_code)
+        compose = direct_sum if family == "direct-sum" else repetition
         for s in range(1, max_index + 1):
-            if family == "direct-sum":
-                yield s, CodeParams(n * s, k * s, d), {}, partial(direct_sum, base_code, s)
-            else:
-                yield s, CodeParams(n * s, k, s * d), {}, partial(repetition, base_code, s)
+            params = CodeParams(n * s, k * s, d) if family == "direct-sum" else CodeParams(n * s, k, s * d)
+            # row 1 is the base itself, whose distance is already searched
+            yield s, params, {}, partial(compose, base_code, s) if s > 1 else lambda: base_code
 
 
 def growth_table(
@@ -166,27 +184,12 @@ def growth_table(
     ]
 
 
-def _row_cells(record: GrowthRecord, extra_keys: tuple[str, ...]) -> dict:
-    cells = {
-        "family": record.family,
-        "index": record.index,
-        "n": record.n,
-        "k": record.k,
-        "d": record.d,
-        "u": record.u,
-        "kd_over_n_num": record.kd_over_n.numerator,
-        "kd_over_n_den": record.kd_over_n.denominator,
-        "verified": record.verified,
-    }
-    for key in extra_keys:
-        cells[key] = record.extras[key]
-    return cells
-
-
 def _extra_keys(records: list[GrowthRecord]) -> tuple[str, ...]:
     if not records:
         return ()
     keys = tuple(records[0].extras)
+    if set(keys) & set(BASE_COLUMNS):
+        raise ValueError(f"extra columns {list(keys)} repeat a base column")
     for record in records:
         if tuple(record.extras) != keys:
             raise ValueError(f"one table cannot mix extra columns {list(keys)} and {list(record.extras)}")
@@ -211,33 +214,78 @@ def exact_integer_text():
             sys.set_int_max_str_digits(limit)
 
 
+def _cells(record: GrowthRecord, extra_keys: tuple[str, ...], render) -> list[str]:
+    """A row as text: the integer base columns from the record's decimal
+    text, the flag as both formats write it, every other cell (and an absent
+    u, as None) through ``render``."""
+    index, n, k, d, u, num, den = record._decimal_text()
+    return [
+        render(record.family),
+        index,
+        n,
+        k,
+        d,
+        render(None) if u is None else u,
+        num,
+        den,
+        "true" if record.verified else "false",
+        *(render(record.extras[key]) for key in extra_keys),
+    ]
+
+
+def _csv_cell(value) -> str:
+    """A cell as csv.writer writes it under QUOTE_MINIMAL with a "\\n" line
+    terminator, after the table's conversions of None, bools and floats."""
+    if value is None:
+        text = ""
+    elif isinstance(value, bool):
+        text = "true" if value else "false"
+    elif isinstance(value, float):
+        text = repr(value)
+    else:
+        text = str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _json_cell(value) -> str:
+    """A value as json.dumps(rows, indent=2) writes it inside a row."""
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, (list, tuple, dict)):
+        # nested two levels deep
+        return json.dumps(value, indent=2).replace("\n", "\n    ")
+    return json.dumps(value)
+
+
 def records_to_csv(records: list[GrowthRecord]) -> str:
     """Deterministic CSV: base columns then family-specific extras."""
     extra_keys = _extra_keys(records)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(BASE_COLUMNS) + list(extra_keys))
+    buf.write(",".join(map(_csv_cell, BASE_COLUMNS + extra_keys)))
     with exact_integer_text():
         for record in records:
-            cells = _row_cells(record, extra_keys)
-            row = []
-            for key in list(BASE_COLUMNS) + list(extra_keys):
-                value = cells[key]
-                if value is None:
-                    row.append("")
-                elif isinstance(value, bool):
-                    row.append("true" if value else "false")
-                elif isinstance(value, float):
-                    row.append(repr(value))
-                else:
-                    row.append(str(value))
-            writer.writerow(row)
+            buf.write("\n")
+            buf.write(",".join(_cells(record, extra_keys, _csv_cell)))
+    buf.write("\n")
     return buf.getvalue()
 
 
 def records_to_json(records: list[GrowthRecord]) -> str:
-    """Deterministic JSON: an array of flat objects mirroring the CSV."""
+    """Deterministic JSON: an array of flat objects mirroring the CSV, the
+    bytes of json.dumps(rows, indent=2) plus a newline."""
     extra_keys = _extra_keys(records)
-    rows = [_row_cells(record, extra_keys) for record in records]
+    if not records:
+        return "[]\n"
+    names = [f"\n    {json.dumps(key)}: " for key in BASE_COLUMNS + extra_keys]
+    buf = io.StringIO()
+    opening = "[\n  {"
     with exact_integer_text():
-        return json.dumps(rows, indent=2) + "\n"
+        for record in records:
+            buf.write(opening)
+            buf.write(",".join(map(str.__add__, names, _cells(record, extra_keys, _json_cell))))
+            buf.write("\n  }")
+            opening = ",\n  {"
+    buf.write("\n]\n")
+    return buf.getvalue()

@@ -152,6 +152,20 @@ def test_verify_budget_env_exits_2(tmp_path):
     assert "budget" in proc.stderr
 
 
+def test_growth_searches_its_base_under_the_budget_env(tmp_path):
+    base, out = tmp_path / "s23.txt", tmp_path / "t.csv"
+    run_cli("build", "--family", "seed", "--i", "2", "--field", "3", "--out", str(base))
+    args = ("growth", "--family", "repetition", "--in", str(base), "--max-index", "2", "--out", str(out))
+    proc = run_cli(*args, env={"GROWTHCODES_BUDGET": "4"})
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr and "budget" in proc.stderr
+    assert not out.exists()
+    # 3^3 messages fit a budget of 27
+    assert run_cli(*args, env={"GROWTHCODES_BUDGET": "27"}).returncode == 0
+    assert out.read_text().splitlines()[1].endswith(",true")
+
+
 def test_verify_bounded_check(tmp_path):
     out = tmp_path / "c3.txt"
     run_cli("build", "--family", "seed", "--i", "3", "--field", "2", "--out", str(out))

@@ -1,4 +1,8 @@
+import csv
+import dataclasses
+import io
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,6 +10,8 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthcodes import (
     FieldMatrix,
@@ -18,8 +24,11 @@ from growthcodes import (
 )
 from growthcodes import growth
 from growthcodes.growth import (
+    BASE_COLUMNS,
     VERIFY_LENGTH_CAP,
     VERIFY_MESSAGE_CAP,
+    GrowthRecord,
+    exact_integer_text,
     growth_table,
     records_to_csv,
     records_to_json,
@@ -107,7 +116,8 @@ def test_composed_rows_past_the_caps_are_not_built(monkeypatch):
     real = growth.direct_sum
     monkeypatch.setattr(growth, "direct_sum", lambda code, s: built.append(s) or real(code, s))
     records = growth_table("direct-sum", 40, base_code=seed_code(F2, 2))
-    assert built == [1, 2, 3, 4, 5]
+    # row 1 is the base itself
+    assert built == [2, 3, 4, 5]
     assert [r.verified for r in records] == [True] * 5 + [False] * 35
     assert [(r.n, r.k, r.d) for r in records[38:]] == [(156, 117, 1), (160, 120, 1)]
 
@@ -128,7 +138,8 @@ def test_composed_rows_without_verify_build_nothing(monkeypatch):
 
 def _searches_one_too_high(monkeypatch, base):
     """Make every row search report one more than the true distance; the
-    composed rows' base keeps its true distance."""
+    composed rows' base keeps its true distance, and so does their row 1,
+    which is the base."""
     real = growth.min_distance_exhaustive
 
     def wrong(code, **kwargs):
@@ -150,7 +161,7 @@ def _searches_one_too_high(monkeypatch, base):
 def test_a_search_contradicting_the_formula_raises(monkeypatch, family, kwargs):
     _searches_one_too_high(monkeypatch, kwargs.get("base_code"))
     with pytest.raises(VerificationError, match="disagrees with the formula"):
-        growth_table(family, 1, **kwargs)
+        growth_table(family, 2, **kwargs)
 
 
 def test_cli_growth_exits_1_when_a_search_contradicts_the_formula(monkeypatch, capsys):
@@ -248,3 +259,115 @@ def test_u_column_presence():
     assert rm.u is None
     row = records_to_csv([rm]).splitlines()[1].split(",")
     assert row[5] == ""  # empty u cell
+
+
+def _reference_tables(records):
+    """Both tables the way the writers once built them: csv.writer and
+    json.dumps over a dict per row, every integer converted by each."""
+    keys = list(BASE_COLUMNS) + (list(records[0].extras) if records else [])
+    rows = [
+        {
+            "family": r.family,
+            "index": r.index,
+            "n": r.n,
+            "k": r.k,
+            "d": r.d,
+            "u": r.u,
+            "kd_over_n_num": r.kd_over_n.numerator,
+            "kd_over_n_den": r.kd_over_n.denominator,
+            "verified": r.verified,
+            **r.extras,
+        }
+        for r in records
+    ]
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return repr(value) if isinstance(value, float) else str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(keys)
+    with exact_integer_text():
+        writer.writerows([cell(row[key]) for key in keys] for row in rows)
+        return buf.getvalue(), json.dumps(rows, indent=2) + "\n"
+
+
+def _assert_writers_match_reference(records):
+    limit = sys.get_int_max_str_digits()
+    assert (records_to_csv(records), records_to_json(records)) == _reference_tables(records)
+    assert sys.get_int_max_str_digits() == limit
+
+
+_HUGE = st.one_of(st.integers(1, 10**6), st.integers(10**4300, 10**6000))
+# carriage returns are left out: csv.writer quotes them only in newer Pythons
+_TEXT = st.text(st.sampled_from(['a', ' ', ',', '"', '\n', '\u00e9', '\u4e2d']), max_size=6)
+_EXTRA = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**30), 10**30),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    _TEXT,
+    st.lists(st.integers(0, 9), max_size=3),
+)
+
+
+@st.composite
+def _tables(draw):
+    keys = draw(st.lists(_TEXT.filter(lambda key: key not in BASE_COLUMNS), unique=True, max_size=3))
+    return [
+        GrowthRecord(
+            family=draw(_TEXT),
+            index=draw(st.integers(0, 10**6)),
+            n=draw(_HUGE),
+            k=draw(_HUGE),
+            d=draw(_HUGE),
+            u=draw(st.none() | _HUGE),
+            kd_over_n=Fraction(draw(_HUGE), draw(_HUGE)),
+            verified=draw(st.booleans()),
+            extras={key: draw(_EXTRA) for key in keys},
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables())
+def test_writers_match_csv_writer_and_json_dumps(records):
+    _assert_writers_match_reference(records)
+
+
+def test_writers_match_the_reference_on_the_largest_tables():
+    _assert_writers_match_reference([])
+    _assert_writers_match_reference(growth_table("seed-family", max_family_steps(16), seed_index=16, verify=False))
+    _assert_writers_match_reference(growth_table("seed-series", 20, verify=False))
+
+
+def test_writers_refuse_mixed_or_shadowing_extras():
+    limit = sys.get_int_max_str_digits()
+    records = growth_table("rm-third", 1) + growth_table("seed-family", 0, seed_index=2)
+    for write in (records_to_csv, records_to_json):
+        with pytest.raises(ValueError, match="cannot mix extra columns"):
+            write(records)
+        assert sys.get_int_max_str_digits() == limit
+    shadowing = dataclasses.replace(records[0], extras={"n": 1})
+    for write in (records_to_csv, records_to_json):
+        with pytest.raises(ValueError, match="repeat a base column"):
+            write([shadowing])
+
+
+def test_records_are_frozen_and_replace_renders_the_new_integers():
+    record = growth_table("seed-series", 1)[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.n = 1
+    before = records_to_csv([record])
+    changed = dataclasses.replace(record, n=10**5000)
+    with exact_integer_text():
+        assert records_to_csv([changed]) == before.replace(",26880,", f",{10**5000},")
+        assert json.loads(records_to_json([changed]))[0]["n"] == 10**5000
+    assert records_to_csv([record]) == before
+    assert changed != record
