@@ -12,7 +12,9 @@ leading nonzero digit is 1 are enumerated, each against the D distinct
 columns: the cost is (q^k - 1)/(q - 1) x D, against q^k x n over raw
 coordinates. The construction chain repeats its columns heavily: the seed-4
 member at j = 5 has n = 760320 but D = 1716 over GF(2). The rank checks in
-``code`` run on the same multiset.
+``code`` run on the same multiset. Chain members are stepped on it directly
+(construct.iterate_code, by merge_projective), so they are built and
+searched without a generator until something reads their rows.
 
 * GF(2) keeps the codeword bit-packed and steps the high message digits in
   Gray-code order (one XOR per step, hardware popcount for weights) against
@@ -92,11 +94,13 @@ def _pack_rows(bools: np.ndarray, width_words: int) -> np.ndarray:
 
 
 def _distinct_columns(p: int, rows: np.ndarray, weights: np.ndarray | None = None):
-    """The distinct columns of canonical ``rows`` and each one's total weight.
+    """The distinct columns of canonical ``rows``, in ascending key order, and
+    each one's total weight.
 
     A column's weight defaults to its number of occurrences. Columns are keyed
     exactly: by their base-p value while p**k stays below 2**62, otherwise by
-    their bytes.
+    their bytes. Without weights the keys are sorted in place and counted by
+    their runs, so the n keys are held once.
     """
     k = rows.shape[0]
     integer_keys = p**k < _KEY_LIMIT
@@ -109,11 +113,15 @@ def _distinct_columns(p: int, rows: np.ndarray, weights: np.ndarray | None = Non
         narrow = np.ascontiguousarray(rows.T, dtype=np.min_scalar_type(p - 1))
         keys = narrow.view(np.dtype((np.void, narrow.strides[0]))).ravel()
     if weights is None:
-        keys, mult = np.unique(keys, return_counts=True)
+        keys.sort()
     else:
-        keys, inverse = np.unique(keys, return_inverse=True)
-        mult = np.zeros(len(keys), dtype=np.int64)
-        np.add.at(mult, inverse.ravel(), weights)
+        order = np.argsort(keys)
+        keys, weights = keys[order], weights[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    mult = np.diff(starts, append=len(keys)) if weights is None else np.add.reduceat(weights, starts)
+    keys = keys[starts]
     if integer_keys:
         cols = np.empty((k, len(keys)), dtype=np.int64)
         for i in range(k - 1, -1, -1):
@@ -121,6 +129,19 @@ def _distinct_columns(p: int, rows: np.ndarray, weights: np.ndarray | None = Non
     else:
         cols = np.frombuffer(keys.tobytes(), dtype=narrow.dtype).reshape(-1, k).T.astype(np.int64)
     return cols, mult.astype(np.int64)
+
+
+def merge_projective(p: int, cols: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The projective multiset of the nonzero columns ``cols`` with the given
+    ``weights``: each column scaled so that its first nonzero entry is 1, and
+    equal columns merged with their weights summed, in _distinct_columns
+    order."""
+    if p > 2:
+        lead = cols[np.argmax(cols != 0, axis=0), np.arange(cols.shape[1])]
+        values, which = np.unique(lead, return_inverse=True)
+        inverses = np.array([pow(int(v), p - 2, p) for v in values], dtype=np.int64)
+        cols = cols * inverses[which.ravel()] % p
+    return _distinct_columns(p, cols, weights)
 
 
 def projective_columns(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,11 +156,7 @@ def projective_columns(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
     nonzero = cols.any(axis=0)
     cols, mult = cols[:, nonzero], mult[nonzero]
     if p > 2:
-        lead = cols[np.argmax(cols != 0, axis=0), np.arange(cols.shape[1])]
-        values, which = np.unique(lead, return_inverse=True)
-        inverses = np.array([pow(int(v), p - 2, p) for v in values], dtype=np.int64)
-        cols = cols * inverses[which.ravel()] % p
-        cols, mult = _distinct_columns(p, cols, mult)
+        cols, mult = merge_projective(p, cols, mult)
     return cols, mult
 
 
@@ -204,10 +221,15 @@ def _message_weights_odd(p: int, cols: np.ndarray, mult: np.ndarray):
     dtype = _exact_sum_dtype(n)
     weights = mult.astype(dtype)
     high_rows = cols[:high]
+    # One buffer for every block's hits, so a block allocates nothing of the
+    # table's size.
+    hits = np.empty(table.shape, dtype=dtype)
 
     def weigh(block: np.ndarray, base: np.ndarray) -> np.ndarray:
         target = ((p - base) % p).astype(block.dtype)
-        return n - ((block == target).astype(dtype) @ weights).astype(np.int64)
+        hit = hits[: len(block)]
+        np.equal(block, target, out=hit)
+        return n - (hit @ weights).astype(np.int64)
 
     if len(head):
         yield weigh(head, np.zeros(width, dtype=np.int64))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,10 +65,11 @@ class LinearCode:
     ``d`` is None until an exhaustive search verifies the minimum distance;
     it is written once and never holds a merely predicted value. A writeable,
     C-contiguous int64 array that owns its data becomes the code's storage
-    (and is frozen) without a copy; any other ``rows`` is copied.
+    (and is frozen) without a copy; any other ``rows`` is copied. A code
+    built by _from_columns holds no rows until ``_rows`` is read.
     """
 
-    __slots__ = ("field", "_rows", "n", "k", "_d", "_columns")
+    __slots__ = ("field", "n", "k", "_d", "_columns", "_generator", "_recipe")
 
     def __init__(self, field: PrimeField, rows: np.ndarray):
         check_array_field(field)
@@ -82,24 +83,61 @@ class LinearCode:
             rows = np.array(rows, dtype=np.int64)
         if rows.ndim != 2:
             raise ShapeMismatchError("a basis must be a two-dimensional array of rows")
-        k, n = rows.shape
-        if k == 0:
+        if rows.shape[0] == 0:
             raise DependentBasisError("empty basis")
         # An int64 modulo over a materialized chain member costs more than
         # the two range checks, and most callers pass canonical residues.
         if rows.size and (rows.min() < 0 or rows.max() >= field.p):
             rows %= field.p
-        cols, mult = _engine.projective_columns(field.p, rows)
+        self._set(field, rows.shape[1], _engine.projective_columns(field.p, rows), rows, None)
+
+    @classmethod
+    def _from_columns(
+        cls, field: PrimeField, n: int, columns: tuple[np.ndarray, np.ndarray], recipe: Callable[[], np.ndarray]
+    ) -> "LinearCode":
+        """A length-n code given by its projective multiset ``columns``, as
+        _engine.projective_columns returns it, with the same rank check.
+        ``recipe()`` returns its k x n rows; it is called on the first read of
+        ``_rows``, which raises VerificationError unless the rows have exactly
+        this multiset, so a search and a written file cannot describe
+        different codes."""
+        code = object.__new__(cls)
+        code._set(field, n, columns, None, recipe)
+        return code
+
+    def _set(self, field, n, columns, rows, recipe) -> None:
+        cols, mult = columns
+        k = cols.shape[0]
         rank = len(_echelon(cols, field.p)[1])
         if rank < k:
             raise DependentBasisError(f"basis has rank {rank} but {k} vectors")
-        rows.flags.writeable = cols.flags.writeable = mult.flags.writeable = False
+        for array in (rows, cols, mult):
+            if array is not None:
+                array.flags.writeable = False
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_d", None)
-        object.__setattr__(self, "_columns", (cols, mult))
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_generator", rows)
+        object.__setattr__(self, "_recipe", recipe)
+
+    @property
+    def _rows(self) -> np.ndarray:
+        if self._generator is None:
+            rows = self._recipe()
+            cols, mult = _engine.projective_columns(self.field.p, rows)
+            want_cols, want_mult = self._columns
+            if not (
+                rows.shape == (self.k, self.n)
+                and np.array_equal(cols, want_cols)
+                and np.array_equal(mult, want_mult)
+            ):
+                raise VerificationError(f"rows of {self!r} differ from the column multiset it was built from")
+            rows.flags.writeable = False
+            object.__setattr__(self, "_generator", rows)
+            object.__setattr__(self, "_recipe", None)
+        return self._generator
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"LinearCode is immutable ({name})")

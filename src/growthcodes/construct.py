@@ -2,10 +2,22 @@
 
 Given a k-dimensional length-n code with ordered basis (a_1, ..., a_k), one
 construction step produces a (k+1)-dimensional code of length n(k+1) whose
-t-th basis vector stacks the blocks (a_1, ..., a_k) cyclically shifted with a
-single zero block. Applied to a u-bounded basis the step multiplies the
-minimum distance by exactly k+1; iterating gives codes with predictable
-exact parameters as long as a boundedness inequality holds.
+t-th basis vector (t = 0..k) has block i (i = 0..k) equal to
+a_{(i-t) mod (k+1)}, the residue 0 giving the zero block. Applied to a
+u-bounded basis the step multiplies the minimum distance by exactly k+1;
+iterating gives codes with predictable exact parameters as long as a
+boundedness inequality holds.
+
+Step lemma, on columns. Let c = (c_1, ..., c_k) be a generator column and
+ext = (0, c_1, ..., c_k). At the position of c in block i, the stepped
+generator has the column whose digit-t entry is ext[(i - t) mod (k+1)]:
+(0, c_k, ..., c_1) in block 0, and its cyclic shift down by i in block i.
+So a column of multiplicity m becomes k + 1 columns of multiplicity m, the
+cyclic shifts of (0, c_k, ..., c_1). These are not the shifts of (0, c),
+which give the same multiset only when the code's multiset is closed under
+reversing (c_1, ..., c_k). Scaling c scales all k + 1 images, so the step
+maps a projective multiset to a projective multiset, and iterate_code steps
+``(cols, mult)`` with no generator built.
 
 The one inequality, u >= d(1 + s/k), is tested by exact integer
 cross-multiplication, u*k >= d*(k + s) (_exact_through): the legal step range
@@ -20,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _engine
 from .code import (
     DEFAULT_ENUMERATION_BUDGET,
     LinearCode,
@@ -122,6 +135,16 @@ def _step_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _step_columns(p: int, cols: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One step of a projective multiset, by the step lemma: the columns of
+    block i are ext[(i - t) mod (k+1)] over the digits t, renormalized and
+    merged in _engine.projective_columns order."""
+    k, width = cols.shape
+    ext = np.vstack([np.zeros((1, width), dtype=np.int64), cols])
+    shift = (np.arange(k + 1)[None, :] - np.arange(k + 1)[:, None]) % (k + 1)  # [t, i]
+    return _engine.merge_projective(p, ext[shift].reshape(k + 1, -1), np.tile(mult, k + 1))
+
+
 def construction_step(basis: Sequence[FieldVector]) -> list[FieldVector]:
     """One construction step on an ordered basis: iterate(basis, 1).
 
@@ -135,23 +158,35 @@ def construction_step(basis: Sequence[FieldVector]) -> list[FieldVector]:
 def iterate_code(code: LinearCode, steps: int) -> LinearCode:
     """Apply the construction ``steps`` times; steps=0 returns the input.
 
+    Each step maps the projective multiset ``code._columns`` by the step
+    lemma, so the result is built and searched without a generator: its rows
+    are stepped by _step_rows from the input's only when something reads
+    them, and are then checked against the multiset (LinearCode._from_columns).
     The final generator, k + steps rows of length n * (k+1)(k+2)...(k+steps),
-    is the largest one built, so code._check_materialization refuses it
-    (BudgetExceededError) before any work. Only the final rows become a
-    LinearCode: if sum_t lambda_t out_t = 0, block i (sum over t != i of
+    is still what code._check_materialization refuses (BudgetExceededError)
+    before any work. Only the final multiset gets a rank check: if
+    sum_t lambda_t out_t = 0, block i (sum over t != i of
     lambda_t a_{(i-t) mod (k+1)}) forces lambda_t = 0 for every t != i, so
     blocks 0 and 1 force all lambda = 0. A step thus keeps an independent
-    basis independent, and the constructor's check still catches a broken one.
+    basis independent, and the rank check still catches a broken one.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    _check_materialization(code.k + steps, code.n * rising_factorial(code.k + 1, steps))
+    n = code.n * rising_factorial(code.k + 1, steps)
+    _check_materialization(code.k + steps, n)
     if steps == 0:
         return code
-    rows = code._rows
+    columns = code._columns
     for _ in range(steps):
-        rows = _step_rows(rows)
-    return LinearCode(code.field, rows)
+        columns = _step_columns(code.field.p, *columns)
+
+    def rows() -> np.ndarray:
+        out = code._rows
+        for _ in range(steps):
+            out = _step_rows(out)
+        return out
+
+    return LinearCode._from_columns(code.field, n, columns, rows)
 
 
 def iterate(basis: Sequence[FieldVector], steps: int) -> list[FieldVector]:

@@ -62,15 +62,16 @@ def rm_generator(m: int, r: int) -> LinearCode:
     n = 2**m
     k = binomial_sum(m, r)
     _check_materialization(k, n)
-    # Each row is filled in place from the point indices, so the generator is
-    # the only array of its size: the monomial over variable set S is 1 at
-    # exactly the points whose bits include the mask of S.
+    # Each row is filled in place from the point indices, so the generator and
+    # the index are the only arrays of their size: the monomial over variable
+    # set S is 1 at exactly the points whose bits include the mask of S.
     points = np.arange(n, dtype=np.int64)
     rows = np.empty((k, n), dtype=np.int64)
     subsets = (s for degree in range(r + 1) for s in itertools.combinations(range(m), degree))
     for row, subset in zip(rows, subsets):
         mask = sum(1 << t for t in subset)
-        np.equal(points & mask, mask, out=row)
+        np.bitwise_and(points, mask, out=row)
+        np.equal(row, mask, out=row)
     # The index is not needed by the code, so it is freed before the code is
     # built (RM(24, 0) peaks 128 MiB lower).
     del points

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from growthcodes import (
@@ -12,8 +13,10 @@ from growthcodes import (
     FieldVector,
     LinearCode,
     NotBoundedError,
+    VerificationError,
     check_bounded,
     construction_step,
+    format_generator,
     iterate,
     make_field,
     max_exact_steps,
@@ -22,15 +25,17 @@ from growthcodes import (
     predict_params,
     weight,
 )
-from growthcodes import construct
+from growthcodes import _engine, construct
+from growthcodes import code as code_module
 from growthcodes.construct import iterate_code, rising_factorial
-from growthcodes.seeds import family_code, seed_code
+from growthcodes.seeds import family_code, family_params, seed_code
 
 from conftest import random_small_codes
 
 F2 = make_field(2)
 F3 = make_field(3)
 F5 = make_field(5)
+F7 = make_field(7)
 
 
 def test_check_bounded_seed_code():
@@ -92,14 +97,15 @@ def test_step_and_iterate_refuse_a_dependent_basis_even_at_zero_steps():
 
 
 def test_construction_step_rejects_dependent_output(monkeypatch):
-    real = construct._step_rows
+    real = construct._step_columns
 
-    def dependent_rows(rows):
-        out = real(rows)
-        out[-1] = (out[0] + out[1]) % 3
-        return out
+    def dependent_columns(p, cols, mult):
+        cols, mult = real(p, cols, mult)
+        cols = cols.copy()
+        cols[-1] = (cols[0] + cols[1]) % p
+        return cols, mult
 
-    monkeypatch.setattr(construct, "_step_rows", dependent_rows)
+    monkeypatch.setattr(construct, "_step_columns", dependent_columns)
     basis = list(seed_code(F3, 2).basis)
     with pytest.raises(DependentBasisError):
         construction_step(basis)
@@ -218,14 +224,103 @@ def test_step_lower_bound_on_random_codes():
 
 @pytest.mark.parametrize("steps,built", [(0, 0), (1, 1), (2, 1), (4, 1)])
 def test_iterate_code_builds_one_code(monkeypatch, steps, built):
+    # One code per call: one rank check, on the final stepped multiset, and
+    # no generator rows stepped.
     base = seed_code(F3, 2)
-    calls = []
+    checks = []
+    real = code_module._echelon
 
-    def counting(field, rows):
-        calls.append(rows.shape)
-        return LinearCode(field, rows)
+    def counting(matrix, p):
+        checks.append(matrix.shape)
+        return real(matrix, p)
 
-    monkeypatch.setattr(construct, "LinearCode", counting)
+    def no_rows(rows):
+        raise AssertionError("iterate_code stepped the generator")
+
+    monkeypatch.setattr(code_module, "_echelon", counting)
+    monkeypatch.setattr(construct, "_step_rows", no_rows)
     out = iterate_code(base, steps)
-    assert len(calls) == built
+    assert len(checks) == built
     assert (out.n, out.k) == (predict_params(4, 3, 1, 3, steps).n, 3 + steps)
+
+
+def _docstring_step(rows: np.ndarray) -> np.ndarray:
+    """The module docstring's step: block i of basis vector t is
+    a_{(i-t) mod (k+1)}, the residue 0 giving the zero block."""
+    k, n = rows.shape
+    blocks = [np.zeros(n, dtype=np.int64), *rows]
+    return np.array([np.concatenate([blocks[(i - t) % (k + 1)] for i in range(k + 1)]) for t in range(k + 1)])
+
+
+def _rolled_step(p, cols, mult):
+    """The wrong orientation: the k+1 cyclic shifts of (0, c)."""
+    ext = np.vstack([np.zeros((1, cols.shape[1]), dtype=np.int64), cols])
+    stepped = np.hstack([np.roll(ext, i, axis=0) for i in range(cols.shape[0] + 1)])
+    return _engine.merge_projective(p, stepped, np.tile(mult, cols.shape[0] + 1))
+
+
+def _assert_same_multiset(got, want):
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+# Every chain member under the materialization budget: seed 2 to j = 6,
+# seeds 3 and 4 to j = 5.
+_MEMBERS_UNDER_BUDGET = [(2, 6), (3, 5), (4, 5)]
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F7], ids=lambda f: f"GF({f.p})")
+def test_stepped_multiset_equals_the_materialized_rows_multiset(field):
+    for index, last in _MEMBERS_UNDER_BUDGET:
+        base = seed_code(field, index, verify=False)
+        for j in range(1, last + 1):
+            member = iterate_code(base, j)
+            stepped = member._columns
+            rows = member._rows
+            assert rows.shape == (member.k, member.n)
+            _assert_same_multiset(stepped, _engine.projective_columns(field.p, rows))
+    assert family_code(field, 4, 6) == family_params(4, 6)
+
+
+def test_stepped_multiset_of_random_codes_pins_the_orientation():
+    # Criterion 07's codes, which are not closed under reversing their
+    # columns: the shifts of (0, c) give a different multiset on some of them.
+    rolled_differs = 0
+    for code in random_small_codes(seed=20240810, count=100):
+        p, rows = code.field.p, code._rows
+        for s in (1, 2, 3):
+            rows = _docstring_step(rows)
+            _assert_same_multiset(iterate_code(code, s)._columns, _engine.projective_columns(p, rows))
+        cols, mult = _rolled_step(p, *code._columns)
+        want_cols, want_mult = iterate_code(code, 1)._columns
+        rolled_differs += not (np.array_equal(cols, want_cols) and np.array_equal(mult, want_mult))
+    assert rolled_differs > 0
+
+
+@pytest.mark.parametrize(
+    "field,index,steps", [(F2, 4, 1), (F2, 2, 3), (F3, 2, 2), (F5, 3, 2), (F7, 2, 3), (F3, 3, 1)]
+)
+def test_stepped_generator_text_matches_the_docstring_step(field, index, steps):
+    base = seed_code(field, index, verify=False)
+    rows = base._rows
+    for _ in range(steps):
+        rows = _docstring_step(rows)
+    k, n = rows.shape
+    text = "\n".join([f"{field.p} {n} {k}", *(" ".join(str(int(x)) for x in row) for row in rows)]) + "\n"
+    assert format_generator(iterate_code(base, steps)) == text
+    assert format_generator(family_code(field, index, steps, verify=False)) == text
+
+
+def test_rows_that_disagree_with_the_stepped_multiset_are_refused(monkeypatch):
+    real = construct._step_rows
+
+    def flipped(rows):
+        out = real(rows)
+        out[0, 0] = (out[0, 0] + 1) % 3
+        return out
+
+    monkeypatch.setattr(construct, "_step_rows", flipped)
+    member = family_code(F3, 2, 2)
+    assert member.d == 20
+    for read in (lambda c: c.generator, lambda c: c.basis, format_generator):
+        with pytest.raises(VerificationError):
+            read(member)
