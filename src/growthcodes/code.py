@@ -316,20 +316,51 @@ def repetition(code: LinearCode, s: int) -> LinearCode:
 def format_generator(code: LinearCode) -> str:
     """Serialize to the generator-matrix text format.
 
-    Line 1 is ``q n k``; then k lines of n whitespace-separated residues.
+    Line 1 is ``q n k``; then k lines of n residues, each in decimal with no
+    leading zeros, separated by single spaces.
     """
     return _format_rows(code.field.p, code._rows)
 
 
 def _format_rows(p: int, rows: np.ndarray) -> str:
     """The generator-matrix text of a k x n array of residues mod ``p``,
-    with no code built (and so no independence check)."""
+    with no code built (and so no independence check).
+
+    Each row is written from one uint8 buffer of ``width + 1`` cells per
+    residue, ``width`` the digit count of p - 1: cell t holds the digit at
+    place 10^(width-1-t) and is kept when the residue reaches that place (the
+    units digit always), so leading zeros drop out; the last cell is the
+    separator, a space or the row's newline.
+    """
     k, n = rows.shape
-    return "\n".join([f"{p} {n} {k}", *(" ".join(map(str, row.tolist())) for row in rows)]) + "\n"
+    width = len(str(p - 1))
+    dtype = np.min_scalar_type(p - 1)
+    places = 10 ** np.arange(width - 1, -1, -1, dtype=dtype)
+    lowest = places.copy()
+    lowest[-1] = 0
+    cells = np.empty((n, width + 1), dtype=np.uint8)
+    keep = np.empty((n, width + 1), dtype=bool)
+    cells[:, width] = ord(" ")
+    keep[:, width] = True
+    out = [f"{p} {n} {k}\n"]
+    for row in rows:
+        column = row.astype(dtype)[:, None]
+        cells[:, :width] = column // places % 10 + ord("0")
+        np.greater_equal(column, lowest, out=keep[:, :width])
+        line = cells[keep]
+        line[-1] = ord("\n")
+        out.append(line.tobytes().decode("ascii"))
+    return "".join(out)
 
 
 def parse_generator(text: str) -> LinearCode:
-    """Parse the generator-matrix text format; the trailing newline is optional."""
+    """Parse the generator-matrix text format; the trailing newline is optional.
+
+    Lines are split by ``str.splitlines`` and blank ones skipped. A row's
+    entries are the maximal runs of characters other than ASCII space and
+    tab; each must be ASCII digits, leading zeros allowed, with a value in
+    0..q-1. Rows are parsed one at a time into the k x n array.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise GeneratorFormatError("empty generator file")
@@ -352,19 +383,49 @@ def parse_generator(text: str) -> LinearCode:
     if k * n > len(text):
         raise GeneratorFormatError(f"header {lines[0]!r} declares more entries than the file holds")
     _check_materialization(k, n)
-    rows = np.zeros((k, n), dtype=np.int64)
+    rows = np.empty((k, n), dtype=np.int64)
     for i, line in enumerate(lines[1:]):
-        parts = line.split()
-        if len(parts) != n:
-            raise GeneratorFormatError(f"row {i + 1} has {len(parts)} entries, expected {n}")
-        try:
-            values = [int(x) for x in parts]
-        except ValueError as exc:
-            raise GeneratorFormatError(f"non-integer entry in row {i + 1}") from exc
-        if any(v < 0 or v >= q for v in values):
-            raise GeneratorFormatError(f"row {i + 1} has entries outside 0..{q - 1}")
-        rows[i] = values
+        _parse_row(line, q, rows[i], i + 1)
     return LinearCode(field, rows)
+
+
+def _parse_row(line: str, q: int, out: np.ndarray, number: int) -> None:
+    """Parse row ``number`` (1-based) of a generator file into ``out``.
+
+    The line's bytes are split at spaces and tabs into entries; a non-ASCII
+    character becomes ``?`` and so makes its entry non-integer. Each value is
+    formed from its digits up to the top place of q - 1; a nonzero digit above
+    that place puts the entry out of range before any value is formed, so no
+    entry can wrap int64, whatever its length.
+    """
+    data = np.frombuffer(line.encode("ascii", "replace"), dtype=np.uint8)
+    entry = (data != ord(" ")) & (data != ord("\t"))
+    bounds = np.flatnonzero(np.diff(entry, prepend=False, append=False))
+    starts, ends = bounds[::2], bounds[1::2]
+    if len(starts) != len(out):
+        raise GeneratorFormatError(f"row {number} has {len(starts)} entries, expected {len(out)}")
+    digits = data - np.uint8(ord("0"))
+    if (entry & (digits > 9)).any():
+        raise GeneratorFormatError(f"non-integer entry in row {number}")
+    width = len(str(q - 1))
+    long = ends - starts > width
+    # reduceat over (start, end - width) pairs: the even results are the
+    # largest digit above the top place of each long entry.
+    high = np.column_stack((starts[long], ends[long] - width)).ravel()
+    outside = f"row {number} has entries outside 0..{q - 1}"
+    if np.maximum.reduceat(digits, high)[::2].any():
+        raise GeneratorFormatError(outside)
+    # Horner from the top place of q - 1 down to the units; a place an entry
+    # is too short for reads as 0.
+    out[:] = 0
+    for place in range(width - 1, -1, -1):
+        index = ends - (1 + place)
+        present = index >= starts
+        np.maximum(index, starts, out=index)
+        out *= 10
+        out += digits[index] * present
+    if out.max() >= q:
+        raise GeneratorFormatError(outside)
 
 
 def write_generator_file(code: LinearCode, path) -> None:

@@ -1,4 +1,5 @@
-"""Shared test helpers: the independent distance oracle and seeded random codes."""
+"""Shared test helpers: the independent distance oracle, seeded random codes
+and the residue-at-a-time generator-text writer and parser."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 import growthcodes
-from growthcodes import FieldMatrix, LinearCode, make_field, new_code
+from growthcodes import FieldMatrix, GeneratorFormatError, LinearCode, make_field, new_code
+from growthcodes.code import _check_materialization
+from growthcodes.linalg import check_array_field
 
 # The CLI tests run ``python -m growthcodes`` in subprocesses. Pytest's
 # ``pythonpath`` setting reaches only this process, so hand the package's
@@ -71,6 +74,52 @@ def random_small_codes(
         n = int(rng.integers(k, max_length + 1))
         out.append(random_code(rng, p, k, n))
     return out
+
+
+def reference_format_rows(p: int, rows: np.ndarray) -> str:
+    """Generator text written a residue at a time with ``str()``: the writer
+    that code._format_rows replaced, kept as its differential oracle."""
+    k, n = rows.shape
+    return "\n".join([f"{p} {n} {k}", *(" ".join(map(str, row.tolist())) for row in rows)]) + "\n"
+
+
+def reference_parse_generator(text: str) -> LinearCode:
+    """Generator text read a token at a time with ``str.split()`` and
+    ``int()``: the parser that code.parse_generator replaced, kept as its
+    differential oracle. It also accepts what ``int()`` does, such as ``+1``,
+    ``1_0`` and non-ASCII digits, which the row parser refuses."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise GeneratorFormatError("empty generator file")
+    header = lines[0].split()
+    if len(header) != 3:
+        raise GeneratorFormatError(f"header must be 'q n k', got {lines[0]!r}")
+    try:
+        q, n, k = (int(x) for x in header)
+    except ValueError as exc:
+        raise GeneratorFormatError(f"non-integer header {lines[0]!r}") from exc
+    if n < 1 or k < 1:
+        raise GeneratorFormatError(f"header needs n >= 1 and k >= 1, got {lines[0]!r}")
+    field = make_field(q)
+    check_array_field(field)
+    if len(lines) != 1 + k:
+        raise GeneratorFormatError(f"expected {k} rows, found {len(lines) - 1}")
+    if k * n > len(text):
+        raise GeneratorFormatError(f"header {lines[0]!r} declares more entries than the file holds")
+    _check_materialization(k, n)
+    rows = np.zeros((k, n), dtype=np.int64)
+    for i, line in enumerate(lines[1:]):
+        parts = line.split()
+        if len(parts) != n:
+            raise GeneratorFormatError(f"row {i + 1} has {len(parts)} entries, expected {n}")
+        try:
+            values = [int(x) for x in parts]
+        except ValueError as exc:
+            raise GeneratorFormatError(f"non-integer entry in row {i + 1}") from exc
+        if any(v < 0 or v >= q for v in values):
+            raise GeneratorFormatError(f"row {i + 1} has entries outside 0..{q - 1}")
+        rows[i] = values
+    return LinearCode(field, rows)
 
 
 @pytest.fixture

@@ -40,7 +40,12 @@ from growthcodes.construct import construction_step, iterate_code
 from growthcodes.reedmuller import rm_generator
 from growthcodes.seeds import build_seed_matrices, family_code, family_params, seed_code
 
-from conftest import lex_min_distance, random_small_codes
+from conftest import (
+    lex_min_distance,
+    random_small_codes,
+    reference_format_rows,
+    reference_parse_generator,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -467,11 +472,138 @@ def test_compositions_preserve_kd_over_n():
 
 
 def test_generator_round_trip_is_byte_exact():
-    for code in random_small_codes(seed=5505, count=10):
-        text = format_generator(code)
-        again = parse_generator(text)
-        assert format_generator(again) == text
-        assert parse_generator(text.rstrip("\n")).generator == code.generator
+    # Residues of one digit (p <= 7), then of one to five digits.
+    biggest = 0
+    for primes in ((2, 3, 5, 7), (11, 13, 251, 65521)):
+        for code in random_small_codes(seed=5505, count=10, primes=primes):
+            text = format_generator(code)
+            again = parse_generator(text)
+            assert format_generator(again) == text
+            assert parse_generator(text.rstrip("\n")).generator == code.generator
+            biggest = max(biggest, int(code.generator.array.max()))
+    assert biggest >= 10**4
+
+
+_TEXT_PRIMES = (2, 3, 7, 11, 13, 97, 251, 257, 1009, 10007, 65521)
+
+
+@st.composite
+def _residue_rows(draw):
+    p = draw(st.sampled_from(_TEXT_PRIMES))
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    return p, np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_residue_rows())
+def test_row_writer_matches_the_residue_writer(case):
+    p, rows = case
+    assert code_module._format_rows(p, rows) == reference_format_rows(p, rows)
+
+
+_SEPARATORS = st.text(alphabet=" \t", min_size=1, max_size=3)
+_BAD_TOKENS = ("x", "1.0", "-1", "0x1", "1e3", "1,0", "?", "\x00")
+
+
+@st.composite
+def _generator_texts(draw):
+    """Generator text in the format's corners: leading zeros, runs of spaces
+    and tabs, blank lines, CRLF, a missing trailing newline, 25-digit and
+    non-digit entries, and rows with the wrong number of entries."""
+    p = draw(st.sampled_from(_TEXT_PRIMES))
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    rows = []
+    for _ in range(k):
+        tokens = [
+            "0" * draw(st.integers(0, 3)) + str(draw(st.integers(0, p - 1)))
+            for _ in range(n)
+        ]
+        for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+            at = draw(st.integers(0, len(tokens) - 1))
+            tokens[at] = draw(
+                st.one_of(
+                    st.sampled_from(_BAD_TOKENS),
+                    st.integers(0, 10**25 - 1).map(lambda v: f"{v:025d}"),
+                    st.integers(0, p - 1).map(lambda v: f"{v:025d}"),
+                )
+            )
+        change = draw(st.sampled_from(["keep"] * 8 + ["drop", "add"]))
+        if change == "drop" and len(tokens) > 1:
+            tokens.pop()
+        elif change == "add":
+            tokens.append("1")
+        line = draw(st.text(alphabet=" \t", max_size=2))
+        for token in tokens:
+            line += token + draw(_SEPARATORS)
+        rows.append(line if draw(st.booleans()) else line.rstrip(" \t"))
+    rows = draw(st.sampled_from([rows] * 8 + [rows[:-1], rows + rows[-1:]]))
+    lines = [f"{p} {n} {k}"]
+    for row in rows:
+        lines += [draw(st.sampled_from(["", "  ", "\t"]))] * draw(st.integers(0, 1)) + [row]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text).generator.array.tolist()
+    except (GeneratorFormatError, DependentBasisError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_generator_texts())
+def test_row_parser_matches_the_token_parser(text):
+    assert _parse_outcome(parse_generator, text) == _parse_outcome(reference_parse_generator, text)
+
+
+# What int() and str.split() accepted and the row parser's grammar (ASCII
+# digits separated by ASCII spaces and tabs) refuses; README lists the same.
+@pytest.mark.parametrize(
+    ("row", "old_values"),
+    [
+        ("1 +1", [1, 1]),  # a sign
+        ("1 -0", [1, 0]),
+        ("1 1_0", [1, 10]),  # a digit-group underscore
+        ("1 \u0661", [1, 1]),  # ARABIC-INDIC DIGIT ONE
+        ("1 \uff11", [1, 1]),  # FULLWIDTH DIGIT ONE
+        ("1\xa01", [1, 1]),  # NO-BREAK SPACE
+        ("1\u30001", [1, 1]),  # IDEOGRAPHIC SPACE
+        ("1\x1f1", [1, 1]),  # UNIT SEPARATOR: str.split() breaks there, splitlines() does not
+    ],
+)
+def test_row_parser_refuses_what_int_and_split_accepted(row, old_values):
+    text = f"11 2 1\n{row}\n"
+    assert reference_parse_generator(text).generator.array.tolist() == [old_values]
+    with pytest.raises(GeneratorFormatError):
+        parse_generator(text)
+
+
+def test_row_parser_reads_zero_padding_past_the_int_digit_limit():
+    # int() refuses strings of more than 4300 digits; the place-value parser
+    # reads any run of leading zeros.
+    assert parse_generator("2 2 1\n1 " + "0" * 5000 + "1\n").generator.array.tolist() == [[1, 1]]
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("2 2 2\n1 0\n0 1 1\n", "row 2 has 3 entries, expected 2"),
+        ("2 3 1\n1 0\n", "row 1 has 2 entries, expected 3"),
+        ("3 2 2\n1 0\n0 x\n", "non-integer entry in row 2"),
+        ("3 2 1\n1 \xe9\n", "non-integer entry in row 1"),
+        ("3 2 2\n1 0\n0 3\n", "row 2 has entries outside 0..2"),
+        ("251 2 1\n1 0251\n", "row 1 has entries outside 0..250"),
+        ("3 2 3\n1 0\n0 1\n1 " + "9" * 25 + "\n", "row 3 has entries outside 0..2"),
+        ("65521 2 1\n1 " + "1" + "0" * 24 + "\n", "row 1 has entries outside 0..65520"),
+    ],
+)
+def test_parse_generator_error_messages_name_the_row(text, message):
+    with pytest.raises(GeneratorFormatError) as err:
+        parse_generator(text)
+    assert str(err.value) == message
 
 
 def test_generator_format_shape():
