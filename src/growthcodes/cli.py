@@ -101,7 +101,7 @@ def cmd_seed_matrix(args) -> int:
     matrices = build_seed_matrices(field, args.i)
     # A_i has determinant 1, so it is written as rows with no code built.
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_format_rows(field.p, matrices.a.array))
+        fh.writelines(_format_rows(field.p, matrices.a.array))
     return 0
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -319,12 +319,13 @@ def format_generator(code: LinearCode) -> str:
     Line 1 is ``q n k``; then k lines of n residues, each in decimal with no
     leading zeros, separated by single spaces.
     """
-    return _format_rows(code.field.p, code._rows)
+    return "".join(_format_rows(code.field.p, code._rows))
 
 
-def _format_rows(p: int, rows: np.ndarray) -> str:
-    """The generator-matrix text of a k x n array of residues mod ``p``,
-    with no code built (and so no independence check).
+def _format_rows(p: int, rows: np.ndarray) -> Iterator[str]:
+    """The lines of the generator-matrix text of a k x n array of residues
+    mod ``p``, header first, each made when it is asked for; no code is built
+    (and so no independence check).
 
     Each row is written from one uint8 buffer of ``width + 1`` cells per
     residue, ``width`` the digit count of p - 1: cell t holds the digit at
@@ -342,15 +343,14 @@ def _format_rows(p: int, rows: np.ndarray) -> str:
     keep = np.empty((n, width + 1), dtype=bool)
     cells[:, width] = ord(" ")
     keep[:, width] = True
-    out = [f"{p} {n} {k}\n"]
+    yield f"{p} {n} {k}\n"
     for row in rows:
         column = row.astype(dtype)[:, None]
         cells[:, :width] = column // places % 10 + ord("0")
         np.greater_equal(column, lowest, out=keep[:, :width])
         line = cells[keep]
         line[-1] = ord("\n")
-        out.append(line.tobytes().decode("ascii"))
-    return "".join(out)
+        yield line.tobytes().decode("ascii")
 
 
 def parse_generator(text: str) -> LinearCode:
@@ -429,8 +429,9 @@ def _parse_row(line: str, q: int, out: np.ndarray, number: int) -> None:
 
 
 def write_generator_file(code: LinearCode, path) -> None:
+    """Write the generator-matrix text a line at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_generator(code))
+        fh.writelines(_format_rows(code.field.p, code._rows))
 
 
 def read_generator_file(path) -> LinearCode:

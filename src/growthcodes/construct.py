@@ -26,9 +26,10 @@ ends in an equality case, so floating point is not acceptable here.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -221,6 +222,53 @@ def predict_params(n: int, k: int, d: int, u: int, steps: int) -> ChainParams:
         d_exact=d_exact,
         bounded_after=_exact_through(k, d, u, steps + 1),
     )
+
+
+# Integers carried as Decimals in this context are multiplied exactly: no
+# precision or exponent limit is reachable, and rounding of any kind traps.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow, decimal.Inexact, decimal.Rounded],
+)
+
+
+def _chain_walk(n: int, k: int, d: int, u: int, last: int) -> Iterator[tuple[ChainParams, tuple[str, str, str]]]:
+    """predict_params(n, k, d, u, s) for s = 0..last, each with the decimal
+    text of its n, d and u, by running product.
+
+    growth = (k+1)...(k+s) and shifted = k...(k+s-1) are each kept as an int
+    and as a Decimal in the exact context _EXACT, one multiplication per step;
+    the text is that of the Decimals, so no int is converted to decimal.
+    """
+    if min(n, k, d, u) < 1:
+        raise ValueError("n, k, d, u must be positive")
+    if last < 0:
+        raise ValueError("last must be >= 0")
+    mul = _EXACT.multiply
+    text = _EXACT.to_sci_string
+    growth, shifted = 1, 1
+    growth_dec, shifted_dec = _EXACT.create_decimal(1), _EXACT.create_decimal(1)
+    n_dec, d_dec, u_dec = (_EXACT.create_decimal(x) for x in (n, d, u))
+    for s in range(last + 1):
+        if s:
+            growth *= k + s
+            shifted *= k + s - 1
+            growth_dec = mul(growth_dec, k + s)
+            shifted_dec = mul(shifted_dec, k + s - 1)
+        d_exact = _exact_through(k, d, u, s)
+        chain = ChainParams(
+            steps=s,
+            n=n * growth,
+            k=k + s,
+            d=d * growth if d_exact else d * shifted,
+            u=u * shifted,
+            d_exact=d_exact,
+            bounded_after=_exact_through(k, d, u, s + 1),
+        )
+        d_text = text(mul(d_dec, growth_dec if d_exact else shifted_dec))
+        yield chain, (text(mul(n_dec, growth_dec)), d_text, text(mul(u_dec, shifted_dec)))
 
 
 def max_exact_steps(k: int, d: int, u: int) -> int:

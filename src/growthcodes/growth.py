@@ -10,10 +10,13 @@ has no builder) and raises VerificationError when a search contradicts the
 formula. Output orders are fixed so emitted tables are byte-identical across
 runs.
 
-Records are frozen. A record converts its integer base columns to decimal
-once, on its first write, and the CSV and JSON writers both build their
-text from that conversion; the exact parameters of the headline series run
-to thousands of digits, and converting them dominates writing a table.
+Records are frozen, and the CSV and JSON writers both build their text from
+one decimal text per record. Seed-family rows get theirs as they are made:
+the table walks the chain by running product (construct._chain_walk), which
+carries n, d and u as exact Decimals as well as ints, and checks its last row
+against family_params. Every other record converts its integer base columns
+with str() once, on its first write; the exact parameters of the headline
+series run to thousands of digits, and str() is quadratic in them.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from fractions import Fraction
 from functools import partial
 
 from .code import CodeParams, LinearCode, _check_enumeration, direct_sum, min_distance_exhaustive, repetition
+from .construct import _chain_walk
 from .errors import BudgetExceededError, RangeViolationError, UnknownFamilyError, VerificationError
 from .field import make_field
 from .reedmuller import rm_generator, rm_params, rm_third_series
@@ -45,9 +49,9 @@ BASE_COLUMNS = ("family", "index", "n", "k", "d", "u", "kd_over_n_num", "kd_over
 
 @dataclass(frozen=True, slots=True)
 class GrowthRecord:
-    """One table row. Frozen, so the decimal text cached on its first write
-    always matches its integers; ``dataclasses.replace`` makes a record with
-    no text yet."""
+    """One table row. Frozen, so its decimal text, set by the seed-family
+    table or cached on the first write, always matches its integers;
+    ``dataclasses.replace`` makes a record with no text yet."""
 
     family: str
     index: int
@@ -82,9 +86,11 @@ def sqrt_bracket_check(i_max: int) -> list[tuple[int, bool]]:
     return [(i, _bracket_holds(i, 4 * i * (i + 1))) for i in range(1, i_max + 1)]
 
 
-def _row(family: str, index: int, params: CodeParams, extras: dict, build, p: int) -> GrowthRecord:
+def _row(family: str, index: int, params: CodeParams, extras: dict, build, text, p: int) -> GrowthRecord:
     """The one table row: ``params`` is the row's formula, ``build`` makes its
-    code over GF(p), or is None when the row is not to be searched.
+    code over GF(p), or is None when the row is not to be searched; ``text``
+    is the decimal text of the formula's n, d and u when the family has it,
+    else None.
 
     Both caps are tested on the formula's parameters, so ``build`` runs only
     for a code that will be searched; a search contradicting the formula
@@ -101,7 +107,7 @@ def _row(family: str, index: int, params: CodeParams, extras: dict, build, p: in
         raise VerificationError(
             f"{family} row {index}: searched distance {searched} disagrees with the formula {params.d}"
         )
-    return GrowthRecord(
+    record = GrowthRecord(
         family=family,
         index=index,
         n=params.n,
@@ -112,10 +118,18 @@ def _row(family: str, index: int, params: CodeParams, extras: dict, build, p: in
         verified=searched is not None,
         extras=extras,
     )
+    if text is not None:
+        # seed-family rows, whose other columns are small: k = 2i-1+j, kd/n = k/2i
+        n, d, u = text
+        ratio = record.kd_over_n
+        values = (str(index), n, str(params.k), d, u, str(ratio.numerator), str(ratio.denominator))
+        object.__setattr__(record, "_decimal", values)
+    return record
 
 
 def _row_inputs(family: str, max_index: int, seed_index: int | None, base_code: LinearCode | None):
-    """(index, formula parameters, extras, builder or None) of each row."""
+    """(index, formula parameters, extras, builder or None, decimal text of
+    n, d and u or None) of each row."""
     f2 = make_field(2)
     if family == "seed-series":
         for i in range(1, max_index + 1):
@@ -128,22 +142,29 @@ def _row_inputs(family: str, max_index: int, seed_index: int | None, base_code: 
                 "declared_kd_over_n_den": member.declared_kd_over_n.denominator,
                 "bracket_holds": _bracket_holds(i, member.params.k),
             }
-            yield i, member.params, extras, partial(family_code, f2, i + 1, member.resolved_steps, verify=False)
+            yield i, member.params, extras, partial(family_code, f2, i + 1, member.resolved_steps, verify=False), None
     elif family == "seed-family":
         if seed_index is None:
             raise ValueError("seed-family needs seed_index")
         if seed_index < 2:
             raise RangeViolationError(f"the bounded family needs seed index >= 2, got {seed_index}")
-        for j in range(min(max_index, max_family_steps(seed_index)) + 1):
+        last = min(max_index, max_family_steps(seed_index))
+        two_i = 2 * seed_index
+        for chain, text in _chain_walk(two_i, two_i - 1, 1, two_i - 1, last):
+            j = chain.steps
+            params = CodeParams(n=chain.n, k=chain.k, d=chain.d, u=chain.u)
+            # the walk is checked against the single-point formula once a table
+            if j == last and params != family_params(seed_index, last):
+                raise VerificationError(f"seed-family row {j}: the running product disagrees with family_params")
             build = partial(family_code, f2, seed_index, j, verify=False)
-            yield j, family_params(seed_index, j), {"seed_index": seed_index}, build
+            yield j, params, {"seed_index": seed_index}, build, text
     elif family == "rm-diagonal":
         for r in range(1, max_index + 1):
-            yield r, rm_params(2 * r + 1, r), {"m": 2 * r + 1, "r": r}, partial(rm_generator, 2 * r + 1, r)
+            yield r, rm_params(2 * r + 1, r), {"m": 2 * r + 1, "r": r}, partial(rm_generator, 2 * r + 1, r), None
     elif family == "rm-third":
         for m in range(1, max_index + 1):
             rec = rm_third_series(m)
-            yield m, rec.params, {"r": rec.r, "asymptote_ratio": rec.asymptote_ratio}, None
+            yield m, rec.params, {"r": rec.r, "asymptote_ratio": rec.asymptote_ratio}, None, None
     else:
         if base_code is None:
             raise ValueError(f"{family} needs a base code")
@@ -152,7 +173,8 @@ def _row_inputs(family: str, max_index: int, seed_index: int | None, base_code: 
         for s in range(1, max_index + 1):
             params = CodeParams(n * s, k * s, d) if family == "direct-sum" else CodeParams(n * s, k, s * d)
             # row 1 is the base itself, whose distance is already searched
-            yield s, params, {}, partial(compose, base_code, s) if s > 1 else lambda: base_code
+            build = partial(compose, base_code, s) if s > 1 else lambda: base_code
+            yield s, params, {}, build, None
 
 
 def growth_table(
@@ -179,8 +201,8 @@ def growth_table(
         raise RangeViolationError(f"max_index {max_index} out of range for {family}")
     p = base_code.field.p if family in ("direct-sum", "repetition") and base_code is not None else 2
     return [
-        _row(family, index, params, extras, build if verify else None, p)
-        for index, params, extras, build in _row_inputs(family, max_index, seed_index, base_code)
+        _row(family, index, params, extras, build if verify else None, text, p)
+        for index, params, extras, build, text in _row_inputs(family, max_index, seed_index, base_code)
     ]
 
 

@@ -33,8 +33,10 @@ from growthcodes import (
     new_code,
     parse_generator,
     rate,
+    read_generator_file,
     repetition,
     singleton_check,
+    write_generator_file,
 )
 from growthcodes.construct import construction_step, iterate_code
 from growthcodes.reedmuller import rm_generator
@@ -484,6 +486,14 @@ def test_generator_round_trip_is_byte_exact():
     assert biggest >= 10**4
 
 
+def test_generator_file_is_written_a_line_at_a_time_with_the_same_bytes(tmp_path):
+    path = tmp_path / "g.txt"
+    for code in (family_code(F2, 2, 3, verify=False), *random_small_codes(seed=5506, count=5, primes=(3, 65521))):
+        write_generator_file(code, path)
+        assert path.read_bytes() == format_generator(code).encode("ascii")
+        assert read_generator_file(path).generator == code.generator
+
+
 _TEXT_PRIMES = (2, 3, 7, 11, 13, 97, 251, 257, 1009, 10007, 65521)
 
 
@@ -500,7 +510,9 @@ def _residue_rows(draw):
 @given(_residue_rows())
 def test_row_writer_matches_the_residue_writer(case):
     p, rows = case
-    assert code_module._format_rows(p, rows) == reference_format_rows(p, rows)
+    lines = list(code_module._format_rows(p, rows))
+    assert len(lines) == 1 + len(rows) and all(line.endswith("\n") for line in lines)
+    assert "".join(lines) == reference_format_rows(p, rows)
 
 
 _SEPARATORS = st.text(alphabet=" \t", min_size=1, max_size=3)

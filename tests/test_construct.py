@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthcodes import (
     MATERIALIZATION_BUDGET,
@@ -27,7 +29,7 @@ from growthcodes import (
 )
 from growthcodes import _engine, construct
 from growthcodes import code as code_module
-from growthcodes.construct import iterate_code, rising_factorial
+from growthcodes.construct import _chain_walk, iterate_code, rising_factorial
 from growthcodes.seeds import family_code, family_params, seed_code
 
 from conftest import random_small_codes
@@ -152,6 +154,32 @@ def test_predict_params_lower_bound_branch():
     got = predict_params(6, 2, 2, 3, 2)
     assert not got.d_exact
     assert got.d == 2 * 2 * 3  # d * prod(k + l - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10**6),
+    st.integers(1, 40),
+    st.integers(1, 50),
+    st.integers(1, 500),
+    st.integers(0, 60),
+)
+def test_chain_walk_equals_predict_params_at_every_step(n, k, d, u, last):
+    # u up to 500 against d up to 50 reaches past the exact range, and
+    # below d(1 + 1/k) from the start, as well as staying inside it
+    walk = list(_chain_walk(n, k, d, u, last))
+    assert [chain.steps for chain, _ in walk] == list(range(last + 1))
+    for s, (chain, text) in enumerate(walk):
+        assert chain == predict_params(n, k, d, u, s)
+        assert text == (str(chain.n), str(chain.d), str(chain.u))
+
+
+def test_chain_walk_refuses_what_predict_params_refuses():
+    for args in [(0, 3, 1, 3, 2), (4, 3, 1, 0, 2), (4, 3, 1, 3, -1)]:
+        with pytest.raises(ValueError):
+            list(_chain_walk(*args))
+        with pytest.raises(ValueError):
+            predict_params(*args)
 
 
 def test_max_exact_steps():

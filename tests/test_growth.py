@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import decimal
 import io
 import json
 import math
@@ -208,6 +209,41 @@ def test_missing_family_arguments():
         growth_table("direct-sum", 3)
 
 
+def test_seed_family_rows_are_family_params_with_their_decimal_text():
+    for i in range(2, 17):
+        records = growth_table("seed-family", max_family_steps(i), seed_index=i, verify=False)
+        assert [r.index for r in records] == list(range(max_family_steps(i) + 1))
+        with exact_integer_text():
+            for r in records:
+                assert (r.n, r.k, r.d, r.u) == dataclasses.astuple(family_params(i, r.index))
+                want = (r.index, r.n, r.k, r.d, r.u, r.kd_over_n.numerator, r.kd_over_n.denominator)
+                assert r._decimal_text() == tuple(map(str, want))
+
+
+def test_seed_family_table_ignores_the_callers_decimal_context():
+    want = growth_table("seed-family", max_family_steps(16), seed_index=16, verify=False)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        ctx.clear_traps()
+        got = growth_table("seed-family", max_family_steps(16), seed_index=16, verify=False)
+        assert (records_to_csv(got), records_to_json(got)) == (records_to_csv(want), records_to_json(want))
+        assert ctx.prec == 5 and not any(ctx.flags.values())
+
+
+def test_seed_family_walk_disagreeing_with_family_params_raises(monkeypatch):
+    real = growth.family_params
+    last = max_family_steps(3)
+
+    def off_at_the_last_row(i, j):
+        params = real(i, j)
+        return dataclasses.replace(params, d=params.d + 1) if j == last else params
+
+    monkeypatch.setattr(growth, "family_params", off_at_the_last_row)
+    assert len(growth_table("seed-family", last - 1, seed_index=3, verify=False)) == last
+    with pytest.raises(VerificationError, match="family_params"):
+        growth_table("seed-family", last, seed_index=3, verify=False)
+
+
 def test_family_ratio_linear_in_steps():
     for i in range(2, 5):
         base = family_params(i, 0)
@@ -302,7 +338,17 @@ def _assert_writers_match_reference(records):
     assert sys.get_int_max_str_digits() == limit
 
 
-_HUGE = st.one_of(st.integers(1, 10**6), st.integers(10**4300, 10**6000))
+# 4,301 to 6,000 digits, drawn from a few small numbers: an integer drawn
+# whole costs hypothesis more entropy than a table of them may use
+_HUGE = st.one_of(
+    st.integers(1, 10**6),
+    st.builds(
+        lambda mantissa, exponent, offset: mantissa * 10**exponent + offset,
+        st.integers(1, 9),
+        st.integers(4300, 5999),
+        st.integers(0, 10**6),
+    ),
+)
 # carriage returns are left out: csv.writer quotes them only in newer Pythons
 _TEXT = st.text(st.sampled_from(['a', ' ', ',', '"', '\n', '\u00e9', '\u4e2d']), max_size=6)
 _EXTRA = st.one_of(
