@@ -306,28 +306,23 @@ def cmd_construct(args) -> int:
                 "pass": d_out >= bound,
             }
         )
-        weights = set(code.basis_weights())
-        if len(weights) == 1:
-            u = weights.pop()
-            bounded = check_bounded(code, u, budget=budget)
-            if bounded.bounded:
-                prediction = predict_params(code.n, code.k, d_in, u, args.steps)
-                params = _params_dict(prediction.n, prediction.k, prediction.d, prediction.u)
-                if prediction.d_exact:
-                    rows.append(
-                        {
-                            "name": "distance_exact_prediction",
-                            "expected": prediction.d,
-                            "actual": d_out,
-                            "pass": d_out == prediction.d,
-                        }
-                    )
-                else:
-                    notes.append("input bounded but step count past the exact range; lower bound only")
-            else:
-                notes.append("input basis is not bounded; lower-bound path only")
+        # predict_params is exact at every step for equal basis weights u
+        # and a basis sum of minimum weight
+        u = code.basis_weights()[0]
+        basis = check_bounded(code, u, budget=budget)
+        if basis.cond_weights_ok and basis.cond_sum_ok:
+            prediction = predict_params(code.n, code.k, d_in, u, args.steps)
+            params = _params_dict(prediction.n, prediction.k, prediction.d, prediction.u)
+            rows.append(
+                {
+                    "name": "distance_exact_prediction",
+                    "expected": prediction.d,
+                    "actual": d_out,
+                    "pass": d_out == prediction.d,
+                }
+            )
         else:
-            notes.append("input basis weights not uniform; lower-bound path only")
+            notes.append("basis weights not all equal or basis sum not of minimum weight; lower-bound path only")
     report = _report(
         "construct",
         {"in": args.infile, "steps": args.steps, "out": args.out},

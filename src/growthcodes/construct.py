@@ -3,10 +3,40 @@
 Given a k-dimensional length-n code with ordered basis (a_1, ..., a_k), one
 construction step produces a (k+1)-dimensional code of length n(k+1) whose
 t-th basis vector (t = 0..k) has block i (i = 0..k) equal to
-a_{(i-t) mod (k+1)}, the residue 0 giving the zero block. Applied to a
-u-bounded basis the step multiplies the minimum distance by exactly k+1;
-iterating gives codes with predictable exact parameters as long as a
-boundedness inequality holds.
+a_{(i-t) mod (k+1)}, the residue 0 giving the zero block. Iterating it from a
+basis of equal weights whose sum has minimum weight gives codes whose exact
+parameters are known at every step.
+
+Step lemma, on messages. Block i of the stepped codeword with message
+x = (x_0, ..., x_k) is the input codeword with message
+m_i(x) = (x_{i-1}, x_{i-2}, ..., x_{i-k}), indices mod k+1: x with x_i
+deleted, read cyclically. So wt'(x) = sum_i wt(m_i(x)). Let d be the input's
+minimum distance, W = sum_r wt(a_r) its total basis weight and sigma the
+weight of a_1 + ... + a_k. There are three cases:
+- x has two or more nonzero digits: every m_i(x) is nonzero, so
+  wt'(x) >= (k+1)d.
+- x = c e_t: m_t(x) = 0 and the other m_i(x) run over c e_1, ..., c e_k, so
+  wt'(x) = W. Every stepped basis vector has weight W.
+- x is all ones: every m_i(x) is all ones, so wt'(x) = (k+1)sigma, the
+  weight of the stepped basis sum.
+Hence min((k+1)d, W) <= d' <= min((k+1)sigma, W), u' = W and
+sigma' = (k+1)sigma.
+
+Chain theorem. Let every basis vector have weight u and the basis sum have
+weight d (sigma = d). Write growth = (k+1)...(k+s) and shifted =
+k(k+1)...(k+s-1). Then after s steps the basis weights are all
+u_s = u shifted, the basis sum has weight d growth, and the distance is
+exactly d_s = min(d growth, u_s). Proof by induction on s; s = 0 holds as
+d <= u. The all-ones message and a basis vector are codewords, so
+d_s <= min(d growth, u_s). For the lower bound the lemma gives
+d_{s+1} >= min((k+s+1) d_s, W_s), where W_s = (k+s) u_s = u_{s+1}; with the
+induction hypothesis that is >= min(d growth (k+s+1), (k+s+1) u_s, u_{s+1})
+= min(d growth (k+s+1), u_{s+1}). The first term is the smaller exactly
+while u >= d(1 + s/k), tested by exact integer cross-multiplication,
+u*k >= d*(k + s) (_exact_through), since the range ends in an equality case.
+Past it d_s = u_s, so k_s d_s / n_s = u k / n stays constant. (When
+(k+1)d >= W instead, whatever sigma and the basis weights are, the same
+induction gives d_s = u_s = W (k+1)...(k+s-1) for every s >= 1.)
 
 Step lemma, on columns. Let c = (c_1, ..., c_k) be a generator column and
 ext = (0, c_1, ..., c_k). At the position of c in block i, the stepped
@@ -18,10 +48,6 @@ which give the same multiset only when the code's multiset is closed under
 reversing (c_1, ..., c_k). Scaling c scales all k + 1 images, so the step
 maps a projective multiset to a projective multiset, and iterate_code steps
 ``(cols, mult)`` with no generator built.
-
-The one inequality, u >= d(1 + s/k), is tested by exact integer
-cross-multiplication, u*k >= d*(k + s) (_exact_through): the legal step range
-ends in an equality case, so floating point is not acceptable here.
 """
 
 from __future__ import annotations
@@ -29,6 +55,7 @@ from __future__ import annotations
 import decimal
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -51,7 +78,9 @@ class BoundednessReport:
 
     The three conditions: every basis vector has weight u; the sum of all
     basis vectors has weight equal to the minimum distance; and
-    u >= d(1 + 1/k). ``d_used`` is always an exhaustively verified distance.
+    u >= d(1 + 1/k). The first two make predict_params exact at every step;
+    the third says the first step still multiplies d by k+1. ``d_used`` is
+    always an exhaustively verified distance.
     """
 
     u: int
@@ -70,9 +99,11 @@ class BoundednessReport:
 class ChainParams:
     """Exact parameters after ``steps`` applications of the construction.
 
-    ``d`` is the true minimum distance when ``d_exact`` is set, otherwise the
-    guaranteed lower bound d * prod(k + l - 1). ``bounded_after`` tells
-    whether the resulting basis is still u_j-bounded.
+    ``d`` is the true minimum distance at every step (the chain theorem in
+    the module docstring), so ``d_exact`` is always True; the field stays for
+    callers that read it. ``bounded_after`` tells whether the resulting basis
+    is still u_j-bounded, i.e. whether the next step still multiplies d by
+    k_j + 1.
     """
 
     steps: int
@@ -199,27 +230,33 @@ def iterate(basis: Sequence[FieldVector], steps: int) -> list[FieldVector]:
 
 
 def predict_params(n: int, k: int, d: int, u: int, steps: int) -> ChainParams:
-    """The package's one chain formula, for a u-bounded [n, k, d] input code.
+    """The package's one chain formula, for an [n, k, d] input code whose
+    basis vectors all have weight u and whose basis sum has weight d.
 
-    After s = steps steps the distance d(k+1)...(k+s) is exact iff
-    u >= d(1 + s/k); past that only the lower bound d k(k+1)...(k+s-1) is
-    guaranteed. ``bounded_after`` holds iff u >= d(1 + (s+1)/k). The caller
-    is responsible for the input actually being u-bounded.
+    After s = steps steps the distance is exactly
+    min(d(k+1)...(k+s), u k(k+1)...(k+s-1)), the second term being u_s (the
+    chain theorem in the module docstring); the first is the smaller iff
+    u >= d(1 + s/k). ``bounded_after`` holds iff u >= d(1 + (s+1)/k). The
+    caller is responsible for the input having those weights.
     """
     if min(n, k, d, u) < 1:
         raise ValueError("n, k, d, u must be positive")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     growth = rising_factorial(k + 1, steps)
-    shifted = growth * k // (k + steps)
-    d_exact = _exact_through(k, d, u, steps)
+    return _chain(n, k, d, u, steps, growth, growth * k // (k + steps))
+
+
+def _chain(n: int, k: int, d: int, u: int, steps: int, growth: int, shifted: int) -> ChainParams:
+    """predict_params from growth = (k+1)...(k+steps) and shifted = k...(k+steps-1)."""
+    u_s = u * shifted
     return ChainParams(
         steps=steps,
         n=n * growth,
         k=k + steps,
-        d=d * growth if d_exact else d * shifted,
-        u=u * shifted,
-        d_exact=d_exact,
+        d=min(d * growth, u_s),
+        u=u_s,
+        d_exact=True,
         bounded_after=_exact_through(k, d, u, steps + 1),
     )
 
@@ -234,13 +271,15 @@ _EXACT = decimal.Context(
 )
 
 
-def _chain_walk(n: int, k: int, d: int, u: int, last: int) -> Iterator[tuple[ChainParams, tuple[str, str, str]]]:
-    """predict_params(n, k, d, u, s) for s = 0..last, each with the decimal
-    text of its n, d and u, by running product.
+def _chain_walk(n: int, k: int, d: int, u: int, last: int) -> Iterator[tuple[ChainParams, Fraction, tuple[str, ...]]]:
+    """predict_params(n, k, d, u, s) for s = 0..last, each with its kd/n and
+    the decimal text of its n, d and u, by running product.
 
     growth = (k+1)...(k+s) and shifted = k...(k+s-1) are each kept as an int
     and as a Decimal in the exact context _EXACT, one multiplication per step;
-    the text is that of the Decimals, so no int is converted to decimal.
+    the text is that of the Decimals, so no int is converted to decimal. kd/n
+    comes from small integers: k_s d / n while d_s = d growth, u k / n once
+    d_s = u_s.
     """
     if min(n, k, d, u) < 1:
         raise ValueError("n, k, d, u must be positive")
@@ -257,22 +296,18 @@ def _chain_walk(n: int, k: int, d: int, u: int, last: int) -> Iterator[tuple[Cha
             shifted *= k + s - 1
             growth_dec = mul(growth_dec, k + s)
             shifted_dec = mul(shifted_dec, k + s - 1)
-        d_exact = _exact_through(k, d, u, s)
-        chain = ChainParams(
-            steps=s,
-            n=n * growth,
-            k=k + s,
-            d=d * growth if d_exact else d * shifted,
-            u=u * shifted,
-            d_exact=d_exact,
-            bounded_after=_exact_through(k, d, u, s + 1),
-        )
-        d_text = text(mul(d_dec, growth_dec if d_exact else shifted_dec))
-        yield chain, (text(mul(n_dec, growth_dec)), d_text, text(mul(u_dec, shifted_dec)))
+        chain = _chain(n, k, d, u, s, growth, shifted)
+        u_text = text(mul(u_dec, shifted_dec))
+        if chain.d == chain.u:  # d growth >= u_s: equal decimal text either way
+            yield chain, Fraction(u * k, n), (text(mul(n_dec, growth_dec)), u_text, u_text)
+        else:
+            yield chain, Fraction((k + s) * d, n), (text(mul(n_dec, growth_dec)), text(mul(d_dec, growth_dec)), u_text)
 
 
 def max_exact_steps(k: int, d: int, u: int) -> int:
-    """Largest step count with an exactly predicted distance: floor(k(u/d - 1)).
+    """Largest step count s whose distance is d(k+1)...(k+s), the first term
+    of predict_params' minimum: floor(k(u/d - 1)). Past it the distance is
+    u_s, the basis weight.
 
     Requires u >= d(1 + 1/k), i.e. the input is plausibly u-bounded at all.
     """

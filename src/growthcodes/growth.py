@@ -13,10 +13,11 @@ runs.
 Records are frozen, and the CSV and JSON writers both build their text from
 one decimal text per record. Seed-family rows get theirs as they are made:
 the table walks the chain by running product (construct._chain_walk), which
-carries n, d and u as exact Decimals as well as ints, and checks its last row
-against family_params. Every other record converts its integer base columns
-with str() once, on its first write; the exact parameters of the headline
-series run to thousands of digits, and str() is quadratic in them.
+carries n, d and u as exact Decimals as well as ints and gives kd/n from
+small integers, and checks its last row against family_params. Every other
+record converts its integer base columns with str() once, on its first
+write; the exact parameters of the headline series run to thousands of
+digits, and str() is quadratic in them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .construct import _chain_walk
 from .errors import BudgetExceededError, RangeViolationError, UnknownFamilyError, VerificationError
 from .field import make_field
 from .reedmuller import rm_generator, rm_params, rm_third_series
-from .seeds import family_code, family_params, max_family_steps, series_params
+from .seeds import family_code, family_params, series_params
 
 FAMILIES = ("seed-series", "seed-family", "rm-diagonal", "rm-third", "direct-sum", "repetition")
 
@@ -86,11 +87,11 @@ def sqrt_bracket_check(i_max: int) -> list[tuple[int, bool]]:
     return [(i, _bracket_holds(i, 4 * i * (i + 1))) for i in range(1, i_max + 1)]
 
 
-def _row(family: str, index: int, params: CodeParams, extras: dict, build, text, p: int) -> GrowthRecord:
+def _row(family: str, index: int, params: CodeParams, extras: dict, build, walked, p: int) -> GrowthRecord:
     """The one table row: ``params`` is the row's formula, ``build`` makes its
-    code over GF(p), or is None when the row is not to be searched; ``text``
-    is the decimal text of the formula's n, d and u when the family has it,
-    else None.
+    code over GF(p), or is None when the row is not to be searched;
+    ``walked`` is the formula's kd/n and the decimal text of its n, d and u
+    when the family has them, else None.
 
     Both caps are tested on the formula's parameters, so ``build`` runs only
     for a code that will be searched; a search contradicting the formula
@@ -114,22 +115,22 @@ def _row(family: str, index: int, params: CodeParams, extras: dict, build, text,
         k=params.k,
         d=params.d,
         u=params.u,
-        kd_over_n=Fraction(params.k * params.d, params.n),
+        kd_over_n=Fraction(params.k * params.d, params.n) if walked is None else walked[0],
         verified=searched is not None,
         extras=extras,
     )
-    if text is not None:
-        # seed-family rows, whose other columns are small: k = 2i-1+j, kd/n = k/2i
-        n, d, u = text
-        ratio = record.kd_over_n
+    if walked is not None:
+        # seed-family rows, whose other columns are small: k = 2i-1+j, and
+        # kd/n is k/2i up to the bounded range and (2i-1)^2/2i past it
+        ratio, (n, d, u) = walked
         values = (str(index), n, str(params.k), d, u, str(ratio.numerator), str(ratio.denominator))
         object.__setattr__(record, "_decimal", values)
     return record
 
 
 def _row_inputs(family: str, max_index: int, seed_index: int | None, base_code: LinearCode | None):
-    """(index, formula parameters, extras, builder or None, decimal text of
-    n, d and u or None) of each row."""
+    """(index, formula parameters, extras, builder or None, kd/n with the
+    decimal text of n, d and u, or None) of each row."""
     f2 = make_field(2)
     if family == "seed-series":
         for i in range(1, max_index + 1):
@@ -148,16 +149,15 @@ def _row_inputs(family: str, max_index: int, seed_index: int | None, base_code: 
             raise ValueError("seed-family needs seed_index")
         if seed_index < 2:
             raise RangeViolationError(f"the bounded family needs seed index >= 2, got {seed_index}")
-        last = min(max_index, max_family_steps(seed_index))
         two_i = 2 * seed_index
-        for chain, text in _chain_walk(two_i, two_i - 1, 1, two_i - 1, last):
+        for chain, ratio, text in _chain_walk(two_i, two_i - 1, 1, two_i - 1, max_index):
             j = chain.steps
             params = CodeParams(n=chain.n, k=chain.k, d=chain.d, u=chain.u)
             # the walk is checked against the single-point formula once a table
-            if j == last and params != family_params(seed_index, last):
+            if j == max_index and params != family_params(seed_index, max_index):
                 raise VerificationError(f"seed-family row {j}: the running product disagrees with family_params")
             build = partial(family_code, f2, seed_index, j, verify=False)
-            yield j, params, {"seed_index": seed_index}, build, text
+            yield j, params, {"seed_index": seed_index}, build, (ratio, text)
     elif family == "rm-diagonal":
         for r in range(1, max_index + 1):
             yield r, rm_params(2 * r + 1, r), {"m": 2 * r + 1, "r": r}, partial(rm_generator, 2 * r + 1, r), None
@@ -188,12 +188,13 @@ def growth_table(
     """One record per index, deterministically ordered by index.
 
     seed-series and rm-diagonal/rm-third index from 1 (rm-diagonal by r,
-    rm-third by m); seed-family indexes steps j from 0 and needs seed_index;
-    direct-sum and repetition index the multiplier s from 1 and need a base
-    code, whose distance is searched and gives their formula. With
-    ``verify``, every row but rm-third's is searched by brute force when its
-    formula's n and q^k are under VERIFY_LENGTH_CAP and VERIFY_MESSAGE_CAP;
-    the flag records which rows that happened for.
+    rm-third by m); seed-family indexes steps j from 0, past the bounded
+    range too, and needs seed_index; direct-sum and repetition index the
+    multiplier s from 1 and need a base code, whose distance is searched and
+    gives their formula. With ``verify``, every row but rm-third's is
+    searched by brute force when its formula's n and q^k are under
+    VERIFY_LENGTH_CAP and VERIFY_MESSAGE_CAP; the flag records which rows
+    that happened for.
     """
     if family not in FAMILIES:
         raise UnknownFamilyError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
@@ -201,8 +202,8 @@ def growth_table(
         raise RangeViolationError(f"max_index {max_index} out of range for {family}")
     p = base_code.field.p if family in ("direct-sum", "repetition") and base_code is not None else 2
     return [
-        _row(family, index, params, extras, build if verify else None, text, p)
-        for index, params, extras, build, text in _row_inputs(family, max_index, seed_index, base_code)
+        _row(family, index, params, extras, build if verify else None, walked, p)
+        for index, params, extras, build, walked in _row_inputs(family, max_index, seed_index, base_code)
     ]
 
 

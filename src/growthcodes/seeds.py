@@ -80,15 +80,14 @@ def max_family_steps(index: int) -> int:
 
 def family_params(index: int, steps: int) -> CodeParams:
     """predict_params(2i, 2i-1, 1, 2i-1, steps): the seed is a (2i-1)-bounded
-    [2i, 2i-1, 1] code. RangeViolationError outside the bounded range
-    0 <= steps <= 4i^2 - 6i + 1; predict_params labels d beyond it.
+    [2i, 2i-1, 1] code, so d is exact at every step: d(k+1)...(k+s) up to
+    step 4i^2 - 6i + 2 and u_s past it. RangeViolationError for index < 2 or
+    steps < 0.
     """
     if index < 2:
         raise RangeViolationError(f"the bounded family needs index >= 2, got {index}")
-    if steps < 0 or steps > max_family_steps(index):
-        raise RangeViolationError(
-            f"steps {steps} outside 0..{max_family_steps(index)} for index {index}"
-        )
+    if steps < 0:
+        raise RangeViolationError(f"steps must be >= 0, got {steps}")
     chain = predict_params(2 * index, 2 * index - 1, 1, 2 * index - 1, steps)
     return CodeParams(n=chain.n, k=chain.k, d=chain.d, u=chain.u)
 
@@ -105,8 +104,9 @@ def family_code(
     Materializes the code when its k x n generator fits the materialization
     budget (searching the distance when ``verify`` is set and the enumeration
     fits the default budget), otherwise returns the exact CodeParams, tested
-    before the seed is built. Raises RangeViolationError outside the bounded
-    range, as family_params does.
+    before the seed is built. Members past the bounded range are built and
+    searched like the rest. Raises RangeViolationError where family_params
+    does.
     """
     params = family_params(index, steps)
     try:

@@ -1,5 +1,5 @@
-"""Shared test helpers: the independent distance oracle, seeded random codes
-and the residue-at-a-time generator-text writer and parser."""
+"""Shared test helpers: the independent distance oracles, seeded random
+codes and the residue-at-a-time generator-text writer and parser."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 
 import growthcodes
 from growthcodes import FieldMatrix, GeneratorFormatError, LinearCode, make_field, new_code
-from growthcodes.code import _check_materialization
+from growthcodes.code import MATERIALIZATION_BUDGET, _check_materialization
 from growthcodes.linalg import check_array_field
 
 # The CLI tests run ``python -m growthcodes`` in subprocesses. Pytest's
@@ -41,6 +41,42 @@ def lex_min_distance(code: LinearCode) -> int:
         words = (index[:, None] // powers % p) @ code.generator.array % p
         best = min(best, int(np.count_nonzero(words, axis=1).min()))
     return best
+
+
+def step_weight_tables(code: LinearCode, last: int):
+    """The weight of every codeword of iterate_code(code, s), for s = 0..last,
+    by the step recursion; shares no code with the search engines.
+
+    Table s has one axis of length q per message digit. The base table comes
+    from the code's rows by direct products. By the step lemma (construct's
+    docstring), block i of the stepped codeword with message
+    x = (x_0, ..., x_k) is the input codeword with message
+    m_i(x) = (x_{i-1}, ..., x_{i-k}), indices mod k+1, so
+    T'[x] = sum_i T[m_i(x)], each term a transposed view of T broadcast
+    along axis i. Both limits are tested for table ``last`` before any work:
+    its q^(k+last) int64 cells within MATERIALIZATION_BUDGET, and its length
+    below 2^63, past which the int64 weights would wrap silently.
+    """
+    p, k, n = code.field.p, code.k, code.n
+    for s in range(1, last + 1):
+        n *= k + s
+    if max(p ** (k + last), p**k * code.n) > MATERIALIZATION_BUDGET:
+        raise ValueError(f"GF({p}) table of {k + last} digits is over the materialization budget")
+    if n >= 1 << 63:
+        raise OverflowError(f"length {n} of member {last} does not fit int64 weights")
+    digits = np.indices((p,) * k).reshape(k, -1).T
+    table = np.count_nonzero(digits @ code.generator.array % p, axis=1).reshape((p,) * k)
+    yield table
+    for _ in range(last):
+        k = table.ndim
+        stepped = np.zeros((p,) * (k + 1), dtype=np.int64)
+        # axis k of ``wide`` has length 1: the deleted digit x_i
+        wide = np.expand_dims(table, -1)
+        for i in range(k + 1):
+            # digit x_j is the coefficient of a_r, r = (i - j) mod (k+1), on axis r - 1
+            stepped += np.transpose(wide, [k if j == i else (i - j) % (k + 1) - 1 for j in range(k + 1)])
+        table = stepped
+        yield table
 
 
 def random_code(rng: np.random.Generator, p: int, k: int, n: int) -> LinearCode:

@@ -174,6 +174,7 @@ def test_criterion_06_matrix_lemmas():
 
 def test_criterion_07_step_lower_bound_100_random_codes():
     failures = []
+    exact = 0
     codes = random_small_codes(seed=20240810, count=100)
     for idx, code in enumerate(codes):
         d = min_distance_exhaustive(code)
@@ -181,7 +182,17 @@ def test_criterion_07_step_lower_bound_100_random_codes():
         d_prime = min_distance_exhaustive(stepped)
         if d_prime < code.k * d:
             failures.append((idx, code.field.p, code.n, code.k, d, d_prime))
-    _criterion(7, "one step on 100 random codes: d' >= k*d", failures)
+        # the step lemma's exact cases: total basis weight W, basis sum weight sigma
+        total = sum(code.basis_weights())
+        sigma = int(np.count_nonzero(code.generator.array.sum(axis=0) % code.field.p))
+        if sigma == d or (code.k + 1) * d >= total:
+            exact += 1
+            want = min((code.k + 1) * d, total) if sigma == d else total
+            if d_prime != want:
+                failures.append((idx, code.field.p, code.n, code.k, d, d_prime, "exact", want))
+    if exact != 37:
+        failures.append(("codes with an exact one-step distance", exact, 37))
+    _criterion(7, "one step on 100 random codes: d' >= k*d, exact on the 37 with sigma = d or (k+1)d >= W", failures)
 
 
 def test_criterion_08_reed_muller():

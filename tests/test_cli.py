@@ -330,9 +330,9 @@ def test_construct_bounded_input_gets_exact_prediction(tmp_path):
 
 
 def test_construct_unbounded_input_lower_bound_only(tmp_path):
-    # fixed [6, 3] code with non-uniform weights: only the lower-bound path
-    src = tmp_path / "random.txt"
-    src.write_text("2 6 3\n1 1 0 1 0 0\n0 1 1 0 0 1\n1 0 0 0 1 1\n")
+    # fixed [4, 2, 2] code with basis weights 3 and 2: only the lower-bound path
+    src = tmp_path / "mixed.txt"
+    src.write_text("2 4 2\n1 1 1 0\n0 0 1 1\n")
     out = tmp_path / "stepped.txt"
     proc = run_cli("construct", "--in", str(src), "--steps", "1", "--out", str(out))
     assert proc.returncode == 0
@@ -340,14 +340,39 @@ def test_construct_unbounded_input_lower_bound_only(tmp_path):
     names = [c["name"] for c in report["checks"]]
     assert names == ["distance_lower_bound"]
     assert report["params"] is None
-    assert report["checks"][0]["expected"] == ">= 9"  # k * d, with d = 3
+    assert len(report["notes"]) == 1
+    assert report["checks"][0]["expected"] == ">= 4"  # k * d, with d = 2
     # two steps: the bound is d * k * (k + 1)
     proc = run_cli("construct", "--in", str(src), "--steps", "2", "--out", str(out))
     assert proc.returncode == 0
     report = report_of(proc)
     assert [c["name"] for c in report["checks"]] == ["distance_lower_bound"]
-    assert report["checks"][0]["expected"] == ">= " + str(3 * 3 * 4)
+    assert report["checks"][0]["expected"] == ">= " + str(2 * 2 * 3)
     assert report["checks"][0]["pass"]
+
+
+@pytest.mark.parametrize(
+    "text,steps,d",
+    [
+        # [6, 3, 3] with basis weights 3, 3, 3 and a basis sum of weight 3: not
+        # bounded (3 < 3(1 + 1/3)), yet the prediction is exact at every step
+        ("2 6 3\n1 1 0 1 0 0\n0 1 1 0 0 1\n1 0 0 0 1 1\n", 1, 9),
+        ("2 6 3\n1 1 0 1 0 0\n0 1 1 0 0 1\n1 0 0 0 1 1\n", 2, 36),
+        # [6, 2, 2], 3-bounded for one step only; d = 18, not the lower bound 12
+        ("2 6 2\n1 1 1 0 0 0\n0 1 1 1 0 0\n", 2, 18),
+    ],
+)
+def test_construct_uniform_input_gets_exact_prediction_at_any_step(tmp_path, text, steps, d):
+    src = tmp_path / "uniform.txt"
+    src.write_text(text)
+    out = tmp_path / "stepped.txt"
+    proc = run_cli("construct", "--in", str(src), "--steps", str(steps), "--out", str(out))
+    assert proc.returncode == 0
+    report = report_of(proc)
+    assert [c["name"] for c in report["checks"]] == ["distance_lower_bound", "distance_exact_prediction"]
+    exact = report["checks"][1]
+    assert exact["expected"] == exact["actual"] == d and exact["pass"]
+    assert report["params"]["d"] == d and "notes" not in report
 
 
 def test_round_trip_is_byte_exact(tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from growthcodes import (
@@ -32,7 +32,7 @@ from growthcodes import code as code_module
 from growthcodes.construct import _chain_walk, iterate_code, rising_factorial
 from growthcodes.seeds import family_code, family_params, seed_code
 
-from conftest import random_small_codes
+from conftest import random_small_codes, step_weight_tables
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -150,10 +150,85 @@ def test_predict_params_examples():
 
 
 def test_predict_params_lower_bound_branch():
-    # u = d(1+1/k) exactly: step 1 is exact, step 2 only bounded below
+    # u = d(1+1/k) exactly: step 1 multiplies d by k+1, and from step 2 on d
+    # is u_s. This once returned the lower bound d*k*(k+1) = 12 with d_exact
+    # false; the GF(2) code 111000 / 011100 has these inputs.
     got = predict_params(6, 2, 2, 3, 2)
-    assert not got.d_exact
-    assert got.d == 2 * 2 * 3  # d * prod(k + l - 1)
+    assert got.d_exact and (got.d, got.u) == (18, 18)
+    # two fixed codes with equal basis weights and a basis sum of minimum
+    # weight, against the search: that [6, 2, 2] code, and a [6, 3, 3] code
+    # that fails even the first step's inequality
+    for rows, u, want in (
+        ([[1, 1, 1, 0, 0, 0], [0, 1, 1, 1, 0, 0]], 3, [2, 6, 18, 72, 360]),
+        ([[1, 1, 0, 1, 0, 0], [0, 1, 1, 0, 0, 1], [1, 0, 0, 0, 1, 1]], 3, [3, 9, 36]),
+    ):
+        code = new_code(F2, FieldMatrix(F2, rows))
+        report = check_bounded(code, u)
+        assert report.cond_weights_ok and report.cond_sum_ok
+        assert [predict_params(6, code.k, want[0], u, s).d for s in range(len(want))] == want
+        assert [min_distance_exhaustive(iterate_code(code, s)) for s in range(len(want))] == want
+
+
+def test_step_recursion_tables_equal_the_engine():
+    # the oracle against the engine's whole weight distribution, seeds 2 and 3
+    for field in (F2, F3, F5, F7):
+        for index in (2, 3):
+            base = seed_code(field, index, verify=False)
+            for s, table in enumerate(step_weight_tables(base, 3)):
+                member = iterate_code(base, s)
+                want = _engine.weight_distribution(field.p, *member._columns)
+                assert np.bincount(table.ravel(), minlength=len(want)).tolist() == want
+
+
+def test_step_recursion_refuses_past_its_limits():
+    seed_3 = seed_code(F2, 3, verify=False)
+    assert len(list(step_weight_tables(seed_3, 4))) == 5
+    # member 17 has n = 6 * 6 * 7 * ... * 22, about 5.6e19 >= 2^63
+    with pytest.raises(OverflowError):
+        next(step_weight_tables(seed_3, 17))
+    # GF(7) seed 2 at j = 6 has 7^9 cells, over MATERIALIZATION_BUDGET
+    with pytest.raises(ValueError):
+        next(step_weight_tables(seed_code(F7, 2, verify=False), 6))
+
+
+@pytest.mark.parametrize("field,last", [(F2, 16), (F3, 11), (F5, 7)], ids=lambda x: str(x))
+def test_predict_params_past_top_equals_the_step_recursion(field, last):
+    # seed 2 has top = 5; GF(2) member 16 has n of about 8e16. GF(7) is left
+    # to the property below: its j = 6 table is over the cell budget.
+    tables = step_weight_tables(seed_code(field, 2, verify=False), last)
+    got = [int(table.reshape(-1)[1:].min()) for table in tables]
+    assert got == [predict_params(4, 3, 1, 3, s).d for s in range(last + 1)]
+    assert got[6:] == [predict_params(4, 3, 1, 3, s).u for s in range(6, last + 1)]
+
+
+@st.composite
+def _small_codes(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(k, 8))
+    rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=k, max_size=k))
+    try:
+        return LinearCode(make_field(p), np.array(rows, dtype=np.int64))
+    except DependentBasisError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_codes())
+def test_predict_params_equals_the_search_on_stepped_random_codes(code):
+    # a step leaves every basis vector with weight W, the input's total basis
+    # weight; keep the stepped codes whose basis sum has minimum weight
+    stepped = iterate_code(code, 1)
+    u = stepped.basis_weights()[0]
+    report = check_bounded(stepped, u)
+    assert report.cond_weights_ok and u == sum(code.basis_weights())
+    if not report.cond_sum_ok:
+        return
+    for s in range(8):
+        predicted = predict_params(stepped.n, stepped.k, report.d_used, u, s)
+        if code.field.p**predicted.k > 1 << 12 or predicted.n > 10**5:
+            break
+        assert min_distance_exhaustive(iterate_code(stepped, s)) == predicted.d
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,9 +243,10 @@ def test_chain_walk_equals_predict_params_at_every_step(n, k, d, u, last):
     # u up to 500 against d up to 50 reaches past the exact range, and
     # below d(1 + 1/k) from the start, as well as staying inside it
     walk = list(_chain_walk(n, k, d, u, last))
-    assert [chain.steps for chain, _ in walk] == list(range(last + 1))
-    for s, (chain, text) in enumerate(walk):
+    assert [chain.steps for chain, _, _ in walk] == list(range(last + 1))
+    for s, (chain, ratio, text) in enumerate(walk):
         assert chain == predict_params(n, k, d, u, s)
+        assert ratio == Fraction(chain.k * chain.d, chain.n)
         assert text == (str(chain.n), str(chain.d), str(chain.u))
 
 
@@ -202,7 +278,11 @@ def test_max_exact_steps():
                         max_exact_steps(k, d, u)
                 for s in range(2 * k + 2):
                     got = predict_params(k, k, d, u, s)
-                    assert got.d_exact == (Fraction(u) >= Fraction(d) * (1 + Fraction(s, k)))
+                    growth = rising_factorial(k + 1, s)
+                    assert got.d_exact
+                    assert got.d == min(d * growth, u * rising_factorial(k, s))
+                    if exact_range:
+                        assert (got.d == d * growth) == (s <= max_exact_steps(k, d, u))
                     assert got.bounded_after == (Fraction(u) >= Fraction(d) * (1 + Fraction(s + 1, k)))
 
 

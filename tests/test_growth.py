@@ -197,7 +197,7 @@ def test_unknown_family():
 
 
 def test_seed_family_refuses_an_unbounded_seed():
-    # max_family_steps(1) = -1: seed 1 has no bounded chain member
+    # seed 1 is the [2, 1, 1] code, not (1)-bounded: family_params refuses it
     with pytest.raises(RangeViolationError):
         growth_table("seed-family", 3, seed_index=1)
 
@@ -218,6 +218,21 @@ def test_seed_family_rows_are_family_params_with_their_decimal_text():
                 assert (r.n, r.k, r.d, r.u) == dataclasses.astuple(family_params(i, r.index))
                 want = (r.index, r.n, r.k, r.d, r.u, r.kd_over_n.numerator, r.kd_over_n.denominator)
                 assert r._decimal_text() == tuple(map(str, want))
+
+
+def test_seed_family_table_runs_past_the_bounded_range():
+    # seed 2 has max_family_steps = 5; past it d = u_s and kd/n stays (2i-1)^2/2i
+    records = growth_table("seed-family", 10, seed_index=2)
+    assert [r.index for r in records] == list(range(11))
+    assert [r.kd_over_n for r in records[:6]] == [Fraction(3 + j, 4) for j in range(6)]
+    with exact_integer_text():
+        for r in records[6:]:
+            assert (r.n, r.k, r.d, r.u) == dataclasses.astuple(family_params(2, r.index))
+            assert r.d == r.u and r.kd_over_n == Fraction(9, 4) and not r.verified
+            want = (r.index, r.n, r.k, r.d, r.u, r.kd_over_n.numerator, r.kd_over_n.denominator)
+            assert r._decimal_text() == tuple(map(str, want))
+    assert records[6].d == 60480 and records[7].d == 544320
+    assert records_to_csv(records).startswith(records_to_csv(growth_table("seed-family", 5, seed_index=2)))
 
 
 def test_seed_family_table_ignores_the_callers_decimal_context():

@@ -178,17 +178,25 @@ def test_verification_stops_at_the_default_budget():
 
 
 def test_family_range_violation():
+    # only index < 2 and steps < 0 are refused; past the bounded range
+    # (max_family_steps) d is u_s, the basis weight
     assert max_family_steps(2) == 5
-    with pytest.raises(RangeViolationError):
-        family_code(F2, 2, 6)
-    with pytest.raises(RangeViolationError):
-        family_code(F2, 3, max_family_steps(3) + 1)
-    # past the range the family's closed form is unproven: at (2, 7) it
-    # would give d = 604800, where a multiset search over GF(2) and GF(3)
-    # finds 544320
-    for index, steps in ((2, 6), (2, 7), (2, -1), (3, max_family_steps(3) + 1)):
+    for index, steps in ((1, 0), (0, 3), (2, -1), (3, -1)):
         with pytest.raises(RangeViolationError):
             family_params(index, steps)
+        with pytest.raises(RangeViolationError):
+            family_code(F2, index, steps)
+    assert family_params(2, 6) == CodeParams(n=241920, k=9, d=60480, u=60480)
+    # the value a multiset search over GF(2) and GF(3) found at (2, 7)
+    assert family_params(2, 7).d == family_params(2, 7).u == 544320
+    top = max_family_steps(3)
+    past = family_params(3, top + 2)
+    assert past.d == past.u == predict_params(6, 5, 1, 5, top + 2).u
+    for field in (F2, F3, F5):
+        member = family_code(field, 2, 6)
+        assert isinstance(member, LinearCode)
+        assert [member.n, member.k] == [241920, 9]
+        assert member.d == family_params(2, 6).d == 60480
 
 
 def test_family_params_match_chain_prediction():
