@@ -39,7 +39,6 @@ from .errors import (
     GeneratorFormatError,
     GrowthCodesError,
     LengthMismatchError,
-    NotBoundedError,
     NotSquareError,
     RangeViolationError,
     ShapeMismatchError,

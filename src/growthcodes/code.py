@@ -23,11 +23,10 @@ from .errors import (
     DependentBasisError,
     FieldMismatchError,
     GeneratorFormatError,
-    ShapeMismatchError,
     VerificationError,
 )
 from .field import PrimeField, make_field
-from .linalg import FieldMatrix, FieldVector, _echelon, check_array_field
+from .linalg import FieldMatrix, FieldVector, _echelon, _residues, check_array_field
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 26
 MATERIALIZATION_BUDGET = 1 << 24  # int64 cells (128 MiB) of one k x n generator
@@ -64,31 +63,26 @@ class LinearCode:
 
     ``d`` is None until an exhaustive search verifies the minimum distance;
     it is written once and never holds a merely predicted value. A writeable,
-    C-contiguous int64 array that owns its data becomes the code's storage
-    (and is frozen) without a copy; any other ``rows`` is copied. A code
-    built by _from_columns holds no rows until ``_rows`` is read.
+    C-contiguous two-dimensional int64 array that owns its data becomes the
+    code's storage (reduced in place and frozen) without a copy; any other
+    ``rows`` is read into a new array by linalg._residues, with its checks.
+    A code built by _from_columns holds no rows until ``_rows`` is read.
     """
 
     __slots__ = ("field", "n", "k", "_d", "_columns", "_generator", "_recipe")
 
     def __init__(self, field: PrimeField, rows: np.ndarray):
-        check_array_field(field)
-        if not (
-            isinstance(rows, np.ndarray)
-            and rows.dtype == np.int64
-            and rows.flags.owndata
-            and rows.flags.writeable
-            and rows.flags.c_contiguous
-        ):
-            rows = np.array(rows, dtype=np.int64)
-        if rows.ndim != 2:
-            raise ShapeMismatchError("a basis must be a two-dimensional array of rows")
+        int64_rows = isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2
+        if int64_rows and rows.flags.owndata and rows.flags.writeable and rows.flags.c_contiguous:
+            check_array_field(field)
+            # An int64 modulo over a materialized chain member costs more
+            # than the two range checks, and most callers pass residues.
+            if rows.size and (rows.min() < 0 or rows.max() >= field.p):
+                rows %= field.p
+        else:
+            rows = _residues(field, rows, 2)
         if rows.shape[0] == 0:
             raise DependentBasisError("empty basis")
-        # An int64 modulo over a materialized chain member costs more than
-        # the two range checks, and most callers pass canonical residues.
-        if rows.size and (rows.min() < 0 or rows.max() >= field.p):
-            rows %= field.p
         self._set(field, rows.shape[1], _engine.projective_columns(field.p, rows), rows, None)
 
     @classmethod

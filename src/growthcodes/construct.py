@@ -68,7 +68,7 @@ from .code import (
     min_distance_exhaustive,
     new_code,
 )
-from .errors import DependentBasisError, NotBoundedError
+from .errors import DependentBasisError
 from .linalg import FieldVector
 
 
@@ -306,11 +306,10 @@ def _chain_walk(n: int, k: int, d: int, u: int, last: int) -> Iterator[tuple[Cha
 
 def max_exact_steps(k: int, d: int, u: int) -> int:
     """Largest step count s whose distance is d(k+1)...(k+s), the first term
-    of predict_params' minimum: floor(k(u/d - 1)). Past it the distance is
-    u_s, the basis weight.
-
-    Requires u >= d(1 + 1/k), i.e. the input is plausibly u-bounded at all.
+    of predict_params' minimum: floor(k(u/d - 1)), for any u >= d. Past it
+    the distance is u_s, the basis weight. u < d raises ValueError: no basis
+    vector is lighter than the distance.
     """
-    if not _exact_through(k, d, u, 1):
-        raise NotBoundedError(f"u={u} < d(1+1/k) = {d}*(1+1/{k})")
+    if min(k, d) < 1 or u < d:
+        raise ValueError(f"max_exact_steps needs k, d >= 1 and u >= d, got k={k}, d={d}, u={u}")
     return k * (u - d) // d

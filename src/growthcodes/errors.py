@@ -41,16 +41,13 @@ class RangeViolationError(GrowthCodesError, ValueError):
     """Index outside the range for which the family is defined."""
 
 
-class NotBoundedError(GrowthCodesError, ValueError):
-    """Parameters do not satisfy the boundedness inequality."""
-
-
 class UnknownFamilyError(GrowthCodesError, ValueError):
     """Unrecognized code-family tag."""
 
 
 class FieldTooLargeError(GrowthCodesError, ValueError):
-    """The field is too large for exact int64 array arithmetic."""
+    """The field is too large for an exact answer: int64 arrays need
+    p < 2**16, and primality is certified only below psi_13 (see field)."""
 
 
 class VerificationError(GrowthCodesError):

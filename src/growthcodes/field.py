@@ -4,13 +4,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CompositeModulusError, DivisionByZeroError, FieldMismatchError
+from .errors import CompositeModulusError, DivisionByZeroError, FieldMismatchError, FieldTooLargeError
 
-# Witness set making Miller-Rabin deterministic for all n < 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as Miller-Rabin bases decide primality exactly for every
+# n below psi_13 = 3317044064679887385961981 (Sorenson & Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017); the first 12
+# suffice only below psi_12 = 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Exact primality. A witness of compositeness is proof at any size, but
+    from psi_13 on, passing all the bases is not, so such an n raises
+    FieldTooLargeError rather than be reported prime."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -30,6 +37,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_EXACT_BELOW:
+        raise FieldTooLargeError(
+            f"primality of {n} cannot be certified: the Miller-Rabin bases 2..41 are proven only below {_MR_EXACT_BELOW}"
+        )
     return True
 
 

@@ -1,8 +1,16 @@
 """Dense vectors and matrices over a prime field.
 
 Entries are stored as canonical int64 residues in numpy arrays; values are
-immutable after construction. Constructors accept plain integers (any sign,
-reduced mod p) as well as FieldElement instances.
+immutable after construction. Every constructor (FieldVector, FieldMatrix,
+FieldVector.scale and LinearCode) reads caller values through the one
+normalizer _residues, which reduces them exactly, whatever their size:
+- bool and integer numpy arrays of any width, uint64 included;
+- nested sequences of Python ints of any size (and numpy integer scalars);
+- FieldElements and FieldVectors, which must be over the same field.
+Anything else is refused, never truncated: floats, complex numbers, strings,
+None and other non-integers raise TypeError, an element or vector over
+another field raises FieldMismatchError, and entries of the wrong depth or
+ragged rows raise ShapeMismatchError.
 
 Array-backed types (FieldVector, FieldMatrix, LinearCode) accept only
 p < 2**16. Then (p-1)**2 < 2**32, so every int64 product of two residues and
@@ -14,7 +22,7 @@ with Python integers and stay unbounded.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,15 +52,52 @@ def _check_same_field(a: PrimeField, b: PrimeField) -> None:
         raise FieldMismatchError(f"mixed fields GF({a.p}) and GF({b.p})")
 
 
-def _to_residues(field: PrimeField, values: Iterable) -> np.ndarray:
-    items = []
-    for v in values:
-        if isinstance(v, FieldElement):
-            _check_same_field(field, v.field)
-            items.append(v.value)
-        else:
-            items.append(int(v))
-    return np.asarray(items, dtype=np.int64) % field.p
+def _residues(field: PrimeField, entries, ndim: int) -> np.ndarray:
+    """The one normalizer of caller values: a new C-contiguous int64 array of
+    the canonical residues of ``entries`` mod field.p, with ``ndim``
+    dimensions (the accepted kinds and refusals are in the module docstring).
+    """
+    check_array_field(field)
+    exact = _exact(field, entries, ndim)
+    try:
+        data = np.asarray(exact, dtype=np.int64)
+    except ValueError:  # numpy's message for ragged nesting
+        raise ShapeMismatchError("rows have unequal lengths") from None
+    if data.shape == (0,):  # an empty sequence, of any depth
+        data = data.reshape((0,) * ndim)
+    if data.ndim != ndim:
+        raise ShapeMismatchError(f"entries must be {ndim}-dimensional, got {data.ndim}")
+    return data
+
+
+def _exact(field: PrimeField, entries, depth: int):
+    """``entries`` with every value replaced by its canonical residue:
+    integer arrays and FieldVectors as new C-contiguous int64 arrays, scalars
+    as ints, sequences as lists."""
+    p = field.p
+    if isinstance(entries, FieldVector):
+        _check_same_field(field, entries.field)
+        return entries.entries.copy()
+    if isinstance(entries, np.ndarray) and entries.dtype != object:
+        if entries.dtype.kind not in "biu":
+            raise TypeError(f"field entries must be integers, got dtype {entries.dtype}")
+        if entries.dtype.kind == "u" and entries.dtype.itemsize == 8:
+            # Reduced in its own dtype first, as int64 cannot hold it; a
+            # Python-int modulus keeps it there (uint64 % np.int64 is float64).
+            entries = entries % p
+        data = entries.astype(np.int64, order="C")
+        data %= p
+        return data
+    if isinstance(entries, FieldElement):
+        _check_same_field(field, entries.field)
+        return entries.value
+    if isinstance(entries, (int, np.integer, np.bool_)):
+        return int(entries) % p
+    if isinstance(entries, (str, bytes)) or not hasattr(entries, "__iter__"):
+        raise TypeError(f"field entries must be integers, got {type(entries).__name__}")
+    if depth == 0:
+        raise ShapeMismatchError("entries are nested too deeply")
+    return [_exact(field, e, depth - 1) for e in entries]
 
 
 class FieldVector:
@@ -61,13 +106,7 @@ class FieldVector:
     __slots__ = ("field", "_data")
 
     def __init__(self, field: PrimeField, entries):
-        check_array_field(field)
-        if isinstance(entries, np.ndarray) and entries.dtype == np.int64:
-            data = entries % field.p
-        else:
-            data = _to_residues(field, entries)
-        if data.ndim != 1:
-            raise ShapeMismatchError("vector entries must be one-dimensional")
+        data = _residues(field, entries, 1)
         data.flags.writeable = False
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_data", data)
@@ -98,18 +137,18 @@ class FieldVector:
 
     def __add__(self, other):
         self._check(other)
-        return FieldVector(self.field, (self._data + other._data) % self.field.p)
+        return FieldVector(self.field, self._data + other._data)
 
     def __sub__(self, other):
         self._check(other)
-        return FieldVector(self.field, (self._data - other._data) % self.field.p)
+        return FieldVector(self.field, self._data - other._data)
 
     def __neg__(self):
-        return FieldVector(self.field, (-self._data) % self.field.p)
+        return FieldVector(self.field, -self._data)
 
     def scale(self, c) -> "FieldVector":
-        c = c.value if isinstance(c, FieldElement) else int(c)
-        return FieldVector(self.field, (self._data * (c % self.field.p)) % self.field.p)
+        """c times this vector; c is read like an entry (an int or a FieldElement)."""
+        return FieldVector(self.field, self._data * _residues(self.field, c, 0))
 
     def __eq__(self, other):
         if not isinstance(other, FieldVector):
@@ -137,20 +176,7 @@ class FieldMatrix:
     __slots__ = ("field", "_data")
 
     def __init__(self, field: PrimeField, entries):
-        check_array_field(field)
-        if isinstance(entries, np.ndarray):
-            data = np.remainder(entries, field.p, dtype=np.int64, casting="unsafe")
-        else:
-            rows = [_to_residues(field, row) for row in entries]
-            if rows:
-                width = rows[0].shape[0]
-                if any(r.shape[0] != width for r in rows):
-                    raise ShapeMismatchError("rows have unequal lengths")
-                data = np.stack(rows)
-            else:
-                data = np.zeros((0, 0), dtype=np.int64)
-        if data.ndim != 2:
-            raise ShapeMismatchError("matrix entries must be two-dimensional")
+        data = _residues(field, entries, 2)
         data.flags.writeable = False
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_data", data)
@@ -170,13 +196,9 @@ class FieldMatrix:
     def from_rows(cls, vectors: Sequence[FieldVector]) -> "FieldMatrix":
         if not vectors:
             raise ShapeMismatchError("at least one row vector required")
-        field = vectors[0].field
-        width = len(vectors[0])
-        for v in vectors[1:]:
-            _check_same_field(field, v.field)
-            if len(v) != width:
-                raise LengthMismatchError("row vectors have unequal lengths")
-        return cls(field, np.stack([v.entries for v in vectors]))
+        if len({len(v) for v in vectors}) > 1:
+            raise LengthMismatchError("row vectors have unequal lengths")
+        return cls(vectors[0].field, vectors)
 
     @property
     def array(self) -> np.ndarray:
@@ -204,7 +226,7 @@ class FieldMatrix:
         return FieldMatrix(self.field, self._data.T)
 
     def __neg__(self):
-        return FieldMatrix(self.field, (-self._data) % self.field.p)
+        return FieldMatrix(self.field, -self._data)
 
     def __add__(self, other):
         if not isinstance(other, FieldMatrix):
@@ -212,7 +234,7 @@ class FieldMatrix:
         _check_same_field(self.field, other.field)
         if self._data.shape != other._data.shape:
             raise ShapeMismatchError(f"shapes {self._data.shape} and {other._data.shape} differ")
-        return FieldMatrix(self.field, (self._data + other._data) % self.field.p)
+        return FieldMatrix(self.field, self._data + other._data)
 
     def __matmul__(self, other):
         if not isinstance(other, FieldMatrix):
@@ -220,7 +242,7 @@ class FieldMatrix:
         _check_same_field(self.field, other.field)
         if self.cols != other.rows:
             raise ShapeMismatchError(f"cannot multiply {self._data.shape} by {other._data.shape}")
-        return FieldMatrix(self.field, (self._data @ other._data) % self.field.p)
+        return FieldMatrix(self.field, self._data @ other._data)
 
     def __eq__(self, other):
         if not isinstance(other, FieldMatrix):

@@ -9,7 +9,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from growthcodes import VerificationError, cli
+from growthcodes import VerificationError, cli, construct, growth, seeds
+from growthcodes import code as gc_code
 from growthcodes.growth import exact_integer_text
 from growthcodes.seeds import family_params, series_params
 
@@ -112,6 +113,17 @@ def test_build_series_materialized(tmp_path):
     out = tmp_path / "series1.txt"
     assert run_cli("build", "--family", "series", "--i", "1", "--out", str(out)).returncode == 0
     assert out.read_text().splitlines()[0] == "2 26880 8"
+
+
+def test_build_series_runs_no_distance_search(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("build ran a distance search")
+
+    for module in (gc_code, construct, growth, seeds, cli):
+        monkeypatch.setattr(module, "min_distance_exhaustive", refuse)
+    out = tmp_path / "series1.txt"
+    assert cli.main(["build", "--family", "series", "--i", "1", "--field", "7", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "7 26880 8"
 
 
 def test_verify_failing_check_exits_1(tmp_path):

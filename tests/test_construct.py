@@ -14,7 +14,6 @@ from growthcodes import (
     FieldMismatchError,
     FieldVector,
     LinearCode,
-    NotBoundedError,
     VerificationError,
     check_bounded,
     construction_step,
@@ -263,26 +262,31 @@ def test_max_exact_steps():
     assert max_exact_steps(5, 1, 5) == 20
     for i in range(2, 12):
         assert max_exact_steps(2 * i - 1, 1, 2 * i - 1) == (2 * i - 1) * (2 * i - 2)
-    with pytest.raises(NotBoundedError):
-        max_exact_steps(1, 1, 1)
-    # the integer test u*k >= d*(k+s) against the rational form; the grid
-    # meets u = d(1 + s/k) with equality wherever d*s/k is an integer
+    # the [6, 3, 3] code with equal basis weights 3: searched d = 3, 9, 36
+    assert max_exact_steps(3, 3, 3) == 0
+    assert max_exact_steps(1, 1, 1) == 0
+    for bad in [(3, 3, 2), (1, 2, 1), (0, 1, 1), (2, 0, 1)]:
+        with pytest.raises(ValueError):
+            max_exact_steps(*bad)
+    # every u >= d: d = d*growth through step max_exact_steps and d = u_s from
+    # the next step on; the grid meets u = d(1 + s/k) with equality wherever
+    # d*s/k is an integer
     for k in range(1, 9):
         for d in range(1, 7):
-            for u in range(1, 3 * d + 2):
-                exact_range = Fraction(u) >= Fraction(d) * (1 + Fraction(1, k))
-                if exact_range:
-                    assert max_exact_steps(k, d, u) == math.floor(k * (Fraction(u, d) - 1))
-                else:
-                    with pytest.raises(NotBoundedError):
-                        max_exact_steps(k, d, u)
+            for u in range(d, 3 * d + 2):
+                last = max_exact_steps(k, d, u)
+                assert last == math.floor(k * (Fraction(u, d) - 1))
+                at_last = predict_params(k, k, d, u, last)
+                assert at_last.d == d * rising_factorial(k + 1, last)
+                after = predict_params(k, k, d, u, last + 1)
+                assert after.d == after.u == u * rising_factorial(k, last + 1)
+                assert after.d < d * rising_factorial(k + 1, last + 1)
                 for s in range(2 * k + 2):
                     got = predict_params(k, k, d, u, s)
                     growth = rising_factorial(k + 1, s)
                     assert got.d_exact
                     assert got.d == min(d * growth, u * rising_factorial(k, s))
-                    if exact_range:
-                        assert (got.d == d * growth) == (s <= max_exact_steps(k, d, u))
+                    assert (got.d == d * growth) == (s <= last)
                     assert got.bounded_after == (Fraction(u) >= Fraction(d) * (1 + Fraction(s + 1, k)))
 
 

@@ -6,6 +6,7 @@ from growthcodes import (
     CompositeModulusError,
     DivisionByZeroError,
     FieldMismatchError,
+    FieldTooLargeError,
     is_prime,
     make_field,
 )
@@ -28,6 +29,23 @@ def test_make_field_rejects_composites(bad):
 def test_is_prime_spot_checks():
     assert is_prime(2) and is_prime(97) and is_prime(2**31 - 1)
     assert not is_prime(1) and not is_prime(561) and not is_prime(2**32 + 1)
+
+
+PSI_12 = 399165290221 * 798330580441  # strong pseudoprime to the bases 2..37
+PSI_13 = 1287836182261 * 2575672364521  # strong pseudoprime to the bases 2..41
+
+
+def test_primality_is_exact_below_psi_13_and_refused_from_it():
+    assert PSI_12 == 318665857834031151167461 and PSI_13 == 3317044064679887385961981
+    with pytest.raises(CompositeModulusError):
+        make_field(PSI_12)
+    assert not is_prime(PSI_12) and not is_prime(PSI_13 - 2) and not is_prime(PSI_13 + 1)
+    with pytest.raises(FieldTooLargeError, match="cannot be certified"):
+        make_field(PSI_13)
+    with pytest.raises(FieldTooLargeError, match="cannot be certified"):
+        is_prime(2**89 - 1)  # a Mersenne prime, but past the proven bound
+    assert make_field(2**61 - 1).p == 2**61 - 1
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
 
 
 def test_arithmetic_examples():

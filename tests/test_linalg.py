@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from growthcodes import (
     FieldMatrix,
+    FieldMismatchError,
     FieldTooLargeError,
     FieldVector,
     LengthMismatchError,
@@ -194,6 +195,121 @@ def test_matrix_from_any_integer_array_is_one_canonical_copy():
         assert mat.array.dtype == np.int64 and mat.array.tolist() == [[4, 2], [2, 4]]
         assert not np.shares_memory(mat.array, source) and source.flags.writeable
     assert FieldMatrix(F3, np.array([[True, False]])).array.tolist() == [[1, 0]]
+
+
+def test_exact_residues_where_int64_casts_wrapped_or_truncated():
+    top = np.array([[2**64 - 1, 5]], dtype=np.uint64)  # 2^64 - 1 = 0 mod 3
+    assert FieldMatrix(F3, top).array.tolist() == [[0, 2]]
+    assert LinearCode(F3, np.array([[2**64 - 1, 1]], dtype=np.uint64))._rows.tolist() == [[0, 1]]
+    assert FieldVector(F3, [2**70]).entries.tolist() == [1]
+    assert FieldMatrix(F3, [[2**70]]).array.tolist() == [[1]]
+    assert LinearCode(F3, [[2**70, 1]])._rows.tolist() == [[1, 1]]
+
+
+_INTEGER_DTYPES = [np.bool_, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def _full_range(dtype):
+    """Any value of ``dtype``, often one near either end of its range (for
+    uint64, at or above 2^63, where a cast to int64 wraps)."""
+    if dtype is np.bool_:
+        return st.booleans()
+    lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    return st.integers(lo, hi) | st.integers(max(lo, hi - 1000), hi) | st.integers(lo, min(hi, lo + 1000))
+
+
+def _stored(field, values, code_rows):
+    """The residues each entry point stores for the k x n ``values``;
+    ``code_rows`` is ``values`` behind an identity block, so its rows are
+    independent. ``scale`` reads the first row's entries as scalars."""
+    k = len(values)
+    return {
+        "vector": [FieldVector(field, row).entries.tolist() for row in values],
+        "matrix": FieldMatrix(field, values).array.tolist(),
+        "code": LinearCode(field, code_rows)._rows[:, k:].tolist(),
+        "scale": [FieldVector(field, [1]).scale(v)[0] for v in values[0]],
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 251, 65521]),
+    dtype=st.sampled_from(_INTEGER_DTYPES),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+    data=st.data(),
+)
+def test_every_entry_point_stores_the_exact_residue_of_any_integer_array(p, dtype, shape, data):
+    field = make_field(p)
+    k, n = shape
+    values = data.draw(st.lists(st.lists(_full_range(dtype), min_size=n, max_size=n), min_size=k, max_size=k))
+    want = [[int(v) % p for v in row] for row in values]
+    array = np.array(values, dtype=dtype)
+    got = _stored(field, array, np.hstack([np.eye(k, dtype=dtype), array]))
+    assert got == {"vector": want, "matrix": want, "code": want, "scale": want[0]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 251, 65521]),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+    data=st.data(),
+)
+def test_every_entry_point_stores_the_exact_residue_of_python_ints_and_elements(p, shape, data):
+    field = make_field(p)
+    k, n = shape
+    big = st.integers(-(2**100), 2**100)
+    values = data.draw(st.lists(st.lists(big | big.map(field.element), min_size=n, max_size=n), min_size=k, max_size=k))
+    want = [[int(v) % p for v in row] for row in values]
+    code_rows = [[int(i == j) for j in range(k)] + row for i, row in enumerate(values)]
+    got = _stored(field, values, code_rows)
+    assert got == {"vector": want, "matrix": want, "code": want, "scale": want[0]}
+    vectors = [FieldVector(field, row) for row in values]
+    assert FieldMatrix(field, vectors).array.tolist() == want
+    assert [FieldVector(field, v).entries.tolist() for v in vectors] == want
+
+
+_NOT_INTEGERS = [1.0, 1.5, np.float64(2.0), 1j, np.complex128(1), "1", b"1", None]
+
+
+@pytest.mark.parametrize("bad", _NOT_INTEGERS, ids=repr)
+def test_every_entry_point_refuses_non_integer_entries(bad):
+    for build in (
+        lambda: FieldVector(F5, [1, bad]),
+        lambda: FieldMatrix(F5, [[1, bad]]),
+        lambda: LinearCode(F5, [[1, bad]]),
+        lambda: FieldVector(F5, [1, 2]).scale(bad),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float64, np.complex128, np.str_])
+def test_every_entry_point_refuses_non_integer_arrays(dtype):
+    bad = np.array([[1.9, 0]]).astype(dtype)  # truncated to [[1, 0]] by an int64 cast
+    for build in (
+        lambda: FieldVector(F5, bad[0]),
+        lambda: FieldMatrix(F5, bad),
+        lambda: LinearCode(F5, bad),
+        lambda: FieldVector(F5, [1]).scale(bad[0, 0]),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_every_entry_point_refuses_foreign_elements_and_vectors():
+    foreign, vector = F7.element(6), FieldVector(F7, [6, 1])
+    for build in (
+        lambda: FieldVector(F5, [1, foreign]),
+        lambda: FieldVector(F5, vector),
+        lambda: FieldMatrix(F5, [[1, foreign]]),
+        lambda: FieldMatrix(F5, [vector]),
+        lambda: FieldMatrix.from_rows([FieldVector(F5, [1, 1]), vector]),
+        lambda: LinearCode(F5, [[1, foreign]]),
+        lambda: LinearCode(F5, [vector]),
+        lambda: FieldVector(F5, [1, 2]).scale(foreign),
+    ):
+        with pytest.raises(FieldMismatchError):
+            build()
 
 
 @settings(max_examples=40)
