@@ -35,7 +35,7 @@ from .errors import BudgetExceededError, GrowthCodesError, VerificationError
 from .field import make_field
 from .growth import FAMILIES, exact_integer_text, growth_table, records_to_csv, records_to_json
 from .reedmuller import rm_generator
-from .seeds import build_seed_matrices, family_code, seed_code, series_code
+from .seeds import build_seed_matrices, family_code, seed_code, series_params
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
@@ -132,9 +132,10 @@ def cmd_build(args) -> int:
     if args.family == "series":
         if args.i is None:
             raise GrowthCodesError("--family series needs --i")
-        member = series_code(field, args.i, verify=False)
-        if member.code is not None:
-            write_generator_file(member.code, args.out)
+        member = series_params(args.i)
+        built = family_code(field, args.i + 1, member.resolved_steps, verify=False)
+        if isinstance(built, LinearCode):
+            write_generator_file(built, args.out)
         else:
             payload = {
                 "family": "series",

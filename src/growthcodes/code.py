@@ -26,7 +26,7 @@ from .errors import (
     VerificationError,
 )
 from .field import PrimeField, make_field
-from .linalg import FieldMatrix, FieldVector, _echelon, _residues, check_array_field
+from .linalg import FieldMatrix, FieldVector, _echelon, _reduce, _residues, check_array_field
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 26
 MATERIALIZATION_BUDGET = 1 << 24  # int64 cells (128 MiB) of one k x n generator
@@ -75,10 +75,7 @@ class LinearCode:
         int64_rows = isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2
         if int64_rows and rows.flags.owndata and rows.flags.writeable and rows.flags.c_contiguous:
             check_array_field(field)
-            # An int64 modulo over a materialized chain member costs more
-            # than the two range checks, and most callers pass residues.
-            if rows.size and (rows.min() < 0 or rows.max() >= field.p):
-                rows %= field.p
+            _reduce(rows, field.p)
         else:
             rows = _residues(field, rows, 2)
         if rows.shape[0] == 0:

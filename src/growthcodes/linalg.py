@@ -70,6 +70,15 @@ def _residues(field: PrimeField, entries, ndim: int) -> np.ndarray:
     return data
 
 
+def _reduce(data: np.ndarray, p: int) -> np.ndarray:
+    """Reduce the int64 array ``data`` mod p in place and return it. Most
+    callers pass residues already, and two range checks cost less than an
+    int64 modulo over a materialized chain member."""
+    if data.size and (data.min() < 0 or data.max() >= p):
+        data %= p
+    return data
+
+
 def _exact(field: PrimeField, entries, depth: int):
     """``entries`` with every value replaced by its canonical residue:
     integer arrays and FieldVectors as new C-contiguous int64 arrays, scalars
@@ -85,9 +94,7 @@ def _exact(field: PrimeField, entries, depth: int):
             # Reduced in its own dtype first, as int64 cannot hold it; a
             # Python-int modulus keeps it there (uint64 % np.int64 is float64).
             entries = entries % p
-        data = entries.astype(np.int64, order="C")
-        data %= p
-        return data
+        return _reduce(entries.astype(np.int64, order="C"), p)
     if isinstance(entries, FieldElement):
         _check_same_field(field, entries.field)
         return entries.value

@@ -173,10 +173,9 @@ def series_params(index: int) -> SeriesMember:
     )
 
 
-def series_code(field: PrimeField, index: int, *, verify: bool = True) -> SeriesMember:
+def series_code(field: PrimeField, index: int) -> SeriesMember:
     """Series member with a materialization attempt (index 1 is the only
-    desk-scale member; larger indices come back parameters-only), its
-    distance searched as family_code does when ``verify`` is set."""
+    desk-scale member; larger indices come back parameters-only)."""
     member = series_params(index)
-    built = family_code(field, index + 1, member.resolved_steps, verify=verify)
+    built = family_code(field, index + 1, member.resolved_steps)
     return replace(member, code=built) if isinstance(built, LinearCode) else member

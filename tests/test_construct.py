@@ -270,14 +270,20 @@ def test_max_exact_steps():
             max_exact_steps(*bad)
     # every u >= d: d = d*growth through step max_exact_steps and d = u_s from
     # the next step on; the grid meets u = d(1 + s/k) with equality wherever
-    # d*s/k is an integer
+    # d*s/k is an integer. u < d is refused, and predict_params, which still
+    # answers there, gives d = u_s from step 0.
     for k in range(1, 9):
         for d in range(1, 7):
-            for u in range(d, 3 * d + 2):
-                last = max_exact_steps(k, d, u)
-                assert last == math.floor(k * (Fraction(u, d) - 1))
-                at_last = predict_params(k, k, d, u, last)
-                assert at_last.d == d * rising_factorial(k + 1, last)
+            for u in range(1, 3 * d + 2):
+                if u < d:
+                    with pytest.raises(ValueError):
+                        max_exact_steps(k, d, u)
+                    last = -1
+                else:
+                    last = max_exact_steps(k, d, u)
+                    assert last == math.floor(k * (Fraction(u, d) - 1))
+                    at_last = predict_params(k, k, d, u, last)
+                    assert at_last.d == d * rising_factorial(k + 1, last)
                 after = predict_params(k, k, d, u, last + 1)
                 assert after.d == after.u == u * rising_factorial(k, last + 1)
                 assert after.d < d * rising_factorial(k + 1, last + 1)
