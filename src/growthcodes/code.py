@@ -62,7 +62,9 @@ class LinearCode:
     the column rank unchanged.
 
     ``d`` is None until an exhaustive search verifies the minimum distance;
-    it is written once and never holds a merely predicted value. A writeable,
+    it is written once and never holds a merely predicted value. A
+    FieldMatrix over the code's field shares its frozen canonical array with
+    the code (FieldMismatchError for another field). A writeable,
     C-contiguous two-dimensional int64 array that owns its data becomes the
     code's storage (reduced in place and frozen) without a copy; any other
     ``rows`` is read into a new array by linalg._residues, with its checks.
@@ -71,9 +73,13 @@ class LinearCode:
 
     __slots__ = ("field", "n", "k", "_d", "_columns", "_generator", "_recipe")
 
-    def __init__(self, field: PrimeField, rows: np.ndarray):
+    def __init__(self, field: PrimeField, rows: np.ndarray | FieldMatrix):
         int64_rows = isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2
-        if int64_rows and rows.flags.owndata and rows.flags.writeable and rows.flags.c_contiguous:
+        if isinstance(rows, FieldMatrix):
+            if rows.field.p != field.p:
+                raise FieldMismatchError(f"basis over GF({rows.field.p}), field is GF({field.p})")
+            rows = rows.array
+        elif int64_rows and rows.flags.owndata and rows.flags.writeable and rows.flags.c_contiguous:
             check_array_field(field)
             _reduce(rows, field.p)
         else:
@@ -172,15 +178,14 @@ class LinearCode:
 
 def new_code(field: PrimeField, basis: Sequence[FieldVector] | FieldMatrix) -> LinearCode:
     """Wrap an ordered basis, FieldVectors or a FieldMatrix over ``field``, as
-    a LinearCode (d unset). The vectors' field and length checks are
-    FieldMatrix.from_rows'; LinearCode checks independence."""
+    a LinearCode (d unset) that shares the matrix's array. The vectors' field
+    and length checks are FieldMatrix.from_rows'; LinearCode checks the
+    matrix's field and independence."""
     if not isinstance(basis, FieldMatrix):
         if not basis:
             raise DependentBasisError("empty basis")
         basis = FieldMatrix.from_rows(basis)
-    if basis.field.p != field.p:
-        raise FieldMismatchError(f"basis over GF({basis.field.p}), field is GF({field.p})")
-    return LinearCode(field, basis.array)
+    return LinearCode(field, basis)
 
 
 def _check_enumeration(p: int, k: int, budget: int) -> None:

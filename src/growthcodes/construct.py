@@ -147,13 +147,37 @@ def _exact_through(k: int, d: int, u: int, steps: int) -> bool:
     return u * k >= d * (k + steps)
 
 
-def rising_factorial(a: int, s: int) -> int:
-    """a (a+1) ... (a+s-1) for a >= 1; 1 when s = 0.
+# The last (a, s, rising_factorial(a, s)) returned, read and replaced as one
+# tuple, so concurrent callers each resume from a consistent snapshot.
+_rising_last = (1, 0, 1)
 
-    Computed as a quotient of factorials, whose divide-and-conquer product
-    is far faster than a left fold once s reaches the thousands.
+
+def rising_factorial(a: int, s: int) -> int:
+    """a (a+1) ... (a+s-1) for a >= 1 and s >= 0; 1 when s = 0. ValueError
+    otherwise.
+
+    Callers sweep a or s one value at a time, so the call resumes from the
+    last value returned, r0 = a0 ... top0: it multiplies in the new top terms
+    and divides out the dropped bottom ones, r0 (top0+1)...top // a0...(a-1),
+    when a >= a0, top >= top0 and those terms are fewer than the s terms of
+    the result. Otherwise it starts over from a quotient of factorials, whose
+    divide-and-conquer product is far faster than a left fold once s reaches
+    the thousands. The result is exact either way, so it does not depend on
+    earlier calls.
     """
-    return math.factorial(a + s - 1) // math.factorial(a - 1)
+    global _rising_last
+    if a < 1 or s < 0:
+        raise ValueError(f"rising_factorial needs a >= 1 and s >= 0, got a={a}, s={s}")
+    a0, s0, r0 = _rising_last
+    top, top0 = a + s - 1, a0 + s0 - 1
+    if a0 <= a and top0 <= top and (top - top0) + (a - a0) < s:
+        result = r0 * math.perm(top, top - top0)
+        if a > a0:
+            result //= math.perm(a - 1, a - a0)
+    else:
+        result = math.factorial(top) // math.factorial(a - 1)
+    _rising_last = (a, s, result)
+    return result
 
 
 def _step_rows(rows: np.ndarray) -> np.ndarray:

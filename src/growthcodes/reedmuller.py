@@ -21,17 +21,40 @@ from .errors import RangeViolationError
 from .field import make_field
 
 
+# The last (m, r, binomial_sum(m, r), C(m, r)) computed, with r <= m, read and
+# replaced as one tuple, so concurrent callers each resume from a consistent
+# snapshot.
+_binomial_last = (0, 0, 1, 1)
+
+
 def binomial_sum(m: int, r: int) -> int:
-    """Sum of C(m, j) for j = 0..r: the dimension of RM(m, r).
+    """Sum of C(m, j) for j = 0..r: the dimension of RM(m, r). 0 for r < 0,
+    the empty sum; RangeViolationError for m < 0.
 
     Each term comes exactly from the one before, C(m, j+1) = C(m, j)(m-j)/(j+1):
     one product and one quotient by small integers per term rather than a
-    math.comb, so rm_generator's budget test on a huge m stays cheap.
+    math.comb, so rm_generator's budget test on a huge m stays cheap. Callers
+    sweep m or r one value at a time, so the call resumes from the last sum
+    S0 = S(m0, r0) with r0 <= r: at the same m it adds the terms past r0, and
+    at m = m0 + 1 it first takes one Pascal step, S(m, r0) = 2 S0 - C(m0, r0)
+    and C(m, r0) = C(m0, r0) m/(m - r0). Any other call starts over. The
+    result is exact either way, so it does not depend on earlier calls.
     """
-    total, term = 0, 1
-    for j in range(r + 1):
-        total += term
+    global _binomial_last
+    if m < 0:
+        raise RangeViolationError(f"m must be >= 0, got {m}")
+    if r < 0:
+        return 0
+    r = min(r, m)  # C(m, j) = 0 for j > m
+    m0, r0, total, term = _binomial_last
+    if m == m0 + 1 and r0 <= r:
+        total, term = 2 * total - term, term * m // (m - r0)
+    elif m != m0 or r < r0:
+        r0, total, term = 0, 1, 1
+    for j in range(r0, r):
         term = term * (m - j) // (j + 1)
+        total += term
+    _binomial_last = (m, r, total, term)
     return total
 
 

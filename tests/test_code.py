@@ -146,6 +146,20 @@ def test_new_code_rejects_mixed_fields():
         new_code(F2, [FieldVector(F2, [1, 0]), FieldVector(F3, [0, 1])])
     with pytest.raises(FieldMismatchError):
         new_code(F3, FieldMatrix(F2, [[1, 1]]))
+    with pytest.raises(FieldMismatchError):
+        LinearCode(F3, FieldMatrix(F2, [[1, 1]]))
+
+
+def test_code_from_a_matrix_shares_its_frozen_array():
+    matrix = FieldMatrix(F3, np.array([[1, 2, 0, 1], [0, 1, 1, 2]]))
+    for code in (new_code(F3, matrix), LinearCode(F3, matrix)):
+        assert np.shares_memory(code._rows, matrix.array)
+        assert not code._rows.flags.writeable
+        with pytest.raises(ValueError):
+            matrix.array[0, 0] = 0
+        assert code.basis_weights() == (3, 3)
+    with pytest.raises(DependentBasisError):
+        new_code(F3, FieldMatrix(F3, np.zeros((0, 4), dtype=np.int64)))
 
 
 def test_new_code_rejects_unequal_lengths():

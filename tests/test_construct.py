@@ -257,6 +257,21 @@ def test_chain_walk_refuses_what_predict_params_refuses():
             predict_params(*args)
 
 
+def _rising(a, s):
+    # the definition, independent of the memoized kernel
+    return math.prod(range(a, a + s))
+
+
+def test_rising_factorial_refuses_outside_its_domain():
+    assert rising_factorial(7, 3) == 7 * 8 * 9
+    memo = construct._rising_last
+    for a, s in [(5, -1), (5, -4), (0, 3), (-2, 4)]:
+        with pytest.raises(ValueError):
+            rising_factorial(a, s)
+        assert construct._rising_last is memo
+    assert rising_factorial(1, 0) == rising_factorial(4, 0) == 1
+
+
 def test_max_exact_steps():
     assert max_exact_steps(3, 1, 3) == 6
     assert max_exact_steps(5, 1, 5) == 20
@@ -283,15 +298,15 @@ def test_max_exact_steps():
                     last = max_exact_steps(k, d, u)
                     assert last == math.floor(k * (Fraction(u, d) - 1))
                     at_last = predict_params(k, k, d, u, last)
-                    assert at_last.d == d * rising_factorial(k + 1, last)
+                    assert at_last.d == d * _rising(k + 1, last)
                 after = predict_params(k, k, d, u, last + 1)
-                assert after.d == after.u == u * rising_factorial(k, last + 1)
-                assert after.d < d * rising_factorial(k + 1, last + 1)
+                assert after.d == after.u == u * _rising(k, last + 1)
+                assert after.d < d * _rising(k + 1, last + 1)
                 for s in range(2 * k + 2):
                     got = predict_params(k, k, d, u, s)
-                    growth = rising_factorial(k + 1, s)
+                    growth = _rising(k + 1, s)
                     assert got.d_exact
-                    assert got.d == min(d * growth, u * rising_factorial(k, s))
+                    assert got.d == min(d * growth, u * _rising(k, s))
                     assert (got.d == d * growth) == (s <= last)
                     assert got.bounded_after == (Fraction(u) >= Fraction(d) * (1 + Fraction(s + 1, k)))
 
@@ -337,7 +352,7 @@ def test_step_lower_bound_on_random_codes():
         d = min_distance_exhaustive(code)
         for s in (1, 2, 3):
             stepped = iterate_code(code, s)
-            assert min_distance_exhaustive(stepped) >= d * rising_factorial(code.k, s)
+            assert min_distance_exhaustive(stepped) >= d * _rising(code.k, s)
 
 
 @pytest.mark.parametrize("steps,built", [(0, 0), (1, 1), (2, 1), (4, 1)])

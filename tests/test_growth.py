@@ -6,6 +6,8 @@ import json
 import math
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -23,7 +25,7 @@ from growthcodes import (
     make_field,
     new_code,
 )
-from growthcodes import growth
+from growthcodes import construct, growth, reedmuller
 from growthcodes.growth import (
     BASE_COLUMNS,
     VERIFY_LENGTH_CAP,
@@ -432,3 +434,100 @@ def test_records_are_frozen_and_replace_renders_the_new_integers():
         assert json.loads(records_to_json([changed]))[0]["n"] == 10**5000
     assert records_to_csv([record]) == before
     assert changed != record
+
+
+# Tables sweep construct.rising_factorial (seed series) and
+# reedmuller.binomial_sum (Reed-Muller rows) one value at a time, and both
+# resume from their last result; no call order may change a value.
+
+
+def _check_rising(a, s):
+    if a < 1 or s < 0:
+        memo = construct._rising_last
+        with pytest.raises(ValueError):
+            construct.rising_factorial(a, s)
+        assert construct._rising_last is memo
+    else:
+        assert construct.rising_factorial(a, s) == math.prod(range(a, a + s))
+
+
+def _check_binomial(m, r):
+    if m < 0:
+        memo = reedmuller._binomial_last
+        with pytest.raises(RangeViolationError):
+            reedmuller.binomial_sum(m, r)
+        assert reedmuller._binomial_last is memo
+    else:
+        assert reedmuller.binomial_sum(m, r) == sum(math.comb(m, j) for j in range(r + 1))
+
+
+# (kind, x, y, step, length): "a" and "s" step one argument of
+# rising_factorial(x, y), "m" and "r" one of binomial_sum(x, y), by step
+# (0 repeats, negative descends, into refused arguments too); "series" is
+# rising_factorial in the seed series' order from member |x| + 1, "third"
+# binomial_sum in the rm-third order from m = |x| + 1. Each sweep jumps from
+# wherever the one before it stopped.
+_SWEEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "s", "m", "r", "series", "third"]),
+        st.integers(-3, 50),
+        st.integers(-3, 50),
+        st.sampled_from([-2, -1, 0, 1, 2, 7]),
+        st.integers(1, 12),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SWEEPS)
+def test_resumed_kernels_equal_their_definitions_in_any_call_order(sweeps):
+    for kind, x, y, step, length in sweeps:
+        for t in range(length):
+            if kind == "series":
+                i = abs(x) % 12 + 1 + t
+                _check_rising(2 * i + 2, 4 * i * i + 2 * i - 1)
+            elif kind == "third":
+                m = abs(x) + 1 + t
+                _check_binomial(m, min(m // 3 + 1, m))
+            else:
+                dx, dy = (step * t, 0) if kind in ("a", "m") else (0, step * t)
+                check = _check_rising if kind in ("a", "s") else _check_binomial
+                check(x + dx, y + dy)
+
+
+def test_resumed_kernels_are_exact_under_two_concurrent_sweeps():
+    # Two threads sweep different chains at once for half a second, with the
+    # interpreter switching threads as often as it can; each call resumes from
+    # whichever thread's result the memo holds. A memo written in two parts
+    # gives thousands of wrong values in that time.
+    def calls(a, ms):
+        rising = [(a, s) for s in range(150)] + [(2 * i + 2, 4 * i * i + 2 * i - 1) for i in range(1, 9)]
+        third = [(m, min(m // 3 + 1, m)) for m in ms]
+        return [(construct.rising_factorial, a, s, math.prod(range(a, a + s))) for a, s in rising] + [
+            (reedmuller.binomial_sum, m, r, sum(math.comb(m, j) for j in range(r + 1))) for m, r in third
+        ]
+
+    work = [calls(3, range(1, 200)), calls(40, range(300, 100, -1))]
+    wrong = []
+    start = threading.Barrier(2)
+
+    def run(expected):
+        start.wait()
+        deadline = time.monotonic() + 0.5
+        while time.monotonic() < deadline:
+            wrong.extend((kernel.__name__, x, y) for kernel, x, y, want in expected if kernel(x, y) != want)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(expected,)) for expected in work]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

@@ -8,10 +8,12 @@ import pytest
 from growthcodes import (
     MATERIALIZATION_BUDGET,
     BudgetExceededError,
+    RangeViolationError,
     format_generator,
     min_distance_exhaustive,
     make_field,
 )
+from growthcodes import reedmuller
 from growthcodes.reedmuller import (
     binomial_sum,
     rm_generator,
@@ -89,6 +91,22 @@ def test_binomial_sum_self_check():
     for m in range(40):
         for r in range(-1, m + 2):
             assert binomial_sum(m, r) == sum(math.comb(m, j) for j in range(r + 1))
+    # the rm-third sweep order, after an unrelated call
+    binomial_sum(57, 9)
+    for m in range(1, 201):
+        r = min(m // 3 + 1, m)
+        assert binomial_sum(m, r) == sum(math.comb(m, j) for j in range(r + 1))
+
+
+def test_binomial_sum_refuses_a_negative_m():
+    assert binomial_sum(9, 4) == 256
+    memo = reedmuller._binomial_last
+    for m, r in [(-3, 2), (-1, 0), (-1, -1)]:
+        with pytest.raises(RangeViolationError):
+            binomial_sum(m, r)
+        assert reedmuller._binomial_last is memo
+    assert binomial_sum(0, 5) == 1
+    assert binomial_sum(0, -1) == binomial_sum(6, -3) == 0
 
 
 def test_third_series_examples():
