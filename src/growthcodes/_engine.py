@@ -23,7 +23,10 @@ searched without a generator until something reads their rows.
   running base as a (width, 1) column. A block's weights are then a sum
   over the leading (word) axis: columns are packed by multiplicity class, and
   every code is weighed by one exact float product of the per-word class
-  multiplicities with the popcounts.
+  multiplicities with the popcounts. The XOR, popcount and weight arrays are
+  allocated once per scan and every block is written into them, so a
+  yielded block is valid only until the next one is requested; both readers
+  (min_weight_enumeration, weight_distribution) use each block at once.
 * Odd primes step the leading digits with a mixed-radix odometer and
   compare the remaining digits' table of partial products, one block of
   trailing-digit combinations at a time: x.c = 0 exactly where the table
@@ -49,8 +52,8 @@ import math
 
 import numpy as np
 
-from .errors import VerificationError
-from .linalg import _echelon
+from .errors import DependentBasisError, VerificationError
+from .linalg import _echelon, _gf2_basis
 
 # Bytes of one block's trailing-digit table, for both scans: each picks the
 # largest number t of trailing digits whose table fits. Over GF(2) that is the
@@ -65,11 +68,12 @@ _KEY_LIMIT = 1 << 62
 _BYTE_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
-def _byte_table_popcount(words: np.ndarray) -> np.ndarray:
+def _byte_table_popcount(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The set bits of each uint64 word, as uint8, by a byte table: what
-    ``np.bitwise_count`` computes, for numpy < 2.0, which lacks it."""
+    ``np.bitwise_count`` computes, for numpy < 2.0, which lacks it. Like the
+    ufunc, it writes into ``out`` when given one."""
     as_bytes = np.ascontiguousarray(words).view(np.uint8).reshape(words.shape + (8,))
-    return _BYTE_POP[as_bytes].sum(axis=-1, dtype=np.uint8)
+    return _BYTE_POP[as_bytes].sum(axis=-1, dtype=np.uint8, out=out)
 
 
 _word_popcount = getattr(np, "bitwise_count", _byte_table_popcount)
@@ -105,10 +109,9 @@ def _distinct_columns(p: int, rows: np.ndarray, weights: np.ndarray | None = Non
     k = rows.shape[0]
     integer_keys = p**k < _KEY_LIMIT
     if integer_keys:
-        keys = np.zeros(rows.shape[1], dtype=np.int64)
-        for row in rows:
-            keys *= p
-            keys += row
+        # Exact: every partial sum of the product is below p**k.
+        powers = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        keys = powers @ rows
     else:
         narrow = np.ascontiguousarray(rows.T, dtype=np.min_scalar_type(p - 1))
         keys = narrow.view(np.dtype((np.void, narrow.strides[0]))).ravel()
@@ -123,9 +126,8 @@ def _distinct_columns(p: int, rows: np.ndarray, weights: np.ndarray | None = Non
     mult = np.diff(starts, append=len(keys)) if weights is None else np.add.reduceat(weights, starts)
     keys = keys[starts]
     if integer_keys:
-        cols = np.empty((k, len(keys)), dtype=np.int64)
-        for i in range(k - 1, -1, -1):
-            keys, cols[i] = np.divmod(keys, p)
+        cols = keys // powers[:, None]
+        cols %= p
     else:
         cols = np.frombuffer(keys.tobytes(), dtype=narrow.dtype).reshape(-1, k).T.astype(np.int64)
     return cols, mult.astype(np.int64)
@@ -165,7 +167,10 @@ def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
 
     Blocks are word-major: a block of 2^t messages is a (width, 2^t) array of
     packed codeword words, so its weights are a reduction over the leading
-    axis, which numpy runs far faster than over a short trailing one.
+    axis, which numpy runs far faster than over a short trailing one. Every
+    block is written into the same buffers, allocated once per scan, so a
+    yielded block is valid only until the next one is requested. Its weights
+    are exact integers held in floats (see _exact_sum_dtype).
     """
     k = cols.shape[0]
     classes, sizes = np.unique(mult, return_counts=True)
@@ -179,9 +184,6 @@ def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
     width = packed.shape[1]
     word_mult = np.repeat(classes, class_words).astype(_exact_sum_dtype(int(mult.sum())))
 
-    def weigh(words: np.ndarray) -> np.ndarray:
-        return (word_mult @ _word_popcount(words)).astype(np.int64)
-
     t = 1
     while t < k and (1 << (t + 1)) * width * 8 <= _BLOCK_BYTES:
         t += 1
@@ -189,13 +191,22 @@ def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
     offsets = np.zeros((width, 1), dtype=np.uint64)
     for row in packed[k - t :]:
         offsets = np.hstack([offsets, offsets ^ row[:, None]])
+    xor = np.empty_like(offsets)
+    counts = np.empty(offsets.shape, dtype=np.uint8)
+    weights = np.empty(offsets.shape[1], dtype=word_mult.dtype)
+
+    def weigh(words: np.ndarray) -> np.ndarray:
+        _word_popcount(words, out=counts)
+        return np.matmul(word_mult, counts, out=weights)
+
+    # The first block has a zero base; its column 0 is the zero message.
+    yield weigh(offsets)[1:]
     # High digits in Gray-code order: message h differs from message h - 1
     # in the row of h's lowest set bit.
     base = np.zeros((width, 1), dtype=np.uint64)
-    yield weigh(offsets[:, 1:])
     for h in range(1, 1 << (k - t)):
-        base = base ^ packed[(h & -h).bit_length() - 1, :, None]
-        yield weigh(base ^ offsets)
+        base ^= packed[(h & -h).bit_length() - 1, :, None]
+        yield weigh(np.bitwise_xor(base, offsets, out=xor))
 
 
 def _message_weights_odd(p: int, cols: np.ndarray, mult: np.ndarray):
@@ -279,7 +290,8 @@ def weight_distribution(p: int, cols: np.ndarray, mult: np.ndarray) -> list[int]
     enumeration; the caller checks the enumeration budget."""
     counts = np.zeros(int(mult.sum()) + 1, dtype=np.int64)
     for weights in _message_weights(p, cols, mult):
-        block = np.bincount(weights)
+        # Exact: GF(2) blocks hold integers in floats (_exact_sum_dtype).
+        block = np.bincount(weights.astype(np.int64))
         counts[: len(block)] += block
     return [1] + [int(c) * (p - 1) for c in counts[1:]]
 
@@ -316,11 +328,41 @@ def min_weight_from_dual(p: int, n: int, redundancy: int, dual: list[int]) -> in
     raise VerificationError("MacWilliams transform leaves no nonzero codeword")
 
 
-def parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
-    """An (n-k) x n matrix whose kernel is the row space of ``rows``, which
-    are independent (a LinearCode's rows)."""
+def _gf2_reduced(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The pivot columns and the reduced row-echelon form of the independent
+    GF(2) ``rows``, from linalg._gf2_basis: each basis row is XORed free of
+    the pivot bits of the rows right of it, rightmost pivot first, and the
+    rows are unpacked in pivot order."""
     k, n = rows.shape
+    basis = _gf2_basis(rows)
+    if len(basis) < k:
+        raise DependentBasisError(f"basis has rank {len(basis)} but {k} vectors")
+    tops = sorted(basis)
+    reduced: dict[int, int] = {}
+    done = 0  # the pivot bits of the rows reduced so far
+    for top in tops:
+        row = basis[top]
+        hits = row & done
+        while hits:
+            bit = hits.bit_length()
+            row ^= reduced[bit]  # clears this pivot bit and no other
+            hits ^= 1 << (bit - 1)
+        reduced[top] = row
+        done |= 1 << (top - 1)
+    width = (n + 7) // 8
+    raw = b"".join(reduced[top].to_bytes(width, "big") for top in reversed(tops))
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(k, width), axis=1, count=n)
+    return [8 * width - top for top in reversed(tops)], bits.astype(np.int64)
+
+
+def _reduced_echelon(rows: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """The pivot columns and the reduced row-echelon form of the independent
+    rows ``rows`` over an odd prime: forward elimination by linalg._echelon,
+    then back-substitution."""
+    k = rows.shape[0]
     reduced, pivots, _ = _echelon(rows, p)
+    if len(pivots) < k:
+        raise DependentBasisError(f"basis has rank {len(pivots)} but {k} vectors")
     # Back-substitution, bottom up: scale each pivot to 1 and clear above it.
     for r in range(k - 1, -1, -1):
         col = pivots[r]
@@ -328,11 +370,21 @@ def parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
         above = np.flatnonzero(reduced[:r, col])
         if above.size:
             reduced[above] = (reduced[above] - np.outer(reduced[above, col], reduced[r])) % p
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
+    return pivots, reduced
+
+
+def parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
+    """An (n-k) x n matrix whose kernel is the row space of ``rows``: for
+    each free column f of the reduced row-echelon form R, in order, the unit
+    vector at f minus R's column f placed at the pivot columns.
+    DependentBasisError unless the k rows are independent (a LinearCode's
+    rows are)."""
+    k, n = rows.shape
+    pivots, reduced = _gf2_reduced(rows) if p == 2 else _reduced_echelon(rows, p)
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     check = np.zeros((n - k, n), dtype=np.int64)
-    pivot_idx = np.array(pivots, dtype=np.intp)
-    for idx, f in enumerate(free):
-        check[idx, f] = 1
-        check[idx, pivot_idx] = (-reduced[:k, f]) % p
+    check[np.arange(n - k), free] = 1
+    check[:, pivots] = (-reduced[:, free].T) % p
     return check

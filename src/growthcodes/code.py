@@ -26,7 +26,7 @@ from .errors import (
     VerificationError,
 )
 from .field import PrimeField, make_field
-from .linalg import FieldMatrix, FieldVector, _echelon, _reduce, _residues, check_array_field
+from .linalg import FieldMatrix, FieldVector, _echelon, _gf2_basis, _reduce, _residues, check_array_field
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 26
 MATERIALIZATION_BUDGET = 1 << 24  # int64 cells (128 MiB) of one k x n generator
@@ -105,7 +105,7 @@ class LinearCode:
     def _set(self, field, n, columns, rows, recipe) -> None:
         cols, mult = columns
         k = cols.shape[0]
-        rank = len(_echelon(cols, field.p)[1])
+        rank = len(_gf2_basis(cols)) if field.p == 2 else len(_echelon(cols, field.p)[1])
         if rank < k:
             raise DependentBasisError(f"basis has rank {rank} but {k} vectors")
         for array in (rows, cols, mult):

@@ -310,8 +310,35 @@ def _echelon(data: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
     return m, pivots, scale
 
 
+def _gf2_basis(data: np.ndarray) -> dict[int, int]:
+    """A basis of the row space of the 0/1 array ``data`` over GF(2), as
+    Python ints keyed by their bit length, which no two basis rows share.
+
+    Rows are read big-endian: column j of an (m, n) array is bit W - 1 - j,
+    W = 8 * ceil(n / 8), so a row's bit length b names its first nonzero
+    column, W - b, and keys by bit length are the pivots of forward
+    elimination. Rows are reduced by XOR of whole rows, one operation per
+    pivot instead of numpy calls on int64 cells. The basis has one row per
+    unit of rank.
+    """
+    basis: dict[int, int] = {}
+    for packed in np.packbits(data != 0, axis=1):
+        row = int.from_bytes(packed.tobytes(), "big")
+        while row:
+            top = row.bit_length()
+            pivot = basis.get(top)
+            if pivot is None:
+                basis[top] = row
+                break
+            # Both rows have bit length ``top``, so their XOR is shorter.
+            row ^= pivot
+    return basis
+
+
 def rank(matrix: FieldMatrix) -> int:
     """Row rank, computed by elimination over the field."""
+    if matrix.field.p == 2:
+        return len(_gf2_basis(matrix.array))
     return len(_echelon(matrix.array, matrix.field.p)[1])
 
 

@@ -12,7 +12,7 @@ import pytest
 import growthcodes
 from growthcodes import FieldMatrix, GeneratorFormatError, LinearCode, make_field, new_code
 from growthcodes.code import MATERIALIZATION_BUDGET, _check_materialization
-from growthcodes.linalg import check_array_field
+from growthcodes.linalg import _echelon, check_array_field
 
 # The CLI tests run ``python -m growthcodes`` in subprocesses. Pytest's
 # ``pythonpath`` setting reaches only this process, so hand the package's
@@ -117,6 +117,29 @@ def reference_format_rows(p: int, rows: np.ndarray) -> str:
     that code._format_rows replaced, kept as its differential oracle."""
     k, n = rows.shape
     return "\n".join([f"{p} {n} {k}", *(" ".join(map(str, row.tolist())) for row in rows)]) + "\n"
+
+
+def reference_parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
+    """The parity-check matrix of the independent ``rows`` by int64 forward
+    elimination, back-substitution and one row of H per free column: the
+    version _engine.parity_check_matrix replaced over GF(2), kept as its
+    differential oracle."""
+    k, n = rows.shape
+    reduced, pivots, _ = _echelon(rows, p)
+    for r in range(k - 1, -1, -1):
+        col = pivots[r]
+        reduced[r] = reduced[r] * pow(int(reduced[r, col]), p - 2, p) % p
+        above = np.flatnonzero(reduced[:r, col])
+        if above.size:
+            reduced[above] = (reduced[above] - np.outer(reduced[above, col], reduced[r])) % p
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    check = np.zeros((n - k, n), dtype=np.int64)
+    pivot_idx = np.array(pivots, dtype=np.intp)
+    for idx, f in enumerate(free):
+        check[idx, f] = 1
+        check[idx, pivot_idx] = (-reduced[:k, f]) % p
+    return check
 
 
 def reference_parse_generator(text: str) -> LinearCode:

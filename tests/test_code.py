@@ -418,6 +418,9 @@ def test_byte_table_popcount_matches_bitwise_count_on_word_major_blocks():
         got = _engine._byte_table_popcount(words)
         assert got.dtype == np.uint8
         assert got.tolist() == [[bin(w).count("1") for w in row] for row in words.tolist()]
+        out = np.empty(words.shape, dtype=np.uint8)
+        assert _engine._byte_table_popcount(words, out=out) is out
+        assert np.array_equal(out, got)
         if hasattr(np, "bitwise_count"):
             assert np.array_equal(got, np.bitwise_count(words))
 

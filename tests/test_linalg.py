@@ -21,8 +21,13 @@ from growthcodes import (
     stack_blocks,
     weight,
 )
+from growthcodes import DependentBasisError
 from growthcodes._engine import parity_check_matrix
+from growthcodes.linalg import _echelon, _gf2_basis
+from growthcodes.reedmuller import rm_generator
 from growthcodes.seeds import build_seed_matrices
+
+from conftest import reference_parity_check_matrix
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -326,14 +331,16 @@ def test_rank_equals_rank_of_transpose(p, seed, m, n):
     assert rank(mat) == rank(mat.transpose())
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     p=st.sampled_from([2, 3, 5, 7]),
     seed=st.integers(0, 10**6),
-    k=st.integers(1, 5),
-    extra=st.integers(0, 4),
+    k=st.integers(1, 12),
+    extra=st.sampled_from([0, 1, 2, 4, 7, 52, 53, 60, 70, 116, 120]),
 )
 def test_parity_check_spans_the_dual_of_a_full_rank_generator(p, seed, k, extra):
+    # Lengths on both sides of 64 and 128 cross the bit rows' word and byte
+    # boundaries; the output is byte-identical to the int64 elimination's.
     rng = np.random.default_rng(seed)
     field = make_field(p)
     n = k + extra
@@ -344,3 +351,55 @@ def test_parity_check_spans_the_dual_of_a_full_rank_generator(p, seed, k, extra)
     assert check.shape == (n - k, n)
     assert not (generator @ check.T % p).any()
     assert rank(FieldMatrix(field, check)) == n - k
+    want = reference_parity_check_matrix(generator.copy(), p)
+    assert check.dtype == want.dtype and check.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m,r", [(5, 3), (6, 4), (7, 5), (8, 6)])
+def test_parity_check_of_reed_muller_codes_matches_the_reference(m, r):
+    rows = rm_generator(m, r)._rows
+    check = parity_check_matrix(rows, 2)
+    want = reference_parity_check_matrix(rows.copy(), 2)
+    assert check.shape == want.shape and check.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_parity_check_refuses_dependent_rows(p):
+    rows = np.array([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1], [0, 0, 0, 0, 0]], dtype=np.int64)
+    with pytest.raises(DependentBasisError):
+        parity_check_matrix(rows, p)
+    rows[2] = (rows[0] + (p - 1) * rows[1]) % p
+    with pytest.raises(DependentBasisError):
+        parity_check_matrix(rows, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    m=st.integers(1, 12),
+    n=st.sampled_from([1, 7, 8, 9, 63, 64, 65, 129]),
+    dependent=st.integers(0, 3),
+    zero_rows=st.integers(0, 2),
+    zero_cols=st.integers(0, 3),
+)
+def test_gf2_bit_row_rank_equals_the_int64_elimination(seed, m, n, dependent, zero_rows, zero_cols):
+    # Dependent rows are sums of random subsets of the others; the zero rows
+    # and the zeroed columns fall at random places.
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 2, size=(m, n), dtype=np.int64)
+    sums = rng.integers(0, 2, size=(dependent, m), dtype=np.int64) @ rows % 2
+    rows = np.vstack([rows, sums, np.zeros((zero_rows, n), dtype=np.int64)])
+    rows = rows[rng.permutation(len(rows))]
+    rows[:, rng.choice(n, size=min(zero_cols, n), replace=False)] = 0
+    want = len(_echelon(rows, 2)[1])
+    basis = _gf2_basis(rows)
+    assert len(basis) == want
+    assert all(row.bit_length() == top for top, row in basis.items())
+    # The basis rows lie in the row space of ``rows``; column j is bit W - 1 - j.
+    width = 8 * ((n + 7) // 8)
+    bits = np.array([[row >> (width - 1 - j) & 1 for j in range(n)] for row in basis.values()], dtype=np.int64)
+    assert len(_echelon(np.vstack([rows, bits.reshape(-1, n)]), 2)[1]) == want
+    assert rank(FieldMatrix(F2, rows)) == want
+    size = min(rows.shape)
+    square = rows[:size, :size]
+    assert int(determinant(FieldMatrix(F2, square))) == int(len(_gf2_basis(square)) == size)
