@@ -52,8 +52,7 @@ import math
 
 import numpy as np
 
-from .errors import DependentBasisError, VerificationError
-from .linalg import _echelon, _gf2_basis
+from .errors import VerificationError
 
 # Bytes of one block's trailing-digit table, for both scans: each picks the
 # largest number t of trailing digits whose table fits. Over GF(2) that is the
@@ -326,65 +325,3 @@ def min_weight_from_dual(p: int, n: int, redundancy: int, dual: list[int]) -> in
         if a:
             return w
     raise VerificationError("MacWilliams transform leaves no nonzero codeword")
-
-
-def _gf2_reduced(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """The pivot columns and the reduced row-echelon form of the independent
-    GF(2) ``rows``, from linalg._gf2_basis: each basis row is XORed free of
-    the pivot bits of the rows right of it, rightmost pivot first, and the
-    rows are unpacked in pivot order."""
-    k, n = rows.shape
-    basis = _gf2_basis(rows)
-    if len(basis) < k:
-        raise DependentBasisError(f"basis has rank {len(basis)} but {k} vectors")
-    tops = sorted(basis)
-    reduced: dict[int, int] = {}
-    done = 0  # the pivot bits of the rows reduced so far
-    for top in tops:
-        row = basis[top]
-        hits = row & done
-        while hits:
-            bit = hits.bit_length()
-            row ^= reduced[bit]  # clears this pivot bit and no other
-            hits ^= 1 << (bit - 1)
-        reduced[top] = row
-        done |= 1 << (top - 1)
-    width = (n + 7) // 8
-    raw = b"".join(reduced[top].to_bytes(width, "big") for top in reversed(tops))
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(k, width), axis=1, count=n)
-    return [8 * width - top for top in reversed(tops)], bits.astype(np.int64)
-
-
-def _reduced_echelon(rows: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """The pivot columns and the reduced row-echelon form of the independent
-    rows ``rows`` over an odd prime: forward elimination by linalg._echelon,
-    then back-substitution."""
-    k = rows.shape[0]
-    reduced, pivots, _ = _echelon(rows, p)
-    if len(pivots) < k:
-        raise DependentBasisError(f"basis has rank {len(pivots)} but {k} vectors")
-    # Back-substitution, bottom up: scale each pivot to 1 and clear above it.
-    for r in range(k - 1, -1, -1):
-        col = pivots[r]
-        reduced[r] = reduced[r] * pow(int(reduced[r, col]), p - 2, p) % p
-        above = np.flatnonzero(reduced[:r, col])
-        if above.size:
-            reduced[above] = (reduced[above] - np.outer(reduced[above, col], reduced[r])) % p
-    return pivots, reduced
-
-
-def parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
-    """An (n-k) x n matrix whose kernel is the row space of ``rows``: for
-    each free column f of the reduced row-echelon form R, in order, the unit
-    vector at f minus R's column f placed at the pivot columns.
-    DependentBasisError unless the k rows are independent (a LinearCode's
-    rows are)."""
-    k, n = rows.shape
-    pivots, reduced = _gf2_reduced(rows) if p == 2 else _reduced_echelon(rows, p)
-    is_free = np.ones(n, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    check = np.zeros((n - k, n), dtype=np.int64)
-    check[np.arange(n - k), free] = 1
-    check[:, pivots] = (-reduced[:, free].T) % p
-    return check

@@ -4,9 +4,12 @@ minimum-distance search, rate, Singleton check, direct sum and repetition.
 The minimum distance cached on a LinearCode is always the result of an
 exhaustive search; formula-predicted distances belong in CodeParams.
 
-The two budgets of the package live here, each tested by one function that
-takes parameters rather than a code: _check_enumeration (messages searched)
-and _check_materialization (int64 cells of a generator to be allocated).
+The two budgets that refuse work (BudgetExceededError) live here, each
+tested by one function that takes parameters rather than a code:
+_check_enumeration (messages searched) and _check_materialization (int64
+cells of a generator to be allocated). growth.VERIFY_MESSAGE_CAP and
+VERIFY_LENGTH_CAP refuse nothing: they decide which growth-table rows are
+searched, and the others are written from their formula.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (
     VerificationError,
 )
 from .field import PrimeField, make_field
-from .linalg import FieldMatrix, FieldVector, _echelon, _gf2_basis, _reduce, _residues, check_array_field
+from .linalg import FieldMatrix, FieldVector, _rank, _reduce, _residues, check_array_field, parity_check_matrix
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 26
 MATERIALIZATION_BUDGET = 1 << 24  # int64 cells (128 MiB) of one k x n generator
@@ -105,7 +108,7 @@ class LinearCode:
     def _set(self, field, n, columns, rows, recipe) -> None:
         cols, mult = columns
         k = cols.shape[0]
-        rank = len(_gf2_basis(cols)) if field.p == 2 else len(_echelon(cols, field.p)[1])
+        rank = _rank(cols, field.p)
         if rank < k:
             raise DependentBasisError(f"basis has rank {rank} but {k} vectors")
         for array in (rows, cols, mult):
@@ -267,7 +270,7 @@ def min_distance_by_weight_search(
         d = 1
     else:
         _check_enumeration(p, redundancy, budget)
-        dual = LinearCode(code.field, _engine.parity_check_matrix(code._rows, p))
+        dual = LinearCode(code.field, parity_check_matrix(code._rows, p))
         counts = _engine.weight_distribution(p, *dual._columns)
         d = _engine.min_weight_from_dual(p, code.n, redundancy, counts)
     code._record_distance(d)

@@ -63,6 +63,7 @@ import numpy as np
 from . import _engine
 from .code import (
     DEFAULT_ENUMERATION_BUDGET,
+    MATERIALIZATION_BUDGET,
     LinearCode,
     _check_materialization,
     min_distance_exhaustive,
@@ -180,25 +181,22 @@ def rising_factorial(a: int, s: int) -> int:
     return result
 
 
-def _step_rows(rows: np.ndarray) -> np.ndarray:
-    k, n = rows.shape
-    out = np.zeros((k + 1, n * (k + 1)), dtype=np.int64)
-    for t in range(k + 1):
-        for i in range(k + 1):
-            r = (i - t) % (k + 1)
-            if 1 <= r <= k:
-                out[t, i * n : (i + 1) * n] = rows[r - 1]
-    return out
+def _step(a: np.ndarray) -> np.ndarray:
+    """One construction step of the (k, w) array ``a``, generator rows or
+    projective columns alike: row t of block i is ext[(i - t) mod (k+1)],
+    ext being ``a`` under a zero row."""
+    k, width = a.shape
+    ext = np.vstack([np.zeros((1, width), dtype=a.dtype), a])
+    shift = (np.arange(k + 1)[None, :] - np.arange(k + 1)[:, None]) % (k + 1)  # [t, i]
+    return ext[shift].reshape(k + 1, -1)
 
 
 def _step_columns(p: int, cols: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One step of a projective multiset, by the step lemma: the columns of
-    block i are ext[(i - t) mod (k+1)] over the digits t, renormalized and
-    merged in _engine.projective_columns order."""
-    k, width = cols.shape
-    ext = np.vstack([np.zeros((1, width), dtype=np.int64), cols])
-    shift = (np.arange(k + 1)[None, :] - np.arange(k + 1)[:, None]) % (k + 1)  # [t, i]
-    return _engine.merge_projective(p, ext[shift].reshape(k + 1, -1), np.tile(mult, k + 1))
+    ``_step(cols)``, each with its source's multiplicity, renormalized and
+    merged in _engine.projective_columns order. ``cols`` is a generator of
+    the code, so this is the multiset of the stepped generator."""
+    return _engine.merge_projective(p, _step(cols), np.tile(mult, cols.shape[0] + 1))
 
 
 def construction_step(basis: Sequence[FieldVector]) -> list[FieldVector]:
@@ -216,7 +214,7 @@ def iterate_code(code: LinearCode, steps: int) -> LinearCode:
 
     Each step maps the projective multiset ``code._columns`` by the step
     lemma, so the result is built and searched without a generator: its rows
-    are stepped by _step_rows from the input's only when something reads
+    are stepped by the same _step from the input's only when something reads
     them, and are then checked against the multiset (LinearCode._from_columns).
     The final generator, k + steps rows of length n * (k+1)(k+2)...(k+steps),
     is still what code._check_materialization refuses (BudgetExceededError)
@@ -228,7 +226,10 @@ def iterate_code(code: LinearCode, steps: int) -> LinearCode:
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    n = code.n * rising_factorial(code.k + 1, steps)
+    # Each factor of n is at least 2, so MATERIALIZATION_BUDGET.bit_length()
+    # of them already exceed the budget: past that many steps the refusal is
+    # certain and ``required`` is the lower bound from that many factors.
+    n = code.n * rising_factorial(code.k + 1, min(steps, MATERIALIZATION_BUDGET.bit_length()))
     _check_materialization(code.k + steps, n)
     if steps == 0:
         return code
@@ -239,7 +240,7 @@ def iterate_code(code: LinearCode, steps: int) -> LinearCode:
     def rows() -> np.ndarray:
         out = code._rows
         for _ in range(steps):
-            out = _step_rows(out)
+            out = _step(out)
         return out
 
     return LinearCode._from_columns(code.field, n, columns, rows)

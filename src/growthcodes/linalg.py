@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DependentBasisError,
     FieldMismatchError,
     FieldTooLargeError,
     LengthMismatchError,
@@ -107,19 +108,45 @@ def _exact(field: PrimeField, entries, depth: int):
     return [_exact(field, e, depth - 1) for e in entries]
 
 
-class FieldVector:
-    """An immutable coordinate vector with entries in one prime field."""
+class _FieldArray:
+    """A frozen array of canonical residues over one prime field, with
+    ``_ndim`` dimensions: the storage, immutability, equality, hash and
+    negation shared by FieldVector and FieldMatrix. Values are equal only
+    within one class and one field."""
 
     __slots__ = ("field", "_data")
+    _ndim: int
 
     def __init__(self, field: PrimeField, entries):
-        data = _residues(field, entries, 1)
+        data = _residues(field, entries, self._ndim)
         data.flags.writeable = False
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_data", data)
 
     def __setattr__(self, name, _value):
-        raise AttributeError(f"FieldVector is immutable ({name})")
+        raise AttributeError(f"{type(self).__name__} is immutable ({name})")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.field.p == other.field.p
+            and self._data.shape == other._data.shape
+            and bool(np.array_equal(self._data, other._data))
+        )
+
+    def __hash__(self):
+        return hash((self.field.p, self._data.shape, self._data.tobytes()))
+
+    def __neg__(self):
+        return type(self)(self.field, -self._data)
+
+
+class FieldVector(_FieldArray):
+    """An immutable coordinate vector with entries in one prime field."""
+
+    __slots__ = ()
+    _ndim = 1
 
     @property
     def entries(self) -> np.ndarray:
@@ -150,46 +177,23 @@ class FieldVector:
         self._check(other)
         return FieldVector(self.field, self._data - other._data)
 
-    def __neg__(self):
-        return FieldVector(self.field, -self._data)
-
     def scale(self, c) -> "FieldVector":
         """c times this vector; c is read like an entry (an int or a FieldElement)."""
         return FieldVector(self.field, self._data * _residues(self.field, c, 0))
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldVector):
-            return NotImplemented
-        return (
-            self.field.p == other.field.p
-            and self._data.shape == other._data.shape
-            and bool(np.array_equal(self._data, other._data))
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self._data.tobytes()))
 
     def __repr__(self):
         return f"FieldVector(GF({self.field.p}), {self._data.tolist()})"
 
 
-class FieldMatrix:
+class FieldMatrix(_FieldArray):
     """An immutable rectangular matrix over one prime field.
 
     Zero-dimension matrices (0 rows or 0 columns) are first-class values so
     block notation with empty blocks works.
     """
 
-    __slots__ = ("field", "_data")
-
-    def __init__(self, field: PrimeField, entries):
-        data = _residues(field, entries, 2)
-        data.flags.writeable = False
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_data", data)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"FieldMatrix is immutable ({name})")
+    __slots__ = ()
+    _ndim = 2
 
     @classmethod
     def zeros(cls, field: PrimeField, rows: int, cols: int) -> "FieldMatrix":
@@ -232,9 +236,6 @@ class FieldMatrix:
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(self.field, self._data.T)
 
-    def __neg__(self):
-        return FieldMatrix(self.field, -self._data)
-
     def __add__(self, other):
         if not isinstance(other, FieldMatrix):
             return NotImplemented
@@ -250,18 +251,6 @@ class FieldMatrix:
         if self.cols != other.rows:
             raise ShapeMismatchError(f"cannot multiply {self._data.shape} by {other._data.shape}")
         return FieldMatrix(self.field, self._data @ other._data)
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldMatrix):
-            return NotImplemented
-        return (
-            self.field.p == other.field.p
-            and self._data.shape == other._data.shape
-            and bool(np.array_equal(self._data, other._data))
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self._data.shape, self._data.tobytes()))
 
     def __repr__(self):
         return f"FieldMatrix(GF({self.field.p}), shape={self._data.shape})"
@@ -335,11 +324,76 @@ def _gf2_basis(data: np.ndarray) -> dict[int, int]:
     return basis
 
 
+def _rank(data: np.ndarray, p: int) -> int:
+    """Row rank mod p of the int64 residues ``data``: bit rows over GF(2),
+    forward elimination over an odd prime. Behind rank() and the
+    independence check of every LinearCode."""
+    if p == 2:
+        return len(_gf2_basis(data))
+    return len(_echelon(data, p)[1])
+
+
+def _gf2_reduced(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The pivot columns and the nonzero rows of the reduced row-echelon form
+    of the GF(2) ``rows``, from _gf2_basis: each basis row is XORed free of
+    the pivot bits of the rows right of it, rightmost pivot first, and the
+    rows are unpacked in pivot order."""
+    n = rows.shape[1]
+    basis = _gf2_basis(rows)
+    tops = sorted(basis)
+    reduced: dict[int, int] = {}
+    done = 0  # the pivot bits of the rows reduced so far
+    for top in tops:
+        row = basis[top]
+        hits = row & done
+        while hits:
+            bit = hits.bit_length()
+            row ^= reduced[bit]  # clears this pivot bit and no other
+            hits ^= 1 << (bit - 1)
+        reduced[top] = row
+        done |= 1 << (top - 1)
+    width = (n + 7) // 8
+    raw = b"".join(reduced[top].to_bytes(width, "big") for top in reversed(tops))
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, width), axis=1, count=n)
+    return [8 * width - top for top in reversed(tops)], bits.astype(np.int64)
+
+
+def _reduced_echelon(rows: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """The pivot columns and the reduced row-echelon form of ``rows`` over an
+    odd prime: forward elimination by _echelon, then back-substitution."""
+    reduced, pivots, _ = _echelon(rows, p)
+    # Back-substitution, bottom up: scale each pivot to 1 and clear above it.
+    for r in range(len(pivots) - 1, -1, -1):
+        col = pivots[r]
+        reduced[r] = reduced[r] * pow(int(reduced[r, col]), p - 2, p) % p
+        above = np.flatnonzero(reduced[:r, col])
+        if above.size:
+            reduced[above] = (reduced[above] - np.outer(reduced[above, col], reduced[r])) % p
+    return pivots, reduced
+
+
+def parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
+    """An (n-k) x n matrix whose kernel is the row space of ``rows``: for
+    each free column f of the reduced row-echelon form R, in order, the unit
+    vector at f minus R's column f placed at the pivot columns.
+    DependentBasisError unless the k rows are independent (a LinearCode's
+    rows are)."""
+    k, n = rows.shape
+    pivots, reduced = _gf2_reduced(rows) if p == 2 else _reduced_echelon(rows, p)
+    if len(pivots) < k:
+        raise DependentBasisError(f"basis has rank {len(pivots)} but {k} vectors")
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    check = np.zeros((n - k, n), dtype=np.int64)
+    check[np.arange(n - k), free] = 1
+    check[:, pivots] = (-reduced[:, free].T) % p
+    return check
+
+
 def rank(matrix: FieldMatrix) -> int:
     """Row rank, computed by elimination over the field."""
-    if matrix.field.p == 2:
-        return len(_gf2_basis(matrix.array))
-    return len(_echelon(matrix.array, matrix.field.p)[1])
+    return _rank(matrix.array, matrix.field.p)
 
 
 def determinant(matrix: FieldMatrix) -> FieldElement:

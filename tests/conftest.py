@@ -122,7 +122,7 @@ def reference_format_rows(p: int, rows: np.ndarray) -> str:
 def reference_parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
     """The parity-check matrix of the independent ``rows`` by int64 forward
     elimination, back-substitution and one row of H per free column: the
-    version _engine.parity_check_matrix replaced over GF(2), kept as its
+    version linalg.parity_check_matrix replaced over GF(2), kept as its
     differential oracle."""
     k, n = rows.shape
     reduced, pivots, _ = _echelon(rows, p)

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from growthcodes import VerificationError, cli, construct, growth, seeds
+from growthcodes import VerificationError, cli, construct, growth, make_field, seeds
 from growthcodes import code as gc_code
 from growthcodes.growth import exact_integer_text
 from growthcodes.seeds import family_params, series_params
@@ -17,7 +17,7 @@ from growthcodes.seeds import family_params, series_params
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_cli(*args, env=None, cwd=None):
+def run_cli(*args, env=None, cwd=None, timeout=None):
     import os
 
     full_env = dict(os.environ)
@@ -29,6 +29,7 @@ def run_cli(*args, env=None, cwd=None):
         text=True,
         env=full_env,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -326,6 +327,16 @@ def test_construct_smallest(tmp_path):
     report = report_of(proc)
     bound = next(c for c in report["checks"] if c["name"] == "distance_lower_bound")
     assert bound["actual"] == 2 and bound["pass"]
+
+
+def test_construct_refuses_a_huge_step_count_at_once(tmp_path):
+    # The refusal forms at most 25 factors of n, not 10^9 of them.
+    src = tmp_path / "s2.txt"
+    src.write_text(gc_code.format_generator(seeds.seed_code(make_field(2), 2, verify=False)))
+    out = tmp_path / "never.txt"
+    proc = run_cli("construct", "--in", str(src), "--steps", "1000000000", "--out", str(out), timeout=30)
+    assert proc.returncode == 2
+    assert "budget" in proc.stderr and not out.exists()
 
 
 def test_construct_bounded_input_gets_exact_prediction(tmp_path):

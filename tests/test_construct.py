@@ -137,6 +137,21 @@ def test_iterate_budget():
     assert err.value.budget == MATERIALIZATION_BUDGET
 
 
+def test_iterate_budget_past_25_steps_is_a_lower_bound():
+    # n = 4 * 4 * 5 * ... grows by a factor of at least 2 per step, so 25
+    # factors exceed the 2^24-cell budget: a huge step count is refused
+    # without forming its product.
+    base = seed_code(F2, 2, verify=False)
+    with pytest.raises(BudgetExceededError) as err:
+        iterate_code(base, 10**9)
+    assert err.value.required > err.value.budget
+    # k x n exactly up to 25 steps, (k + s) * 4 * 4 * 5 * ... * 28 past them.
+    for steps, factors in ((25, 25), (26, 25)):
+        with pytest.raises(BudgetExceededError) as err:
+            iterate_code(base, steps)
+        assert err.value.required == (3 + steps) * 4 * _rising(4, factors)
+
+
 def test_predict_params_examples():
     got = predict_params(4, 3, 1, 3, 5)
     assert (got.n, got.k, got.d, got.u) == (26880, 8, 6720, 7560)
@@ -361,19 +376,16 @@ def test_iterate_code_builds_one_code(monkeypatch, steps, built):
     # no generator rows stepped.
     base = seed_code(F3, 2)
     checks = []
-    real = code_module._echelon
+    real = code_module._rank
 
-    def counting(matrix, p):
-        checks.append(matrix.shape)
-        return real(matrix, p)
+    def counting(data, p):
+        checks.append(data.shape)
+        return real(data, p)
 
-    def no_rows(rows):
-        raise AssertionError("iterate_code stepped the generator")
-
-    monkeypatch.setattr(code_module, "_echelon", counting)
-    monkeypatch.setattr(construct, "_step_rows", no_rows)
+    monkeypatch.setattr(code_module, "_rank", counting)
     out = iterate_code(base, steps)
     assert len(checks) == built
+    assert (out._generator is None) == (steps > 0)
     assert (out.n, out.k) == (predict_params(4, 3, 1, 3, steps).n, 3 + steps)
 
 
@@ -430,7 +442,8 @@ def test_stepped_multiset_of_random_codes_pins_the_orientation():
 
 
 @pytest.mark.parametrize(
-    "field,index,steps", [(F2, 4, 1), (F2, 2, 3), (F3, 2, 2), (F5, 3, 2), (F7, 2, 3), (F3, 3, 1)]
+    "field,index,steps",
+    [(F2, 4, 1), (F2, 2, 3), (F3, 2, 2), (F5, 3, 2), (F7, 2, 3), (F3, 3, 1), (F2, 1, 4), (F7, 3, 2)],
 )
 def test_stepped_generator_text_matches_the_docstring_step(field, index, steps):
     base = seed_code(field, index, verify=False)
@@ -440,20 +453,21 @@ def test_stepped_generator_text_matches_the_docstring_step(field, index, steps):
     k, n = rows.shape
     text = "\n".join([f"{field.p} {n} {k}", *(" ".join(str(int(x)) for x in row) for row in rows)]) + "\n"
     assert format_generator(iterate_code(base, steps)) == text
-    assert format_generator(family_code(field, index, steps, verify=False)) == text
+    if index >= 2:  # the k = 1 seed starts no bounded family
+        assert format_generator(family_code(field, index, steps, verify=False)) == text
 
 
-def test_rows_that_disagree_with_the_stepped_multiset_are_refused(monkeypatch):
-    real = construct._step_rows
+def test_rows_that_disagree_with_the_stepped_multiset_are_refused():
+    member = family_code(F3, 2, 2)
+    assert member.d == 20
+    real = member._recipe
 
-    def flipped(rows):
-        out = real(rows)
+    def flipped():
+        out = real()
         out[0, 0] = (out[0, 0] + 1) % 3
         return out
 
-    monkeypatch.setattr(construct, "_step_rows", flipped)
-    member = family_code(F3, 2, 2)
-    assert member.d == 20
+    object.__setattr__(member, "_recipe", flipped)
     for read in (lambda c: c.generator, lambda c: c.basis, format_generator):
         with pytest.raises(VerificationError):
             read(member)

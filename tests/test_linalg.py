@@ -22,8 +22,7 @@ from growthcodes import (
     weight,
 )
 from growthcodes import DependentBasisError
-from growthcodes._engine import parity_check_matrix
-from growthcodes.linalg import _echelon, _gf2_basis
+from growthcodes.linalg import _echelon, _gf2_basis, parity_check_matrix
 from growthcodes.reedmuller import rm_generator
 from growthcodes.seeds import build_seed_matrices
 
@@ -133,6 +132,15 @@ def test_vectors_are_immutable():
     v = FieldVector(F3, [1, 2])
     with pytest.raises((ValueError, AttributeError)):
         v.entries[0] = 0
+    m = FieldMatrix(F3, [[1, 2]])
+    for value in (v, m):
+        for name in ("field", "_data", "extra"):
+            with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
+                setattr(value, name, None)
+    assert v == FieldVector(F3, [4, -1]) and hash(v) == hash(FieldVector(F3, [4, -1]))
+    assert m == FieldMatrix(F3, [[-2, 5]]) and hash(m) == hash(FieldMatrix(F3, [[-2, 5]]))
+    assert v != m and m != v
+    assert v != FieldVector(F5, [1, 2]) and m != FieldMatrix(F5, [[1, 2]])
 
 
 vec_entries = st.lists(st.integers(-20, 20), min_size=1, max_size=12)
