@@ -16,13 +16,22 @@ member at j = 5 has n = 760320 but D = 1716 over GF(2). The rank checks in
 (construct.iterate_code, by merge_projective), so they are built and
 searched without a generator until something reads their rows.
 
+Both scans weigh the multiset divided by the gcd g of its multiplicities,
+and the weights they find are multiplied back by g in Python integers. The
+reduced multiplicities are summed in Python integers too, and a multiset
+whose reduced sum reaches 2^53, past which the float64 products below are
+inexact, is refused with BudgetExceededError rather than scanned.
+
 * GF(2) keeps the codeword bit-packed and steps the high message digits in
   Gray-code order (one XOR per step, hardware popcount for weights) against
   a table of all trailing-digit combinations. Blocks are word-major: the
   table is (width, 2^t), one column per trailing combination, XORed with the
   running base as a (width, 1) column. A block's weights are then a sum
-  over the leading (word) axis: columns are packed by multiplicity class, and
-  every code is weighed by one exact float product of the per-word class
+  over the leading (word) axis. When every reduced multiplicity is 1 (every
+  Reed-Muller code, most random codes) that is an integer sum of the
+  popcounts, in uint16 (uint32 from 2^16 columns), and at width 1 the
+  popcounts are the weights. Otherwise columns are packed by multiplicity
+  class and weighed by one exact float product of the per-word class
   multiplicities with the popcounts. The XOR, popcount and weight arrays are
   allocated once per scan and every block is written into them, so a
   yielded block is valid only until the next one is requested; both readers
@@ -31,7 +40,11 @@ searched without a generator until something reads their rows.
   compare the remaining digits' table of partial products, one block of
   trailing-digit combinations at a time: x.c = 0 exactly where the table
   entry equals -base(c), and the multiplicities of those columns are summed
-  by one matrix-vector product.
+  by one matrix-vector product. The table is built and kept in the
+  narrowest unsigned dtype that holds a sum of two residues,
+  min_scalar_type(2(p - 1)): uint8 up to p = 127, uint16 up to p = 32749
+  and uint32 beyond. Each digit's sums are reduced by ``%`` with a modulus
+  of that dtype, so the table never has an int64 temporary.
 * High-rate codes are searched through their dual: the scan above, run over
   the q^(n-k) words of the dual, gives the dual's weight distribution, and
   the MacWilliams identity (MacWilliams & Sloane, "The Theory of
@@ -52,17 +65,21 @@ import math
 
 import numpy as np
 
-from .errors import VerificationError
+from .errors import BudgetExceededError, ShapeMismatchError, VerificationError
 
 # Bytes of one block's trailing-digit table, for both scans: each picks the
 # largest number t of trailing digits whose table fits. Over GF(2) that is the
 # packed (width, 2^t) uint64 table, 2^15 words, so that the table, its XOR with
 # the running base and the popcounts stay in cache; over an odd prime it is the
-# (p^t, width) table narrowed to np.min_scalar_type(p - 1).
+# (p^t, width) table of np.min_scalar_type(2 * (p - 1)).
 _BLOCK_BYTES = 1 << 18
 
 # Integer column keys are exact while p**k fits in an int64 with room to spare.
 _KEY_LIMIT = 1 << 62
+
+# Float64 sums of nonnegative integers are exact below 2^53: the largest
+# reduced multiplicity sum a scan accepts is one less.
+_EXACT_SUM_LIMIT = 1 << 53
 
 _BYTE_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
@@ -136,7 +153,9 @@ def merge_projective(p: int, cols: np.ndarray, weights: np.ndarray) -> tuple[np.
     """The projective multiset of the nonzero columns ``cols`` with the given
     ``weights``: each column scaled so that its first nonzero entry is 1, and
     equal columns merged with their weights summed, in _distinct_columns
-    order."""
+    order. ShapeMismatchError unless there is one weight per column."""
+    if len(weights) != cols.shape[1]:
+        raise ShapeMismatchError(f"{len(weights)} weights for {cols.shape[1]} columns")
     if p > 2:
         lead = cols[np.argmax(cols != 0, axis=0), np.arange(cols.shape[1])]
         values, which = np.unique(lead, return_inverse=True)
@@ -168,8 +187,10 @@ def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
     packed codeword words, so its weights are a reduction over the leading
     axis, which numpy runs far faster than over a short trailing one. Every
     block is written into the same buffers, allocated once per scan, so a
-    yielded block is valid only until the next one is requested. Its weights
-    are exact integers held in floats (see _exact_sum_dtype).
+    yielded block is valid only until the next one is requested. When every
+    multiplicity is 1 the weights are the popcounts summed in uint16 (uint32
+    past 2^16 - 1 columns), or the popcounts themselves at width 1; otherwise
+    they are exact integers held in floats (see _exact_sum_dtype).
     """
     k = cols.shape[0]
     classes, sizes = np.unique(mult, return_counts=True)
@@ -181,7 +202,6 @@ def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
         start += size
     packed = np.hstack(blocks)
     width = packed.shape[1]
-    word_mult = np.repeat(classes, class_words).astype(_exact_sum_dtype(int(mult.sum())))
 
     t = 1
     while t < k and (1 << (t + 1)) * width * 8 <= _BLOCK_BYTES:
@@ -192,11 +212,26 @@ def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
         offsets = np.hstack([offsets, offsets ^ row[:, None]])
     xor = np.empty_like(offsets)
     counts = np.empty(offsets.shape, dtype=np.uint8)
-    weights = np.empty(offsets.shape[1], dtype=word_mult.dtype)
 
-    def weigh(words: np.ndarray) -> np.ndarray:
-        _word_popcount(words, out=counts)
-        return np.matmul(word_mult, counts, out=weights)
+    if classes.tolist() != [1]:
+        word_mult = np.repeat(classes, class_words).astype(_exact_sum_dtype(int(mult.sum())))
+        weights = np.empty(offsets.shape[1], dtype=word_mult.dtype)
+
+        def weigh(words: np.ndarray) -> np.ndarray:
+            _word_popcount(words, out=counts)
+            return np.matmul(word_mult, counts, out=weights)
+
+    elif width == 1:
+
+        def weigh(words: np.ndarray) -> np.ndarray:
+            return _word_popcount(words, out=counts)[0]
+
+    else:
+        weights = np.empty(offsets.shape[1], dtype=np.uint16 if len(mult) < 1 << 16 else np.uint32)
+
+        def weigh(words: np.ndarray) -> np.ndarray:
+            _word_popcount(words, out=counts)
+            return np.add.reduce(counts, axis=0, dtype=weights.dtype, out=weights)
 
     # The first block has a zero base; its column 0 is the zero message.
     yield weigh(offsets)[1:]
@@ -215,16 +250,20 @@ def _message_weights_odd(p: int, cols: np.ndarray, mult: np.ndarray):
     g = 0 .. high-1, stepped by an odometer) with the whole table."""
     k, width = cols.shape
     n = int(mult.sum())
-    narrow = np.min_scalar_type(p - 1)
+    # The narrowest unsigned dtype that holds a sum of two residues, so that
+    # the table is built and reduced in it, with no wider temporary.
+    narrow = np.min_scalar_type(2 * (p - 1))
+    modulus = narrow.type(p)
     t = 0
     while t < k - 1 and p ** (t + 1) * width * narrow.itemsize <= _BLOCK_BYTES:
         t += 1
     high = k - t
     # table[m] = sum_d digit_d(m) * cols[high + d] (mod p), digit d worth p**d.
-    table = np.zeros((1, width), dtype=np.int64)
+    table = np.zeros((1, width), dtype=narrow)
     for row in cols[high:][::-1]:
-        table = ((table[:, None, :] + np.arange(p)[None, :, None] * row) % p).reshape(-1, width)
-    table = table.astype(narrow)
+        multiples = (np.arange(p)[:, None] * row % p).astype(narrow)
+        table = (table[:, None, :] + multiples).reshape(-1, width)
+        np.remainder(table, modulus, out=table)
     # With a zero prefix, only trailing parts whose most significant nonzero
     # digit is 1 are enumerated: one per scalar class.
     head = table[[m for g in range(t) for m in range(p**g, 2 * p**g)]]
@@ -267,32 +306,56 @@ def _message_weights(p: int, cols: np.ndarray, mult: np.ndarray):
     return _message_weights_odd(p, cols, mult)
 
 
+def _gcd_reduced(mult: np.ndarray) -> tuple[int, np.ndarray, int]:
+    """The gcd g of the multiplicities, the multiplicities divided by g and
+    their sum, in Python ints. A scan weighs the reduced multiset, and every
+    weight it finds is g times a reduced one. BudgetExceededError, carrying
+    the reduced sum, when the sum reaches _EXACT_SUM_LIMIT, past which the
+    scans' float64 products are no longer exact."""
+    g = int(np.gcd.reduce(mult))
+    reduced = mult // np.int64(g)
+    total = sum(reduced.tolist())
+    if total >= _EXACT_SUM_LIMIT:
+        raise BudgetExceededError(
+            f"reduced column multiplicities sum to {total}, past the exact float64 range",
+            required=total,
+            budget=_EXACT_SUM_LIMIT - 1,
+        )
+    return g, reduced, total
+
+
 def min_weight_enumeration(p: int, cols: np.ndarray, mult: np.ndarray) -> int:
     """Exact minimum nonzero-codeword weight by full message enumeration.
 
     ``(cols, mult)`` is the code's projective column multiset (see
     projective_columns); code.min_distance_exhaustive checks the enumeration
-    budget before calling it. The scan stops early at the smallest
-    multiplicity, which no nonzero codeword can undercut.
+    budget before calling it. The scan runs on the gcd-reduced multiset
+    (see _gcd_reduced) and stops early at the smallest multiplicity, which no
+    nonzero codeword can undercut.
     """
-    floor = int(mult.min())
-    best = int(mult.sum())
-    for weights in _message_weights(p, cols, mult):
+    g, reduced, best = _gcd_reduced(mult)
+    floor = int(reduced.min())
+    for weights in _message_weights(p, cols, reduced):
         best = min(best, int(weights.min()))
         if best == floor:
             break
-    return best
+    return best * g
 
 
 def weight_distribution(p: int, cols: np.ndarray, mult: np.ndarray) -> list[int]:
     """The number of codewords of each weight 0 .. sum(mult), by full message
-    enumeration; the caller checks the enumeration budget."""
-    counts = np.zeros(int(mult.sum()) + 1, dtype=np.int64)
-    for weights in _message_weights(p, cols, mult):
-        # Exact: GF(2) blocks hold integers in floats (_exact_sum_dtype).
+    enumeration of the gcd-reduced multiset (see _gcd_reduced); the caller
+    checks the enumeration budget."""
+    g, reduced, total = _gcd_reduced(mult)
+    counts = np.zeros(total + 1, dtype=np.int64)
+    for weights in _message_weights(p, cols, reduced):
+        # Exact: GF(2) blocks hold integers, in floats for several classes.
         block = np.bincount(weights.astype(np.int64))
         counts[: len(block)] += block
-    return [1] + [int(c) * (p - 1) for c in counts[1:]]
+    out = [0] * (g * total + 1)
+    out[0] = 1
+    out[g::g] = [int(c) * (p - 1) for c in counts[1:]]
+    return out
 
 
 def _krawtchouk(p: int, n: int, w: int, i: int) -> int:

@@ -7,9 +7,12 @@ exhaustive search; formula-predicted distances belong in CodeParams.
 The two budgets that refuse work (BudgetExceededError) live here, each
 tested by one function that takes parameters rather than a code:
 _check_enumeration (messages searched) and _check_materialization (int64
-cells of a generator to be allocated). growth.VERIFY_MESSAGE_CAP and
-VERIFY_LENGTH_CAP refuse nothing: they decide which growth-table rows are
-searched, and the others are written from their formula.
+cells of a generator to be allocated). The searches also pass on the
+engine's refusal of a multiset whose gcd-reduced multiplicities sum to
+2^53 or more, which no float64 product weighs exactly.
+growth.VERIFY_MESSAGE_CAP and VERIFY_LENGTH_CAP refuse nothing: they decide
+which growth-table rows are searched, and the others are written from their
+formula.
 """
 
 from __future__ import annotations

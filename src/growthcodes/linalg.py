@@ -272,7 +272,10 @@ def _echelon(data: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
     columns, and the product of the pivots with the sign of the row swaps
     (mod p), which is the determinant when ``data`` is square and of full
     rank. Each pivot updates only the rows below it, from its column on:
-    nothing is cleared above a pivot and no pivot is scaled to 1."""
+    nothing is cleared above a pivot and no pivot is scaled to 1. A row
+    with entry f' in the pivot column takes row + (p - f) * pivot row, f the
+    residue of f' / pivot, so every operand of the modulo is nonnegative and
+    below p^2 < 2^32, where int64 ``%`` is cheapest and exact."""
     m = data % p
     n_rows, n_cols = m.shape
     pivots: list[int] = []
@@ -292,8 +295,8 @@ def _echelon(data: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
         scale = scale * pivot % p
         hit = r + nonzero[1:]  # after a swap the row moved down is zero in ``col``
         if hit.size:
-            factors = m[hit, col] * pow(pivot, p - 2, p) % p
-            m[hit, col:] = (m[hit, col:] - np.outer(factors, m[r, col:])) % p
+            factors = p - m[hit, col] * pow(pivot, p - 2, p) % p
+            m[hit, col:] = (m[hit, col:] + np.outer(factors, m[r, col:])) % p
         pivots.append(col)
         r += 1
     return m, pivots, scale
@@ -360,7 +363,8 @@ def _gf2_reduced(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
 
 def _reduced_echelon(rows: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     """The pivot columns and the reduced row-echelon form of ``rows`` over an
-    odd prime: forward elimination by _echelon, then back-substitution."""
+    odd prime: forward elimination by _echelon, then back-substitution in the
+    same nonnegative form."""
     reduced, pivots, _ = _echelon(rows, p)
     # Back-substitution, bottom up: scale each pivot to 1 and clear above it.
     for r in range(len(pivots) - 1, -1, -1):
@@ -368,7 +372,7 @@ def _reduced_echelon(rows: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
         reduced[r] = reduced[r] * pow(int(reduced[r, col]), p - 2, p) % p
         above = np.flatnonzero(reduced[:r, col])
         if above.size:
-            reduced[above] = (reduced[above] - np.outer(reduced[above, col], reduced[r])) % p
+            reduced[above] = (reduced[above] + np.outer(p - reduced[above, col], reduced[r])) % p
     return pivots, reduced
 
 
@@ -387,7 +391,7 @@ def parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
     free = np.flatnonzero(is_free)
     check = np.zeros((n - k, n), dtype=np.int64)
     check[np.arange(n - k), free] = 1
-    check[:, pivots] = (-reduced[:, free].T) % p
+    check[:, pivots] = (p - reduced[:, free].T) % p
     return check
 
 

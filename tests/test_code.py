@@ -360,18 +360,26 @@ def test_odd_scan_without_table_digits_matches_oracle(monkeypatch, p, k):
 
 def _check_scan_against_direct_count(p: int, rows: np.ndarray) -> None:
     """The block scan of the code spanned by ``rows`` runs in several blocks,
-    its weight distribution equals a direct count over every message,
-    and its minimum equals the oracle's, with weights past 2^24 too."""
+    its weight distribution equals a direct count over every message, in
+    slices of 2^16 messages, and its minimum equals the oracle's, also with
+    every multiplicity scaled by a common factor."""
     code = _code(make_field(p), rows)
     cols, mult = code._columns
     assert len(list(_engine._message_weights(p, cols, mult))) >= 2
-    messages = np.array(list(itertools.product(range(p), repeat=code.k)))
-    weights = np.count_nonzero(messages @ code.generator.array % p, axis=1)
-    want = np.bincount(weights, minlength=int(mult.sum()) + 1).tolist()
+    n = int(mult.sum())  # the length without zero columns
+    powers = p ** np.arange(code.k - 1, -1, -1, dtype=np.int64)
+    want = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, p**code.k, 1 << 16):
+        messages = np.arange(start, min(start + (1 << 16), p**code.k), dtype=np.int64)[:, None] // powers % p
+        want += np.bincount(np.count_nonzero(messages @ code.generator.array % p, axis=1), minlength=n + 1)
+    want = want.tolist()
     assert _engine.weight_distribution(p, cols, mult) == want
     d = lex_min_distance(code)
     assert _engine.min_weight_enumeration(p, cols, mult) == d
-    # Weights past 2^24 are summed in float64, still exactly.
+    # A common factor is divided out before the scan and multiplied back,
+    # exactly: the weights scale and the distribution spreads out.
+    spread = [want[w // 3] if w % 3 == 0 else 0 for w in range(3 * n + 1)]
+    assert _engine.weight_distribution(p, cols, mult * 3) == spread
     scale = (1 << 24) + 1
     assert _engine.min_weight_enumeration(p, cols, mult * scale) == d * scale
 
@@ -388,16 +396,29 @@ def _gf2_multiset_code(rng: np.random.Generator, k: int, class_sizes: dict[int, 
 
 
 @pytest.mark.parametrize("popcount", ["bitwise_count", "byte_table"])
-@pytest.mark.parametrize("class_sizes", [{1: 150}, {1: 130, 3: 70}, {2: 66, 5: 80, 7: 3}])
+@pytest.mark.parametrize(
+    "class_sizes", [{1: 150}, {1: 130, 3: 70}, {2: 66, 5: 80, 7: 3}, {1: 50}, {1: 600}, {4: 600}]
+)
 def test_gf2_scan_matches_direct_count_across_words_and_blocks(monkeypatch, class_sizes, popcount):
     # Every class of more than 64 columns spans several packed words, and a
     # 128-byte (16-word) block budget splits the 2^10 messages into hundreds of
-    # Gray-code blocks.
+    # Gray-code blocks. Unit multisets are weighed by their popcounts: one
+    # word of 50 columns, and 600 of the 1023 nonzero columns, whose weights
+    # pass 255 and so overflow a uint8 sum; 600 columns of multiplicity 4
+    # reduce to the same unit scan.
     monkeypatch.setattr(_engine, "_BLOCK_BYTES", 128)
     if popcount == "byte_table":
         monkeypatch.setattr(_engine, "_word_popcount", _engine._byte_table_popcount)
     code = _gf2_multiset_code(np.random.default_rng(7411), 10, class_sizes)
     _check_scan_against_direct_count(2, code.generator.array)
+
+
+def test_gf2_unit_scan_past_2_16_columns():
+    # RM(16, 1) has 2^16 distinct columns, each once: its all-ones word has
+    # weight 2^16, one past what a uint16 sum of the popcounts holds.
+    want = [0] * ((1 << 16) + 1)
+    want[0], want[1 << 15], want[1 << 16] = 1, (1 << 17) - 2, 1
+    assert _engine.weight_distribution(2, *rm_generator(16, 1)._columns) == want
 
 
 @pytest.mark.parametrize("p,k", [(3, 7), (5, 4), (7, 4)])
@@ -410,6 +431,43 @@ def test_odd_scan_matches_direct_count_across_blocks(monkeypatch, p, k):
     width = LinearCode(make_field(p), rows)._columns[0].shape[1]
     monkeypatch.setattr(_engine, "_BLOCK_BYTES", p * width)
     _check_scan_against_direct_count(p, rows)
+
+
+@pytest.mark.parametrize("p,k", [(127, 3), (131, 3), (257, 2)])
+def test_odd_scan_at_the_table_dtype_boundaries(p, k):
+    # The trailing table holds sums of two residues: uint8 up to p = 127,
+    # uint16 from p = 131, where residues alone still fit a uint8. At k = 3
+    # the default block budget gives a two-digit table, so its entries are
+    # such sums: one head block and one table block. Columns with entries
+    # near p make sums past 255, which a uint8 table wraps. GF(257) has a
+    # one-digit table at k = 2; at k = 3 its 257^3 messages are too many for
+    # the oracle.
+    large = np.array([[1, 0, 1], [p - 1, 1, p - 3], [p - 2, p - 1, p - 1]], dtype=np.int64)[:k]
+    rows = np.hstack([np.eye(k, dtype=np.int64), large])
+    cols, mult = _code(make_field(p), rows)._columns
+    assert len(list(_engine._message_weights_odd(p, cols, mult))) == 2
+    _check_scan_against_direct_count(p, rows)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_scans_divide_out_the_gcd_and_refuse_inexact_sums(p):
+    # Synthetic multisets of the two unit columns and their sum, weighed
+    # directly in Python ints: message x misses the columns with x.c = 0.
+    cols = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)
+
+    def direct_min(mult):
+        used = cols[:, : len(mult)].T.tolist()
+        messages = list(itertools.product(range(p), repeat=2))[1:]
+        return min(sum(m for c, m in zip(used, mult) if (x[0] * c[0] + x[1] * c[1]) % p) for x in messages)
+
+    for mult in ([3 << 55, 1 << 55], [1 << 52, (1 << 52) - 1], [(1 << 24) + 1, 1 << 24, 1]):
+        got = _engine.min_weight_enumeration(p, cols[:, : len(mult)], np.array(mult, dtype=np.int64))
+        assert got == direct_min(mult)
+    # 2^53 + 1 cannot be summed exactly in float64: refused, never scanned.
+    for scan in (_engine.min_weight_enumeration, _engine.weight_distribution):
+        with pytest.raises(BudgetExceededError) as info:
+            scan(p, cols[:, :2], np.array([1 << 53, 1], dtype=np.int64))
+        assert info.value.required == (1 << 53) + 1
 
 
 def test_byte_table_popcount_matches_bitwise_count_on_word_major_blocks():

@@ -14,6 +14,7 @@ from growthcodes import (
     FieldMismatchError,
     FieldVector,
     LinearCode,
+    ShapeMismatchError,
     VerificationError,
     check_bounded,
     construction_step,
@@ -424,6 +425,18 @@ def test_stepped_multiset_equals_the_materialized_rows_multiset(field):
             assert rows.shape == (member.k, member.n)
             _assert_same_multiset(stepped, _engine.projective_columns(field.p, rows))
     assert family_code(field, 4, 6) == family_params(4, 6)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_merge_refuses_weights_that_do_not_match_the_columns(p):
+    # One weight per column: a longer or shorter weights array is refused,
+    # never truncated.
+    cols = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)
+    for length in (2, 4, 6):
+        with pytest.raises(ShapeMismatchError):
+            _engine.merge_projective(p, cols, np.ones(length, dtype=np.int64))
+    merged = _engine.merge_projective(p, cols, np.ones(3, dtype=np.int64))
+    _assert_same_multiset(merged, _engine.projective_columns(p, cols))
 
 
 def test_stepped_multiset_of_random_codes_pins_the_orientation():
