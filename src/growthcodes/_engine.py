@@ -28,13 +28,12 @@ inexact, is refused with BudgetExceededError rather than scanned.
   table is (width, 2^t), one column per trailing combination, XORed with the
   running base as a (width, 1) column. A block's weights are then a sum
   over the leading (word) axis. When every reduced multiplicity is 1 (every
-  Reed-Muller code, most random codes) that is an integer sum of the
-  popcounts, in uint16 (uint32 from 2^16 columns), and at width 1 the
-  popcounts are the weights. Otherwise columns are packed by multiplicity
-  class and weighed by one exact float product of the per-word class
-  multiplicities with the popcounts. The XOR, popcount and weight arrays are
-  allocated once per scan and every block is written into them, so a
-  yielded block is valid only until the next one is requested; both readers
+  Reed-Muller code, for one) that is an integer sum of the popcounts, in
+  uint16 (uint32 from 2^16 columns). Otherwise columns are packed by
+  multiplicity class and weighed by one exact float product of the per-word
+  class multiplicities with the popcounts. The XOR, popcount and weight
+  arrays are allocated once per scan and every block is written into them,
+  so a yielded block is valid only until the next one is requested; both readers
   (min_weight_enumeration, weight_distribution) use each block at once.
 * Odd primes step the leading digits with a mixed-radix odometer and
   compare the remaining digits' table of partial products, one block of
@@ -189,8 +188,8 @@ def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
     block is written into the same buffers, allocated once per scan, so a
     yielded block is valid only until the next one is requested. When every
     multiplicity is 1 the weights are the popcounts summed in uint16 (uint32
-    past 2^16 - 1 columns), or the popcounts themselves at width 1; otherwise
-    they are exact integers held in floats (see _exact_sum_dtype).
+    past 2^16 - 1 columns); otherwise they are exact integers held in floats
+    (see _exact_sum_dtype).
     """
     k = cols.shape[0]
     classes, sizes = np.unique(mult, return_counts=True)
@@ -213,25 +212,20 @@ def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
     xor = np.empty_like(offsets)
     counts = np.empty(offsets.shape, dtype=np.uint8)
 
-    if classes.tolist() != [1]:
+    if classes.tolist() == [1]:
+        weights = np.empty(offsets.shape[1], dtype=np.uint16 if len(mult) < 1 << 16 else np.uint32)
+
+        def weigh(words: np.ndarray) -> np.ndarray:
+            _word_popcount(words, out=counts)
+            return np.add.reduce(counts, axis=0, dtype=weights.dtype, out=weights)
+
+    else:
         word_mult = np.repeat(classes, class_words).astype(_exact_sum_dtype(int(mult.sum())))
         weights = np.empty(offsets.shape[1], dtype=word_mult.dtype)
 
         def weigh(words: np.ndarray) -> np.ndarray:
             _word_popcount(words, out=counts)
             return np.matmul(word_mult, counts, out=weights)
-
-    elif width == 1:
-
-        def weigh(words: np.ndarray) -> np.ndarray:
-            return _word_popcount(words, out=counts)[0]
-
-    else:
-        weights = np.empty(offsets.shape[1], dtype=np.uint16 if len(mult) < 1 << 16 else np.uint32)
-
-        def weigh(words: np.ndarray) -> np.ndarray:
-            _word_popcount(words, out=counts)
-            return np.add.reduce(counts, axis=0, dtype=weights.dtype, out=weights)
 
     # The first block has a zero base; its column 0 is the zero message.
     yield weigh(offsets)[1:]

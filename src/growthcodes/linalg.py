@@ -275,7 +275,7 @@ def _echelon(data: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
     nothing is cleared above a pivot and no pivot is scaled to 1. A row
     with entry f' in the pivot column takes row + (p - f) * pivot row, f the
     residue of f' / pivot, so every operand of the modulo is nonnegative and
-    below p^2 < 2^32, where int64 ``%`` is cheapest and exact."""
+    below p^2."""
     m = data % p
     n_rows, n_cols = m.shape
     pivots: list[int] = []
