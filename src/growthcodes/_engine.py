@@ -336,20 +336,18 @@ def min_weight_enumeration(p: int, cols: np.ndarray, mult: np.ndarray) -> int:
     return best * g
 
 
-def weight_distribution(p: int, cols: np.ndarray, mult: np.ndarray) -> list[int]:
-    """The number of codewords of each weight 0 .. sum(mult), by full message
-    enumeration of the gcd-reduced multiset (see _gcd_reduced); the caller
-    checks the enumeration budget."""
+def weight_distribution(p: int, cols: np.ndarray, mult: np.ndarray) -> dict[int, int]:
+    """{weight: number of codewords} over the weights that occur, 0 included,
+    by full message enumeration of the gcd-reduced multiset (see
+    _gcd_reduced); the caller checks the enumeration budget."""
     g, reduced, total = _gcd_reduced(mult)
     counts = np.zeros(total + 1, dtype=np.int64)
     for weights in _message_weights(p, cols, reduced):
         # Exact: GF(2) blocks hold integers, in floats for several classes.
         block = np.bincount(weights.astype(np.int64))
         counts[: len(block)] += block
-    out = [0] * (g * total + 1)
-    out[0] = 1
-    out[g::g] = [int(c) * (p - 1) for c in counts[1:]]
-    return out
+    occurring = np.flatnonzero(counts[1:]) + 1
+    return {0: 1} | {g * w: c * (p - 1) for w, c in zip(occurring.tolist(), counts[occurring].tolist())}
 
 
 def _krawtchouk(p: int, n: int, w: int, i: int) -> int:
@@ -359,9 +357,10 @@ def _krawtchouk(p: int, n: int, w: int, i: int) -> int:
     )
 
 
-def min_weight_from_dual(p: int, n: int, redundancy: int, dual: list[int]) -> int:
+def min_weight_from_dual(p: int, n: int, redundancy: int, dual: dict[int, int]) -> int:
     """The minimum distance of a length-n code over GF(p) whose dual, of
-    dimension ``redundancy``, has ``dual[i]`` words of weight i.
+    dimension ``redundancy``, has ``dual[i]`` words of weight i (the weights
+    absent from ``dual`` have none).
 
     By the MacWilliams identity the code has
     A_w = p^-redundancy * sum_i dual[i] K_w(i) words of weight w; the smallest
@@ -372,11 +371,10 @@ def min_weight_from_dual(p: int, n: int, redundancy: int, dual: list[int]) -> in
     or negative A_w, or no nonzero codeword at all.
     """
     size = p**redundancy
-    if sum(dual) != size:
-        raise VerificationError(f"dual weight counts sum to {sum(dual)}, not {p}^{redundancy}")
-    terms = [(i, b) for i, b in enumerate(dual) if b]
+    if sum(dual.values()) != size:
+        raise VerificationError(f"dual weight counts sum to {sum(dual.values())}, not {p}^{redundancy}")
     for w in range(1, n + 1):
-        a, remainder = divmod(sum(b * _krawtchouk(p, n, w, i) for i, b in terms), size)
+        a, remainder = divmod(sum(b * _krawtchouk(p, n, w, i) for i, b in dual.items()), size)
         if remainder or a < 0:
             raise VerificationError(f"MacWilliams transform gives a non-count at weight {w}")
         if a:

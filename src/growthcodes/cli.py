@@ -4,8 +4,11 @@ construction, and export growth tables.
 Exit codes: 0 all checks pass, 1 a mathematical check failed (a report row,
 or a search result contradicting a proven bound), 2 usage, I/O, budget or
 internal errors, including generator files over a field GF(q) with
-q >= 2**16, where int64 arithmetic would no longer be exact. Every distance
-search runs serially in this process. All data outputs are deterministic;
+q >= 2**16, where int64 arithmetic would no longer be exact. ``build``
+writes the code's generator file, or, for a family or series member whose
+builder refuses it past the materialization budget, the member's exact
+parameters as JSON; it searches no distance. Every distance search runs
+serially in this process. All data outputs are deterministic;
 timing lives only in the report field and never inside data files. The
 enumeration budget can be overridden with the GROWTHCODES_BUDGET environment
 variable.
@@ -23,7 +26,6 @@ import traceback
 from . import __version__
 from .code import (
     DEFAULT_ENUMERATION_BUDGET,
-    LinearCode,
     _format_rows,
     min_distance_exhaustive,
     read_generator_file,
@@ -35,7 +37,7 @@ from .errors import BudgetExceededError, GrowthCodesError, VerificationError
 from .field import make_field
 from .growth import FAMILIES, exact_integer_text, growth_table, records_to_csv, records_to_json
 from .reedmuller import rm_generator
-from .seeds import build_seed_matrices, family_code, seed_code, series_params
+from .seeds import build_seed_matrices, family_code, family_params, seed_code, series_code, series_params
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
@@ -105,57 +107,52 @@ def cmd_seed_matrix(args) -> int:
     return 0
 
 
+def _params_payload(args) -> dict:
+    """The exact parameters ``build`` writes, as JSON, for a chain member too
+    large to build."""
+    if args.family == "family":
+        params = family_params(args.i, args.j)
+        return {
+            "family": "family",
+            "seed_index": args.i,
+            "steps": args.j,
+            "materializable": False,
+            "params": _params_dict(params.n, params.k, params.d, params.u),
+        }
+    member = series_params(args.i)
+    return {
+        "family": "series",
+        "index": args.i,
+        "materializable": False,
+        "params": _params_dict(member.params.n, member.params.k, member.params.d, member.params.u),
+        "resolved_steps": member.resolved_steps,
+        "declared_steps": member.declared_steps,
+        "kd_over_n": {"num": member.kd_over_n.numerator, "den": member.kd_over_n.denominator},
+        "declared_kd_over_n": {
+            "num": member.declared_kd_over_n.numerator,
+            "den": member.declared_kd_over_n.denominator,
+        },
+    }
+
+
 def cmd_build(args) -> int:
     field = make_field(args.field)
     if args.family == "seed":
         if args.i is None:
             raise GrowthCodesError("--family seed needs --i")
-        code = seed_code(field, args.i, verify=False)
-        write_generator_file(code, args.out)
+        write_generator_file(seed_code(field, args.i), args.out)
         return 0
-    if args.family == "family":
-        if args.i is None or args.j is None:
-            raise GrowthCodesError("--family family needs --i and --j")
-        built = family_code(field, args.i, args.j, verify=False)
-        if isinstance(built, LinearCode):
-            write_generator_file(built, args.out)
+    if args.family == "family" and (args.i is None or args.j is None):
+        raise GrowthCodesError("--family family needs --i and --j")
+    if args.family == "series" and args.i is None:
+        raise GrowthCodesError("--family series needs --i")
+    if args.family in ("family", "series"):
+        try:
+            code = family_code(field, args.i, args.j) if args.family == "family" else series_code(field, args.i)
+        except BudgetExceededError:
+            _write_payload(args.out, _params_payload(args))
         else:
-            payload = {
-                "family": "family",
-                "seed_index": args.i,
-                "steps": args.j,
-                "materializable": False,
-                "params": _params_dict(built.n, built.k, built.d, built.u),
-            }
-            _write_payload(args.out, payload)
-        return 0
-    if args.family == "series":
-        if args.i is None:
-            raise GrowthCodesError("--family series needs --i")
-        member = series_params(args.i)
-        built = family_code(field, args.i + 1, member.resolved_steps, verify=False)
-        if isinstance(built, LinearCode):
-            write_generator_file(built, args.out)
-        else:
-            payload = {
-                "family": "series",
-                "index": args.i,
-                "materializable": False,
-                "params": _params_dict(
-                    member.params.n, member.params.k, member.params.d, member.params.u
-                ),
-                "resolved_steps": member.resolved_steps,
-                "declared_steps": member.declared_steps,
-                "kd_over_n": {
-                    "num": member.kd_over_n.numerator,
-                    "den": member.kd_over_n.denominator,
-                },
-                "declared_kd_over_n": {
-                    "num": member.declared_kd_over_n.numerator,
-                    "den": member.declared_kd_over_n.denominator,
-                },
-            }
-            _write_payload(args.out, payload)
+            write_generator_file(code, args.out)
         return 0
     # rm
     if args.m is None or args.r is None:

@@ -431,9 +431,11 @@ def _parse_row(line: str, q: int, out: np.ndarray, number: int) -> None:
 
 
 def write_generator_file(code: LinearCode, path) -> None:
-    """Write the generator-matrix text a line at a time."""
+    """Write the generator-matrix text a line at a time. The rows are derived
+    before the file is opened, so a refused derivation leaves no file."""
+    rows = code._rows
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_format_rows(code.field.p, code._rows))
+        fh.writelines(_format_rows(code.field.p, rows))
 
 
 def read_generator_file(path) -> LinearCode:

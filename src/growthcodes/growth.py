@@ -143,7 +143,7 @@ def _row_inputs(family: str, max_index: int, seed_index: int | None, base_code: 
                 "declared_kd_over_n_den": member.declared_kd_over_n.denominator,
                 "bracket_holds": _bracket_holds(i, member.params.k),
             }
-            yield i, member.params, extras, partial(family_code, f2, i + 1, member.resolved_steps, verify=False), None
+            yield i, member.params, extras, partial(family_code, f2, i + 1, member.resolved_steps), None
     elif family == "seed-family":
         if seed_index is None:
             raise ValueError("seed-family needs seed_index")
@@ -156,7 +156,7 @@ def _row_inputs(family: str, max_index: int, seed_index: int | None, base_code: 
             # the walk is checked against the single-point formula once a table
             if j == max_index and params != family_params(seed_index, max_index):
                 raise VerificationError(f"seed-family row {j}: the running product disagrees with family_params")
-            build = partial(family_code, f2, seed_index, j, verify=False)
+            build = partial(family_code, f2, seed_index, j)
             yield j, params, {"seed_index": seed_index}, build, (ratio, text)
     elif family == "rm-diagonal":
         for r in range(1, max_index + 1):

@@ -6,12 +6,17 @@ of a [2i, 2i-1, 1] code that is (2i-1)-bounded, so the cyclic-stacking
 construction applies with exactly predictable parameters. Taking, for each
 index, the deepest still-bounded member of the chain yields a series whose
 rate-times-distance equals 2i exactly.
+
+The code builders (seed_code, family_code, series_code) return a LinearCode
+with d unset, or raise BudgetExceededError before they allocate;
+family_params and series_params give the exact parameters of every member,
+however large.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -57,20 +62,15 @@ def build_seed_matrices(field: PrimeField, index: int) -> SeedMatrices:
     return SeedMatrices(index, FieldMatrix(field, a), FieldMatrix(field, b))
 
 
-def seed_code(field: PrimeField, index: int, *, verify: bool = True) -> LinearCode:
+def seed_code(field: PrimeField, index: int) -> LinearCode:
     """The [2i, 2i-1, 1] code whose ordered basis is the first 2i-1 columns
-    of the square seed matrix, its distance searched when ``verify`` is set
-    and the enumeration fits the default budget.
+    of the square seed matrix, d unset.
 
     index=1 is permitted but the resulting [2, 1, 1] code is not bounded
     (the inequality condition fails); the bounded family starts at index 2.
     """
     matrices = build_seed_matrices(field, index)
-    code = LinearCode(field, matrices.a.array[:, : 2 * index - 1].T)
-    if verify:
-        with contextlib.suppress(BudgetExceededError):
-            min_distance_exhaustive(code)
-    return code
+    return LinearCode(field, matrices.a.array[:, : 2 * index - 1].T)
 
 
 def max_family_steps(index: int) -> int:
@@ -97,23 +97,20 @@ def family_code(
     index: int,
     steps: int,
     *,
-    verify: bool = True,
-) -> LinearCode | CodeParams:
-    """Member ``steps`` of the chain grown from seed ``index``.
+    verify: bool = False,
+) -> LinearCode:
+    """Member ``steps`` of the chain grown from seed ``index``, d unset.
 
-    Materializes the code when its k x n generator fits the materialization
-    budget (searching the distance when ``verify`` is set and the enumeration
-    fits the default budget), otherwise returns the exact CodeParams, tested
-    before the seed is built. Members past the bounded range are built and
-    searched like the rest. Raises RangeViolationError where family_params
-    does.
+    BudgetExceededError, carrying the exact k * n, when the member's k x n
+    generator exceeds the materialization budget, tested on family_params
+    before the seed is built. Members past the bounded range are built like
+    the rest. Raises RangeViolationError where family_params does. With
+    ``verify`` the distance is searched too when the enumeration fits the
+    default budget, and left unset otherwise.
     """
     params = family_params(index, steps)
-    try:
-        _check_materialization(params.k, params.n)
-    except BudgetExceededError:
-        return params
-    code = iterate_code(seed_code(field, index, verify=False), steps)
+    _check_materialization(params.k, params.n)
+    code = iterate_code(seed_code(field, index), steps)
     if verify:
         with contextlib.suppress(BudgetExceededError):
             min_distance_exhaustive(code)
@@ -148,11 +145,10 @@ class SeriesMember:
     kd_over_n: Fraction
     declared_k: int
     declared_kd_over_n: Fraction
-    code: LinearCode | None
 
 
 def series_params(index: int) -> SeriesMember:
-    """Exact series parameters (no materialization attempt)."""
+    """Exact series parameters; series_code builds the member itself."""
     if index < 1:
         raise ValueError("index must be >= 1")
     resolved = series_resolved_steps(index)
@@ -169,13 +165,11 @@ def series_params(index: int) -> SeriesMember:
         kd_over_n=Fraction(params.k * params.d, params.n),
         declared_k=declared_k,
         declared_kd_over_n=Fraction(declared_k, 2 * (index + 1)),
-        code=None,
     )
 
 
-def series_code(field: PrimeField, index: int) -> SeriesMember:
-    """Series member with a materialization attempt (index 1 is the only
-    desk-scale member; larger indices come back parameters-only)."""
-    member = series_params(index)
-    built = family_code(field, index + 1, member.resolved_steps)
-    return replace(member, code=built) if isinstance(built, LinearCode) else member
+def series_code(field: PrimeField, index: int) -> LinearCode:
+    """Series member ``index``, the seed-(index+1) chain member at
+    series_resolved_steps(index), d unset; only index 1 is desk-scale, and
+    larger indices raise BudgetExceededError as family_code does."""
+    return family_code(field, index + 1, series_resolved_steps(index))

@@ -60,8 +60,9 @@ def test_criterion_01_seed_code_baseline():
     for field in (F2, F3):
         for i in range(2, 7):
             code = seed_code(field, i)
-            if (code.n, code.k, code.d) != (2 * i, 2 * i - 1, 1):
-                failures.append((field.p, i, code.n, code.k, code.d))
+            d = min_distance_exhaustive(code)
+            if (code.n, code.k, d) != (2 * i, 2 * i - 1, 1):
+                failures.append((field.p, i, code.n, code.k, d))
             if not check_bounded(code, 2 * i - 1).bounded:
                 failures.append((field.p, i, "not bounded"))
     elapsed = time.perf_counter() - start
@@ -74,7 +75,7 @@ def test_criterion_01_seed_code_baseline():
 def _chain_distances(field):
     out = []
     for j in range(6):
-        code = family_code(field, 2, j, verify=False)
+        code = family_code(field, 2, j)
         out.append(min_distance_exhaustive(code))
     return out
 
@@ -123,8 +124,9 @@ def test_criterion_04_series_identity_and_discrepancy_report():
             failures.append((i, "resolved steps"))
     first = series_params(1)
     code = family_code(F2, 2, series_resolved_steps(1))
-    if (code.n, code.k, code.d) != (26880, 8, 6720):
-        failures.append(("i=1 member", code.n, code.k, code.d))
+    d = min_distance_exhaustive(code)
+    if (code.n, code.k, d) != (26880, 8, 6720):
+        failures.append(("i=1 member", code.n, code.k, d))
     print(
         "discrepancy report: declared steps 4i^2-2i-1 give KD/N = 2i^2/(i+1) "
         f"(i=1: {first.declared_kd_over_n}); resolved steps 4i^2+2i-1 give KD/N = 2i "

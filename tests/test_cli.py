@@ -332,7 +332,7 @@ def test_construct_smallest(tmp_path):
 def test_construct_refuses_a_huge_step_count_at_once(tmp_path):
     # The refusal forms at most 25 factors of n, not 10^9 of them.
     src = tmp_path / "s2.txt"
-    src.write_text(gc_code.format_generator(seeds.seed_code(make_field(2), 2, verify=False)))
+    src.write_text(gc_code.format_generator(seeds.seed_code(make_field(2), 2)))
     out = tmp_path / "never.txt"
     proc = run_cli("construct", "--in", str(src), "--steps", "1000000000", "--out", str(out), timeout=30)
     assert proc.returncode == 2

@@ -168,11 +168,11 @@ def test_new_code_rejects_unequal_lengths():
 
 
 def test_min_distance_examples():
-    c2 = seed_code(F2, 2, verify=False)
+    c2 = seed_code(F2, 2)
     assert min_distance_exhaustive(c2) == 1
     rep = _code(F3, [[1, 1, 1, 1, 1]])
     assert min_distance_exhaustive(rep) == 5
-    stepped = family_code(F2, 2, 1, verify=False)
+    stepped = family_code(F2, 2, 1)
     assert min_distance_exhaustive(stepped) == 4
 
 
@@ -186,11 +186,9 @@ def test_min_distance_budget_exceeded_carries_required_count():
 
 @pytest.mark.parametrize("search", (min_distance_exhaustive, min_distance_by_weight_search))
 def test_searches_refuse_a_non_code(search):
-    # family_code returns the formula's CodeParams past the materialization
-    # budget; its d was never searched, so neither search may pass it on.
-    over_budget = family_code(F2, 3, 6)
-    assert isinstance(over_budget, CodeParams)
-    for params in (family_params(2, 1), over_budget):
+    # A CodeParams' d is a formula, never searched, so neither search may
+    # pass it on, whether or not the member would fit the budgets.
+    for params in (family_params(2, 1), family_params(3, 6)):
         with pytest.raises(TypeError):
             search(params)
 
@@ -266,7 +264,7 @@ def test_weight_search_refusal_carries_the_dual_word_count():
 # (p, n, redundancy, dual weight counts) that no code has: the repetition
 # code's counts doubled (summing to 4, not 2^1, though A_2 = 2 is a count),
 # a fractional A_1 (2/4) and a negative A_1 (-1).
-INCONSISTENT_DUALS = [(2, 2, 1, [2, 0, 2]), (2, 3, 2, [1, 2, 0, 1]), (2, 1, 1, [0, 2])]
+INCONSISTENT_DUALS = [(2, 2, 1, {0: 2, 2: 2}), (2, 3, 2, {0: 1, 1: 2, 3: 1}), (2, 1, 1, {1: 2})]
 
 
 @pytest.mark.parametrize("p,n,redundancy,dual", INCONSISTENT_DUALS)
@@ -372,14 +370,13 @@ def _check_scan_against_direct_count(p: int, rows: np.ndarray) -> None:
     for start in range(0, p**code.k, 1 << 16):
         messages = np.arange(start, min(start + (1 << 16), p**code.k), dtype=np.int64)[:, None] // powers % p
         want += np.bincount(np.count_nonzero(messages @ code.generator.array % p, axis=1), minlength=n + 1)
-    want = want.tolist()
+    want = {w: c for w, c in enumerate(want.tolist()) if c}
     assert _engine.weight_distribution(p, cols, mult) == want
     d = lex_min_distance(code)
     assert _engine.min_weight_enumeration(p, cols, mult) == d
     # A common factor is divided out before the scan and multiplied back,
-    # exactly: the weights scale and the distribution spreads out.
-    spread = [want[w // 3] if w % 3 == 0 else 0 for w in range(3 * n + 1)]
-    assert _engine.weight_distribution(p, cols, mult * 3) == spread
+    # exactly: the weights scale and the counts stay.
+    assert _engine.weight_distribution(p, cols, mult * 3) == {3 * w: c for w, c in want.items()}
     scale = (1 << 24) + 1
     assert _engine.min_weight_enumeration(p, cols, mult * scale) == d * scale
 
@@ -416,8 +413,7 @@ def test_gf2_scan_matches_direct_count_across_words_and_blocks(monkeypatch, clas
 def test_gf2_unit_scan_past_2_16_columns():
     # RM(16, 1) has 2^16 distinct columns, each once: its all-ones word has
     # weight 2^16, one past what a uint16 sum of the popcounts holds.
-    want = [0] * ((1 << 16) + 1)
-    want[0], want[1 << 15], want[1 << 16] = 1, (1 << 17) - 2, 1
+    want = {0: 1, 1 << 15: (1 << 17) - 2, 1 << 16: 1}
     assert _engine.weight_distribution(2, *rm_generator(16, 1)._columns) == want
 
 
@@ -463,6 +459,15 @@ def test_scans_divide_out_the_gcd_and_refuse_inexact_sums(p):
     for mult in ([3 << 55, 1 << 55], [1 << 52, (1 << 52) - 1], [(1 << 24) + 1, 1 << 24, 1]):
         got = _engine.min_weight_enumeration(p, cols[:, : len(mult)], np.array(mult, dtype=np.int64))
         assert got == direct_min(mult)
+    # The distribution holds only the weights that occur: a dense list to
+    # weight 2^57 would not fit in memory.
+    unit = 1 << 55
+    assert _engine.weight_distribution(p, cols[:, :2], np.array([3 * unit, unit], dtype=np.int64)) == {
+        0: 1,
+        unit: p - 1,
+        3 * unit: p - 1,
+        4 * unit: (p - 1) ** 2,
+    }
     # 2^53 + 1 cannot be summed exactly in float64: refused, never scanned.
     for scan in (_engine.min_weight_enumeration, _engine.weight_distribution):
         with pytest.raises(BudgetExceededError) as info:
@@ -495,6 +500,7 @@ def test_every_generator_allocation_checks_the_one_materialization_budget(monkey
         (lambda: direct_sum(base, 4), 12, 16),
         (lambda: repetition(base, 5), 3, 20),
         (lambda: parse_generator(text), 3, 20),
+        (lambda: family_code(F3, 2, 1), 4, 16),
     ]
     for call, k, n in refused:
         with pytest.raises(BudgetExceededError) as err:
@@ -502,14 +508,13 @@ def test_every_generator_allocation_checks_the_one_materialization_budget(monkey
         assert (err.value.required, err.value.budget) == (k * n, 48)
     # Exactly at the budget is admitted.
     assert repetition(base, 4).n == 16
-    assert family_code(F3, 2, 1) == family_params(2, 1)
     assert isinstance(family_code(F3, 2, 0), LinearCode)
 
 
 def test_rate_examples():
     assert rate(_code(F2, [[1, 1]])) == Fraction(1, 2)
-    assert rate(seed_code(F2, 3, verify=False)) == Fraction(5, 6)
-    big = family_code(F2, 2, 5, verify=False)
+    assert rate(seed_code(F2, 3)) == Fraction(5, 6)
+    big = family_code(F2, 2, 5)
     assert rate(big) == Fraction(1, 3360)
 
 
@@ -563,10 +568,22 @@ def test_generator_round_trip_is_byte_exact():
 
 def test_generator_file_is_written_a_line_at_a_time_with_the_same_bytes(tmp_path):
     path = tmp_path / "g.txt"
-    for code in (family_code(F2, 2, 3, verify=False), *random_small_codes(seed=5506, count=5, primes=(3, 65521))):
+    for code in (family_code(F2, 2, 3), *random_small_codes(seed=5506, count=5, primes=(3, 65521))):
         write_generator_file(code, path)
         assert path.read_bytes() == format_generator(code).encode("ascii")
         assert read_generator_file(path).generator == code.generator
+
+
+def test_refused_rows_leave_no_generator_file(tmp_path):
+    # A recipe that returns another multiset's rows is refused when the rows
+    # are first read, which happens before the file is opened.
+    code = _code(F3, [[1, 0, 1, 2], [0, 1, 1, 1]])
+    other = _code(F3, [[1, 0, 1, 1], [0, 1, 1, 1]])
+    member = LinearCode._from_columns(F3, code.n, code._columns, lambda: other._rows.copy())
+    path = tmp_path / "g.txt"
+    with pytest.raises(VerificationError):
+        write_generator_file(member, path)
+    assert not path.exists()
 
 
 _TEXT_PRIMES = (2, 3, 7, 11, 13, 97, 251, 257, 1009, 10007, 65521)

@@ -30,7 +30,7 @@ from growthcodes import (
 from growthcodes import _engine, construct
 from growthcodes import code as code_module
 from growthcodes.construct import _chain_walk, iterate_code, rising_factorial
-from growthcodes.seeds import family_code, family_params, seed_code
+from growthcodes.seeds import family_code, seed_code
 
 from conftest import random_small_codes, step_weight_tables
 
@@ -114,7 +114,7 @@ def test_construction_step_rejects_dependent_output(monkeypatch):
     with pytest.raises(DependentBasisError):
         iterate(basis, 2)
     with pytest.raises(DependentBasisError):
-        family_code(F3, 2, 1, verify=False)
+        family_code(F3, 2, 1)
 
 
 def test_iterate_zero_steps_returns_input():
@@ -142,7 +142,7 @@ def test_iterate_budget_past_25_steps_is_a_lower_bound():
     # n = 4 * 4 * 5 * ... grows by a factor of at least 2 per step, so 25
     # factors exceed the 2^24-cell budget: a huge step count is refused
     # without forming its product.
-    base = seed_code(F2, 2, verify=False)
+    base = seed_code(F2, 2)
     with pytest.raises(BudgetExceededError) as err:
         iterate_code(base, 10**9)
     assert err.value.required > err.value.budget
@@ -188,29 +188,31 @@ def test_step_recursion_tables_equal_the_engine():
     # the oracle against the engine's whole weight distribution, seeds 2 and 3
     for field in (F2, F3, F5, F7):
         for index in (2, 3):
-            base = seed_code(field, index, verify=False)
+            base = seed_code(field, index)
             for s, table in enumerate(step_weight_tables(base, 3)):
                 member = iterate_code(base, s)
-                want = _engine.weight_distribution(field.p, *member._columns)
-                assert np.bincount(table.ravel(), minlength=len(want)).tolist() == want
+                weights, counts = np.unique(table, return_counts=True)
+                assert dict(zip(weights.tolist(), counts.tolist())) == _engine.weight_distribution(
+                    field.p, *member._columns
+                )
 
 
 def test_step_recursion_refuses_past_its_limits():
-    seed_3 = seed_code(F2, 3, verify=False)
+    seed_3 = seed_code(F2, 3)
     assert len(list(step_weight_tables(seed_3, 4))) == 5
     # member 17 has n = 6 * 6 * 7 * ... * 22, about 5.6e19 >= 2^63
     with pytest.raises(OverflowError):
         next(step_weight_tables(seed_3, 17))
     # GF(7) seed 2 at j = 6 has 7^9 cells, over MATERIALIZATION_BUDGET
     with pytest.raises(ValueError):
-        next(step_weight_tables(seed_code(F7, 2, verify=False), 6))
+        next(step_weight_tables(seed_code(F7, 2), 6))
 
 
 @pytest.mark.parametrize("field,last", [(F2, 16), (F3, 11), (F5, 7)], ids=lambda x: str(x))
 def test_predict_params_past_top_equals_the_step_recursion(field, last):
     # seed 2 has top = 5; GF(2) member 16 has n of about 8e16. GF(7) is left
     # to the property below: its j = 6 table is over the cell budget.
-    tables = step_weight_tables(seed_code(field, 2, verify=False), last)
+    tables = step_weight_tables(seed_code(field, 2), last)
     got = [int(table.reshape(-1)[1:].min()) for table in tables]
     assert got == [predict_params(4, 3, 1, 3, s).d for s in range(last + 1)]
     assert got[6:] == [predict_params(4, 3, 1, 3, s).u for s in range(6, last + 1)]
@@ -341,22 +343,24 @@ _CHAIN_CASES = [
 @pytest.mark.parametrize("field,index,max_steps", _CHAIN_CASES)
 def test_iterated_distance_matches_prediction(field, index, max_steps):
     base = seed_code(field, index)
+    d = min_distance_exhaustive(base)
     u = 2 * index - 1
     for j in range(max_steps + 1):
-        predicted = predict_params(base.n, base.k, base.d, u, j)
+        predicted = predict_params(base.n, base.k, d, u, j)
         assert predicted.d_exact
         code = new_code(field, iterate(list(base.basis), j))
         assert (code.n, code.k) == (predicted.n, predicted.k)
         assert min_distance_exhaustive(code) == predicted.d
-        assert Fraction(code.k * code.d, code.n) == Fraction((base.k + j) * base.d, base.n)
+        assert Fraction(code.k * code.d, code.n) == Fraction((base.k + j) * d, base.n)
 
 
 @pytest.mark.parametrize("field,index,max_steps", [(F2, 2, 6), (F3, 2, 5), (F2, 3, 3)])
 def test_bounded_after_matches_check_bounded(field, index, max_steps):
     base = seed_code(field, index)
+    d = min_distance_exhaustive(base)
     u = 2 * index - 1
     for j in range(max_steps + 1):
-        predicted = predict_params(base.n, base.k, base.d, u, j)
+        predicted = predict_params(base.n, base.k, d, u, j)
         code = new_code(field, iterate(list(base.basis), j))
         report = check_bounded(code, predicted.u)
         assert report.bounded == predicted.bounded_after
@@ -417,14 +421,15 @@ _MEMBERS_UNDER_BUDGET = [(2, 6), (3, 5), (4, 5)]
 @pytest.mark.parametrize("field", [F2, F3, F5, F7], ids=lambda f: f"GF({f.p})")
 def test_stepped_multiset_equals_the_materialized_rows_multiset(field):
     for index, last in _MEMBERS_UNDER_BUDGET:
-        base = seed_code(field, index, verify=False)
+        base = seed_code(field, index)
         for j in range(1, last + 1):
             member = iterate_code(base, j)
             stepped = member._columns
             rows = member._rows
             assert rows.shape == (member.k, member.n)
             _assert_same_multiset(stepped, _engine.projective_columns(field.p, rows))
-    assert family_code(field, 4, 6) == family_params(4, 6)
+    with pytest.raises(BudgetExceededError):
+        family_code(field, 4, 6)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -459,7 +464,7 @@ def test_stepped_multiset_of_random_codes_pins_the_orientation():
     [(F2, 4, 1), (F2, 2, 3), (F3, 2, 2), (F5, 3, 2), (F7, 2, 3), (F3, 3, 1), (F2, 1, 4), (F7, 3, 2)],
 )
 def test_stepped_generator_text_matches_the_docstring_step(field, index, steps):
-    base = seed_code(field, index, verify=False)
+    base = seed_code(field, index)
     rows = base._rows
     for _ in range(steps):
         rows = _docstring_step(rows)
@@ -467,12 +472,12 @@ def test_stepped_generator_text_matches_the_docstring_step(field, index, steps):
     text = "\n".join([f"{field.p} {n} {k}", *(" ".join(str(int(x)) for x in row) for row in rows)]) + "\n"
     assert format_generator(iterate_code(base, steps)) == text
     if index >= 2:  # the k = 1 seed starts no bounded family
-        assert format_generator(family_code(field, index, steps, verify=False)) == text
+        assert format_generator(family_code(field, index, steps)) == text
 
 
 def test_rows_that_disagree_with_the_stepped_multiset_are_refused():
     member = family_code(F3, 2, 2)
-    assert member.d == 20
+    assert min_distance_exhaustive(member) == 20
     real = member._recipe
 
     def flipped():

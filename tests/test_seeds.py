@@ -17,6 +17,7 @@ from growthcodes import (
     stack_blocks,
     weight,
 )
+from growthcodes import seeds as seeds_module
 from growthcodes.seeds import (
     build_seed_matrices,
     family_code,
@@ -135,45 +136,58 @@ def test_determinant_lemma(field):
 def test_seed_codes_parameters_and_boundedness(field):
     for i in range(2, 7):
         code = seed_code(field, i)
-        assert (code.n, code.k, code.d) == (2 * i, 2 * i - 1, 1)
+        assert code.d is None
+        assert (code.n, code.k, min_distance_exhaustive(code)) == (2 * i, 2 * i - 1, 1)
         assert check_bounded(code, 2 * i - 1).bounded
 
 
 def test_smallest_seed_code_unbounded():
     code = seed_code(F2, 1)
-    assert (code.n, code.k, code.d) == (2, 1, 1)
+    assert (code.n, code.k, min_distance_exhaustive(code)) == (2, 1, 1)
     assert not check_bounded(code, 1).bounded
 
 
 def test_family_code_small_members():
     built = family_code(F2, 2, 1)
-    assert isinstance(built, LinearCode)
-    assert (built.n, built.k, built.d) == (16, 4, 4)
+    assert isinstance(built, LinearCode) and built.d is None
+    assert (built.n, built.k, min_distance_exhaustive(built)) == (16, 4, 4)
     assert family_params(2, 1).u == 9
 
     deep = family_code(F2, 2, 5)
-    assert (deep.n, deep.k, deep.d) == (26880, 8, 6720)
+    assert (deep.n, deep.k, min_distance_exhaustive(deep)) == (26880, 8, 6720)
     assert family_params(2, 5).u == 7560
 
     mid = family_code(F2, 3, 2)
-    assert (mid.n, mid.k, mid.d) == (252, 7, 42)
+    assert (mid.n, mid.k, min_distance_exhaustive(mid)) == (252, 7, 42)
     assert family_params(3, 2).u == 150
 
 
-def test_family_code_returns_params_when_too_long():
-    got = family_code(F2, 4, 20)
-    assert isinstance(got, CodeParams)
+def test_family_code_refuses_past_the_materialization_budget(monkeypatch):
+    # The member's exact k * n is refused before its seed is built; its
+    # parameters come from family_params and series_params instead.
+    seeds_built = []
+    real = seeds_module.build_seed_matrices
+    monkeypatch.setattr(seeds_module, "build_seed_matrices", lambda *args: seeds_built.append(args) or real(*args))
+    refused = [
+        (lambda: family_code(F2, 14, 3), family_params(14, 3)),
+        (lambda: family_code(F2, 4, 20), family_params(4, 20)),
+        (lambda: series_code(F2, 2), series_params(2).params),
+    ]
+    for build, params in refused:
+        with pytest.raises(BudgetExceededError) as err:
+            build()
+        assert (err.value.required, err.value.budget) == (params.k * params.n, MATERIALIZATION_BUDGET)
+    assert seeds_built == []
+    got = family_params(4, 20)
     assert got.k == 27
     assert got.n == 8 * got.d
 
 
 def test_verification_stops_at_the_default_budget():
-    # seed_code and family_code search only when q^k <= 2^26, else leave d unset
-    assert seed_code(F2, 13).d == 1  # 2^25 messages
-    assert seed_code(F2, 14).d is None  # 2^27
+    # family_code(verify=True) searches only when q^k <= 2^26, else leaves d unset
     f11 = make_field(11)
-    assert family_code(f11, 2, 4).d == family_params(2, 4).d  # 11^7 messages
-    over = family_code(f11, 2, 5)  # 11^8
+    assert family_code(f11, 2, 4, verify=True).d == family_params(2, 4).d  # 11^7 messages
+    over = family_code(f11, 2, 5, verify=True)  # 11^8
     assert isinstance(over, LinearCode) and over.d is None
 
 
@@ -196,7 +210,7 @@ def test_family_range_violation():
         member = family_code(field, 2, 6)
         assert isinstance(member, LinearCode)
         assert [member.n, member.k] == [241920, 9]
-        assert member.d == family_params(2, 6).d == 60480
+        assert min_distance_exhaustive(member) == family_params(2, 6).d == 60480
 
 
 def test_family_params_match_chain_prediction():
@@ -245,8 +259,10 @@ def test_series_identity_exact_to_100():
 
 def test_series_member_materializes_only_first_index():
     built = series_code(F2, 1)
-    assert built.code is not None and built.code.d == 6720
-    assert series_code(F2, 2).code is None
+    assert isinstance(built, LinearCode) and built.d is None
+    assert (built.n, built.k, min_distance_exhaustive(built)) == (26880, 8, 6720)
+    with pytest.raises(BudgetExceededError):
+        series_code(F2, 2)
 
 
 @pytest.mark.parametrize("field", (F2, F3, F5, F7))
@@ -254,12 +270,12 @@ def test_family_distance_field_independent(field):
     # the same member has the same verified distance over every prime field;
     # (2, 3) over GF(7) scans 7^6 messages of length 480
     for i, j in ((2, 2), (3, 1), (2, 3)):
-        assert family_code(field, i, j).d == family_params(i, j).d
+        assert min_distance_exhaustive(family_code(field, i, j)) == family_params(i, j).d
     assert family_params(2, 2).d == 20 and family_params(3, 1).d == 6
 
 
 def test_seed_basis_weights_all_equal():
     for i in range(2, 30):
-        code = seed_code(F3, i, verify=False)
+        code = seed_code(F3, i)
         assert set(code.basis_weights()) == {2 * i - 1}
         assert all(weight(v) == 2 * i - 1 for v in code.basis)
