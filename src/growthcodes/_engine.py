@@ -42,8 +42,9 @@ inexact, is refused with BudgetExceededError rather than scanned.
   by one matrix-vector product. The table is built and kept in the
   narrowest unsigned dtype that holds a sum of two residues,
   min_scalar_type(2(p - 1)): uint8 up to p = 127, uint16 up to p = 32749
-  and uint32 beyond. Each digit's sums are reduced by ``%`` with a modulus
-  of that dtype, so the table never has an int64 temporary.
+  and uint32 beyond. Each digit's sums, all below 2p - 1, are reduced by
+  subtracting p where they reach it, in that dtype, so the table never has
+  an int64 temporary.
 * High-rate codes are searched through their dual: the scan above, run over
   the q^(n-k) words of the dual, gives the dual's weight distribution, and
   the MacWilliams identity (MacWilliams & Sloane, "The Theory of
@@ -237,6 +238,18 @@ def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
         yield weigh(np.bitwise_xor(base, offsets, out=xor))
 
 
+def _trailing_table(p: int, rows: np.ndarray, narrow: np.dtype) -> np.ndarray:
+    """table[m] = sum_d digit_d(m) * rows[d] (mod p), digit d worth p**d, in
+    ``narrow``, an unsigned dtype that holds a sum of two residues."""
+    modulus = narrow.type(p)
+    table = np.zeros((1, rows.shape[1]), dtype=narrow)
+    for row in rows[::-1]:
+        multiples = (np.arange(p)[:, None] * row % p).astype(narrow)
+        table = (table[:, None, :] + multiples).reshape(-1, rows.shape[1])
+        table -= (table >= modulus) * modulus
+    return table
+
+
 def _message_weights_odd(p: int, cols: np.ndarray, mult: np.ndarray):
     """Yield the codeword weights of one message per scalar class, one block
     at a time: the zero prefix with the head, then every prefix whose most
@@ -247,17 +260,11 @@ def _message_weights_odd(p: int, cols: np.ndarray, mult: np.ndarray):
     # The narrowest unsigned dtype that holds a sum of two residues, so that
     # the table is built and reduced in it, with no wider temporary.
     narrow = np.min_scalar_type(2 * (p - 1))
-    modulus = narrow.type(p)
     t = 0
     while t < k - 1 and p ** (t + 1) * width * narrow.itemsize <= _BLOCK_BYTES:
         t += 1
     high = k - t
-    # table[m] = sum_d digit_d(m) * cols[high + d] (mod p), digit d worth p**d.
-    table = np.zeros((1, width), dtype=narrow)
-    for row in cols[high:][::-1]:
-        multiples = (np.arange(p)[:, None] * row % p).astype(narrow)
-        table = (table[:, None, :] + multiples).reshape(-1, width)
-        np.remainder(table, modulus, out=table)
+    table = _trailing_table(p, cols[high:], narrow)
     # With a zero prefix, only trailing parts whose most significant nonzero
     # digit is 1 are enumerated: one per scalar class.
     head = table[[m for g in range(t) for m in range(p**g, 2 * p**g)]]
@@ -339,15 +346,30 @@ def min_weight_enumeration(p: int, cols: np.ndarray, mult: np.ndarray) -> int:
 def weight_distribution(p: int, cols: np.ndarray, mult: np.ndarray) -> dict[int, int]:
     """{weight: number of codewords} over the weights that occur, 0 included,
     by full message enumeration of the gcd-reduced multiset (see
-    _gcd_reduced); the caller checks the enumeration budget."""
+    _gcd_reduced); the caller checks the enumeration budget.
+
+    A block is counted densely when its weights, at most the reduced total,
+    stay below its length or below the dense count's, and by its distinct
+    weights otherwise; so memory is a block's and one entry per distinct
+    weight, however large the total.
+    """
     g, reduced, total = _gcd_reduced(mult)
-    counts = np.zeros(total + 1, dtype=np.int64)
+    dense = np.zeros(0, dtype=np.int64)
+    counts: dict[int, int] = {}
     for weights in _message_weights(p, cols, reduced):
         # Exact: GF(2) blocks hold integers, in floats for several classes.
-        block = np.bincount(weights.astype(np.int64))
-        counts[: len(block)] += block
-    occurring = np.flatnonzero(counts[1:]) + 1
-    return {0: 1} | {g * w: c * (p - 1) for w, c in zip(occurring.tolist(), counts[occurring].tolist())}
+        block = weights.astype(np.int64)
+        if total < len(block) or block.max() < max(len(block), len(dense)):
+            tally = np.bincount(block, minlength=len(dense))
+            tally[: len(dense)] += dense
+            dense = tally
+        else:
+            for w, c in zip(*(part.tolist() for part in np.unique(block, return_counts=True))):
+                counts[w] = counts.get(w, 0) + c
+    occurring = np.flatnonzero(dense)
+    for w, c in zip(occurring.tolist(), dense[occurring].tolist()):
+        counts[w] = counts.get(w, 0) + c
+    return {0: 1} | {g * w: c * (p - 1) for w, c in sorted(counts.items())}
 
 
 def _krawtchouk(p: int, n: int, w: int, i: int) -> int:

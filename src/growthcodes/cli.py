@@ -11,7 +11,8 @@ parameters as JSON; it searches no distance. Every distance search runs
 serially in this process. All data outputs are deterministic;
 timing lives only in the report field and never inside data files. The
 enumeration budget can be overridden with the GROWTHCODES_BUDGET environment
-variable.
+variable. Each command imports the library modules it runs when it runs, so
+``--version`` and ``growth --family rm-third`` start without numpy.
 """
 
 from __future__ import annotations
@@ -21,23 +22,9 @@ import json
 import os
 import sys
 import time
-import traceback
 
-from . import __version__
-from .code import (
-    DEFAULT_ENUMERATION_BUDGET,
-    _format_rows,
-    min_distance_exhaustive,
-    read_generator_file,
-    singleton_check,
-    write_generator_file,
-)
-from .construct import check_bounded, iterate_code, predict_params, rising_factorial
+from . import FAMILIES, __version__
 from .errors import BudgetExceededError, GrowthCodesError, VerificationError
-from .field import make_field
-from .growth import FAMILIES, exact_integer_text, growth_table, records_to_csv, records_to_json
-from .reedmuller import rm_generator
-from .seeds import build_seed_matrices, family_code, family_params, seed_code, series_code, series_params
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
@@ -58,6 +45,8 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _budget_from_env() -> int:
+    from .code import DEFAULT_ENUMERATION_BUDGET
+
     raw = os.environ.get("GROWTHCODES_BUDGET")
     if raw is None:
         return DEFAULT_ENUMERATION_BUDGET
@@ -93,12 +82,18 @@ def _emit(report: dict) -> None:
 
 
 def _write_payload(path, payload: dict) -> None:
+    from .growth import exact_integer_text
+
     with exact_integer_text(), open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
 def cmd_seed_matrix(args) -> int:
+    from .code import _format_rows
+    from .field import make_field
+    from .seeds import build_seed_matrices
+
     field = make_field(args.field)
     matrices = build_seed_matrices(field, args.i)
     # A_i has determinant 1, so it is written as rows with no code built.
@@ -110,6 +105,8 @@ def cmd_seed_matrix(args) -> int:
 def _params_payload(args) -> dict:
     """The exact parameters ``build`` writes, as JSON, for a chain member too
     large to build."""
+    from .seeds import family_params, series_params
+
     if args.family == "family":
         params = family_params(args.i, args.j)
         return {
@@ -136,7 +133,21 @@ def _params_payload(args) -> dict:
 
 
 def cmd_build(args) -> int:
+    from .code import write_generator_file
+    from .field import make_field
+
     field = make_field(args.field)
+    if args.family == "rm":
+        if args.m is None or args.r is None:
+            raise GrowthCodesError("--family rm needs --m and --r")
+        if args.field != 2:
+            raise GrowthCodesError("Reed-Muller codes are binary; --field must be 2")
+        from .reedmuller import rm_generator
+
+        write_generator_file(rm_generator(args.m, args.r), args.out)
+        return 0
+    from .seeds import family_code, seed_code, series_code
+
     if args.family == "seed":
         if args.i is None:
             raise GrowthCodesError("--family seed needs --i")
@@ -146,21 +157,12 @@ def cmd_build(args) -> int:
         raise GrowthCodesError("--family family needs --i and --j")
     if args.family == "series" and args.i is None:
         raise GrowthCodesError("--family series needs --i")
-    if args.family in ("family", "series"):
-        try:
-            code = family_code(field, args.i, args.j) if args.family == "family" else series_code(field, args.i)
-        except BudgetExceededError:
-            _write_payload(args.out, _params_payload(args))
-        else:
-            write_generator_file(code, args.out)
-        return 0
-    # rm
-    if args.m is None or args.r is None:
-        raise GrowthCodesError("--family rm needs --m and --r")
-    if args.field != 2:
-        raise GrowthCodesError("Reed-Muller codes are binary; --field must be 2")
-    code = rm_generator(args.m, args.r)
-    write_generator_file(code, args.out)
+    try:
+        code = family_code(field, args.i, args.j) if args.family == "family" else series_code(field, args.i)
+    except BudgetExceededError:
+        _write_payload(args.out, _params_payload(args))
+    else:
+        write_generator_file(code, args.out)
     return 0
 
 
@@ -203,6 +205,8 @@ def _parse_checks(text: str) -> list[tuple[str, list[int]]]:
 
 
 def cmd_verify(args) -> int:
+    from .code import min_distance_exhaustive, read_generator_file, singleton_check
+
     started = time.perf_counter()
     budget = _budget_from_env()
     checks = _parse_checks(args.checks)
@@ -220,6 +224,8 @@ def cmd_verify(args) -> int:
                 {"name": "params", "expected": check_args, "actual": actual, "pass": actual == check_args}
             )
         elif name == "bounded":
+            from .construct import check_bounded
+
             report = check_bounded(code, check_args[0], budget=budget)
             rows.append(
                 {
@@ -259,12 +265,16 @@ def cmd_growth(args) -> int:
     if args.family in ("direct-sum", "repetition"):
         if args.infile is None:
             raise GrowthCodesError(f"--family {args.family} needs --in with a base generator file")
+        from .code import min_distance_exhaustive, read_generator_file
+
         base = read_generator_file(args.infile)
         # the table's formula rests on the base's distance: search it under the
         # caller's budget; row searches stay under VERIFY_MESSAGE_CAP
         min_distance_exhaustive(base, budget=_budget_from_env())
     if args.family == "seed-family" and args.i is None:
         raise GrowthCodesError("--family seed-family needs --i")
+    from .growth import growth_table, records_to_csv, records_to_json
+
     records = growth_table(args.family, args.max_index, seed_index=args.i, base_code=base)
     text = records_to_csv(records) if args.format == "csv" else records_to_json(records)
     if args.out:
@@ -276,6 +286,9 @@ def cmd_growth(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .code import min_distance_exhaustive, read_generator_file, write_generator_file
+    from .construct import check_bounded, iterate_code, predict_params, rising_factorial
+
     started = time.perf_counter()
     budget = _budget_from_env()
     code = read_generator_file(args.infile)
@@ -395,6 +408,8 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except Exception:
         # Exit 1 means a mathematical check failed; a crash must not look like one.
+        import traceback
+
         traceback.print_exc()
         print("internal error: see the traceback above", file=sys.stderr)
         return USAGE_ERROR

@@ -17,7 +17,6 @@ formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -33,28 +32,10 @@ from .errors import (
 )
 from .field import PrimeField, make_field
 from .linalg import FieldMatrix, FieldVector, _rank, _reduce, _residues, check_array_field, parity_check_matrix
+from .params import CodeParams
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 26
 MATERIALIZATION_BUDGET = 1 << 24  # int64 cells (128 MiB) of one k x n generator
-
-
-@dataclass(frozen=True)
-class CodeParams:
-    """Exact [n, k, d] parameters (big integers), optionally with a weight
-    bound u; used for codes too large to materialize."""
-
-    n: int
-    k: int
-    d: int
-    u: int | None = None
-
-    def __post_init__(self):
-        if self.n < 1 or self.k < 1 or self.d < 1:
-            raise ValueError("parameters must be positive")
-        if self.k > self.n:
-            raise ValueError(f"dimension {self.k} exceeds length {self.n}")
-        if self.u is not None and self.u < 1:
-            raise ValueError("u must be positive when set")
 
 
 class LinearCode:

@@ -18,6 +18,9 @@ small integers, and checks its last row against family_params. Every other
 record converts its integer base columns with str() once, on its first
 write; the exact parameters of the headline series run to thousands of
 digits, and str() is quadratic in them.
+
+The code, construct and seeds layers, and numpy with them, are imported by
+the families and rows that use them, so the rm-third table loads none.
 """
 
 from __future__ import annotations
@@ -30,14 +33,11 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import partial
 
-from .code import CodeParams, LinearCode, _check_enumeration, direct_sum, min_distance_exhaustive, repetition
-from .construct import _chain_walk
+from . import FAMILIES
 from .errors import BudgetExceededError, RangeViolationError, UnknownFamilyError, VerificationError
 from .field import make_field
+from .params import CodeParams
 from .reedmuller import rm_generator, rm_params, rm_third_series
-from .seeds import family_code, family_params, series_params
-
-FAMILIES = ("seed-series", "seed-family", "rm-diagonal", "rm-third", "direct-sum", "repetition")
 
 # Verification ceilings for table rows, tested on the row's formula
 # parameters: materialize and brute-force only when the code is this small,
@@ -99,6 +99,8 @@ def _row(family: str, index: int, params: CodeParams, extras: dict, build, walke
     """
     searched = None
     if build is not None and params.n <= VERIFY_LENGTH_CAP:
+        from .code import _check_enumeration, min_distance_exhaustive
+
         try:
             _check_enumeration(p, params.k, VERIFY_MESSAGE_CAP)
             searched = min_distance_exhaustive(build(), budget=VERIFY_MESSAGE_CAP)
@@ -133,6 +135,8 @@ def _row_inputs(family: str, max_index: int, seed_index: int | None, base_code: 
     decimal text of n, d and u, or None) of each row."""
     f2 = make_field(2)
     if family == "seed-series":
+        from .seeds import family_code, series_params
+
         for i in range(1, max_index + 1):
             member = series_params(i)
             extras = {
@@ -149,6 +153,9 @@ def _row_inputs(family: str, max_index: int, seed_index: int | None, base_code: 
             raise ValueError("seed-family needs seed_index")
         if seed_index < 2:
             raise RangeViolationError(f"the bounded family needs seed index >= 2, got {seed_index}")
+        from .construct import _chain_walk
+        from .seeds import family_code, family_params
+
         two_i = 2 * seed_index
         for chain, ratio, text in _chain_walk(two_i, two_i - 1, 1, two_i - 1, max_index):
             j = chain.steps
@@ -168,6 +175,8 @@ def _row_inputs(family: str, max_index: int, seed_index: int | None, base_code: 
     else:
         if base_code is None:
             raise ValueError(f"{family} needs a base code")
+        from .code import direct_sum, min_distance_exhaustive, repetition
+
         n, k, d = base_code.n, base_code.k, min_distance_exhaustive(base_code)
         compose = direct_sum if family == "direct-sum" else repetition
         for s in range(1, max_index + 1):

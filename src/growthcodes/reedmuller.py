@@ -5,6 +5,9 @@ vectors are the evaluations of all Boolean monomials of degree <= r over the
 2^m points, points ordered by integer index (bit t of the point index is the
 value of variable t), monomials ordered by degree then lexicographic
 variable subset. The ordering is fixed so serializations are byte-exact.
+
+Only rm_generator needs numpy and the code layer, and imports them when
+called: the parameter formulas and the third series load neither.
 """
 
 from __future__ import annotations
@@ -14,11 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .code import CodeParams, LinearCode, _check_materialization
 from .errors import RangeViolationError
-from .field import make_field
+from .params import CodeParams
 
 
 # The last (m, r, binomial_sum(m, r), C(m, r)) computed, with r <= m, read and
@@ -81,6 +81,11 @@ def rm_generator(m: int, r: int) -> LinearCode:
     """Monomial-evaluation generator of RM(m, r) over GF(2). A generator of
     binomial_sum(m, r) x 2^m cells past the materialization budget raises
     BudgetExceededError before any work."""
+    import numpy as np
+
+    from .code import LinearCode, _check_materialization
+    from .field import make_field
+
     _check_orders(m, r)
     n = 2**m
     k = binomial_sum(m, r)

@@ -120,7 +120,8 @@ def test_build_series_runs_no_distance_search(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("build ran a distance search")
 
-    for module in (gc_code, construct, growth, seeds, cli):
+    # cli and growth import it from code when they call it
+    for module in (gc_code, construct, seeds):
         monkeypatch.setattr(module, "min_distance_exhaustive", refuse)
     out = tmp_path / "series1.txt"
     assert cli.main(["build", "--family", "series", "--i", "1", "--field", "7", "--out", str(out)]) == 0
@@ -192,8 +193,8 @@ def test_verify_searches_once_for_every_check(tmp_path, monkeypatch, capsys):
     out = tmp_path / "c3.txt"
     assert cli.main(["build", "--family", "seed", "--i", "3", "--field", "2", "--out", str(out)]) == 0
     calls = []
-    real = cli.min_distance_exhaustive
-    monkeypatch.setattr(cli, "min_distance_exhaustive", lambda code, **kw: calls.append(1) or real(code, **kw))
+    real = gc_code.min_distance_exhaustive
+    monkeypatch.setattr(gc_code, "min_distance_exhaustive", lambda code, **kw: calls.append(1) or real(code, **kw))
     checks = "distance,params:6,5,1,singleton,bounded:5"
     assert cli.main(["verify", "--in", str(out), "--checks", checks]) == 0
     assert calls == [1]
@@ -283,7 +284,7 @@ def test_main_maps_errors_to_exit_codes(monkeypatch, capsys, error, code):
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "growth_table", fail)
+    monkeypatch.setattr(growth, "growth_table", fail)
     assert cli.main(["growth", "--family", "rm-third", "--max-index", "2"]) == code
     assert str(error) in capsys.readouterr().err
 

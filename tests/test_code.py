@@ -445,6 +445,20 @@ def test_odd_scan_at_the_table_dtype_boundaries(p, k):
     _check_scan_against_direct_count(p, rows)
 
 
+@pytest.mark.parametrize("p", [3, 7, 127, 131, 257])
+def test_trailing_table_equals_the_int64_remainder(p):
+    # Each digit's sums, below 2p - 1, are reduced in the narrow dtype by a
+    # masked subtraction of p; they must equal the int64 sums taken mod p.
+    narrow = np.min_scalar_type(2 * (p - 1))
+    t = 3 if p < 100 else 2
+    rows = np.random.default_rng(p).integers(0, p, size=(t, 40), dtype=np.int64)
+    rows[:, 0] = 1  # its digit sums reach 2p - 2
+    table = _engine._trailing_table(p, rows, narrow)
+    digits = np.arange(p**t)[:, None] // p ** np.arange(t) % p
+    assert table.dtype == narrow
+    assert np.array_equal(table, digits @ rows % p)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_scans_divide_out_the_gcd_and_refuse_inexact_sums(p):
     # Synthetic multisets of the two unit columns and their sum, weighed
@@ -467,6 +481,15 @@ def test_scans_divide_out_the_gcd_and_refuse_inexact_sums(p):
         unit: p - 1,
         3 * unit: p - 1,
         4 * unit: (p - 1) ** 2,
+    }
+    # Coprime multiplicities leave the weights whole: a dense count to 2^40
+    # would take 8 TiB, so the memory is a block's and one entry per weight.
+    big = 1 << 40
+    assert _engine.weight_distribution(p, cols[:, :2], np.array([big, 1], dtype=np.int64)) == {
+        0: 1,
+        1: p - 1,
+        big: p - 1,
+        big + 1: (p - 1) ** 2,
     }
     # 2^53 + 1 cannot be summed exactly in float64: refused, never scanned.
     for scan in (_engine.min_weight_enumeration, _engine.weight_distribution):

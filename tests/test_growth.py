@@ -25,7 +25,8 @@ from growthcodes import (
     make_field,
     new_code,
 )
-from growthcodes import construct, growth, reedmuller
+from growthcodes import code as gc_code
+from growthcodes import construct, growth, reedmuller, seeds
 from growthcodes.growth import (
     BASE_COLUMNS,
     VERIFY_LENGTH_CAP,
@@ -116,8 +117,8 @@ def test_composition_tables_preserve_ratio():
 def test_composed_rows_past_the_caps_are_not_built(monkeypatch):
     # direct_sum(seed [4, 3, 1], s) has k = 3s: only s <= 5 fits VERIFY_MESSAGE_CAP = 2^16
     built = []
-    real = growth.direct_sum
-    monkeypatch.setattr(growth, "direct_sum", lambda code, s: built.append(s) or real(code, s))
+    real = gc_code.direct_sum
+    monkeypatch.setattr(gc_code, "direct_sum", lambda code, s: built.append(s) or real(code, s))
     records = growth_table("direct-sum", 40, base_code=seed_code(F2, 2))
     # row 1 is the base itself
     assert built == [2, 3, 4, 5]
@@ -128,8 +129,8 @@ def test_composed_rows_past_the_caps_are_not_built(monkeypatch):
 def test_composed_rows_without_verify_build_nothing(monkeypatch):
     built = []
     for name in ("direct_sum", "repetition"):
-        real = getattr(growth, name)
-        monkeypatch.setattr(growth, name, lambda code, s, real=real: built.append(s) or real(code, s))
+        real = getattr(gc_code, name)
+        monkeypatch.setattr(gc_code, name, lambda code, s, real=real: built.append(s) or real(code, s))
     base = seed_code(F2, 2)
     sums = growth_table("direct-sum", 4, base_code=base, verify=False)
     reps = growth_table("repetition", 4, base_code=base, verify=False)
@@ -143,12 +144,12 @@ def _searches_one_too_high(monkeypatch, base):
     """Make every row search report one more than the true distance; the
     composed rows' base keeps its true distance, and so does their row 1,
     which is the base."""
-    real = growth.min_distance_exhaustive
+    real = gc_code.min_distance_exhaustive
 
     def wrong(code, **kwargs):
         return real(code, **kwargs) + (code is not base)
 
-    monkeypatch.setattr(growth, "min_distance_exhaustive", wrong)
+    monkeypatch.setattr(gc_code, "min_distance_exhaustive", wrong)
 
 
 @pytest.mark.parametrize(
@@ -248,14 +249,14 @@ def test_seed_family_table_ignores_the_callers_decimal_context():
 
 
 def test_seed_family_walk_disagreeing_with_family_params_raises(monkeypatch):
-    real = growth.family_params
+    real = seeds.family_params
     last = max_family_steps(3)
 
     def off_at_the_last_row(i, j):
         params = real(i, j)
         return dataclasses.replace(params, d=params.d + 1) if j == last else params
 
-    monkeypatch.setattr(growth, "family_params", off_at_the_last_row)
+    monkeypatch.setattr(seeds, "family_params", off_at_the_last_row)
     assert len(growth_table("seed-family", last - 1, seed_index=3, verify=False)) == last
     with pytest.raises(VerificationError, match="family_params"):
         growth_table("seed-family", last, seed_index=3, verify=False)
