@@ -49,7 +49,9 @@ inexact, is refused with BudgetExceededError rather than scanned.
   the q^(n-k) words of the dual, gives the dual's weight distribution, and
   the MacWilliams identity (MacWilliams & Sloane, "The Theory of
   Error-Correcting Codes", ch. 5) turns it into the code's, exactly, in
-  Python integers. Cheap precisely when the redundancy n - k is small.
+  Python integers. Cheap precisely when the redundancy n - k is small;
+  code.min_distance_exhaustive takes this path only when the q^k messages
+  are over its budget and the q^(n-k) dual words are not.
 
 Both scans size their blocks by one budget, ``_BLOCK_BYTES``: the trailing
 table holds the largest number of digits whose table fits in 256 KiB.

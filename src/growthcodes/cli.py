@@ -3,12 +3,13 @@ construction, and export growth tables.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (a report row,
 or a search result contradicting a proven bound), 2 usage, I/O, budget or
-internal errors, including generator files over a field GF(q) with
-q >= 2**16, where int64 arithmetic would no longer be exact. ``build``
-writes the code's generator file, or, for a family or series member whose
-builder refuses it past the materialization budget, the member's exact
-parameters as JSON; it searches no distance. Every distance search runs
-serially in this process. All data outputs are deterministic;
+internal errors, including a distance search whose q^k messages and q^(n-k)
+dual words both exceed the enumeration budget, and generator files over a
+field GF(q) with q >= 2**16, where int64 arithmetic would no longer be
+exact. ``build`` writes the code's generator file, or, for a family or
+series member whose builder refuses it past the materialization budget, the
+member's exact parameters as JSON; it searches no distance. Every distance
+search runs serially in this process. All data outputs are deterministic;
 timing lives only in the report field and never inside data files. The
 enumeration budget can be overridden with the GROWTHCODES_BUDGET environment
 variable. Each command imports the library modules it runs when it runs, so
@@ -299,8 +300,9 @@ def cmd_construct(args) -> int:
     rows: list[dict] = []
     params = None
     try:
-        # The output has the larger dimension, so searching it first refuses
-        # before any work whenever either search would be over budget.
+        # The output has the larger dimension and redundancy: if it fits either
+        # engine so does the input, so searching it first refuses before any
+        # work whenever either search would be over budget.
         d_out = min_distance_exhaustive(out_code, budget=budget)
     except BudgetExceededError:
         notes.append("distance enumeration over budget; no brute-force comparison")
@@ -324,16 +326,17 @@ def cmd_construct(args) -> int:
         if basis.cond_weights_ok and basis.cond_sum_ok:
             prediction = predict_params(code.n, code.k, d_in, u, args.steps)
             params = _params_dict(prediction.n, prediction.k, prediction.d, prediction.u)
-            rows.append(
-                {
-                    "name": "distance_exact_prediction",
-                    "expected": prediction.d,
-                    "actual": d_out,
-                    "pass": d_out == prediction.d,
-                }
-            )
+            exact = prediction.d
+        elif args.steps and (code.k + 1) * d_in >= sum(basis.basis_weights):
+            # the chain theorem's other case: d_s = u_s = W (k+1)...(k+s-1)
+            exact = sum(basis.basis_weights) * rising_factorial(code.k + 1, args.steps - 1)
+            params = _params_dict(out_code.n, out_code.k, exact, exact)
         else:
             notes.append("basis weights not all equal or basis sum not of minimum weight; lower-bound path only")
+        if params is not None:
+            rows.append(
+                {"name": "distance_exact_prediction", "expected": exact, "actual": d_out, "pass": d_out == exact}
+            )
     report = _report(
         "construct",
         {"in": args.infile, "steps": args.steps, "out": args.out},

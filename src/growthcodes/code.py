@@ -4,12 +4,13 @@ minimum-distance search, rate, Singleton check, direct sum and repetition.
 The minimum distance cached on a LinearCode is always the result of an
 exhaustive search; formula-predicted distances belong in CodeParams.
 
-The two budgets that refuse work (BudgetExceededError) live here, each
-tested by one function that takes parameters rather than a code:
-_check_enumeration (messages searched) and _check_materialization (int64
-cells of a generator to be allocated). The searches also pass on the
-engine's refusal of a multiset whose gcd-reduced multiplicities sum to
-2^53 or more, which no float64 product weighs exactly.
+The two budgets that refuse work (BudgetExceededError) live here: the
+enumeration budget of min_distance_exhaustive, the one distance search,
+which scans the q^k messages when they fit and else the q^(n-k) dual words,
+and _check_materialization's test of the int64 cells of a generator to be
+allocated. The search also passes on the engine's refusal of a multiset
+whose gcd-reduced multiplicities sum to 2^53 or more, which no float64
+product weighs exactly.
 growth.VERIFY_MESSAGE_CAP and VERIFY_LENGTH_CAP refuse nothing: they decide
 which growth-table rows are searched, and the others are written from their
 formula.
@@ -175,20 +176,6 @@ def new_code(field: PrimeField, basis: Sequence[FieldVector] | FieldMatrix) -> L
     return LinearCode(field, basis)
 
 
-def _check_enumeration(p: int, k: int, budget: int) -> None:
-    """The one enumeration budget test: BudgetExceededError, carrying p^k,
-    when the p^k messages of a k-dimensional code over GF(p) exceed
-    ``budget``. It takes parameters, not a code, so a caller can refuse a
-    code before building it."""
-    total = p**k
-    if total > budget:
-        raise BudgetExceededError(
-            f"enumeration needs {p}^{k} codewords, budget is {budget}",
-            required=total,
-            budget=budget,
-        )
-
-
 def _check_materialization(k: int, n: int) -> None:
     """The one materialization budget test: BudgetExceededError, carrying
     k * n, when a k x n int64 generator would exceed MATERIALIZATION_BUDGET
@@ -203,9 +190,10 @@ def _check_materialization(k: int, n: int) -> None:
         )
 
 
-def _check_searchable(code) -> None:
-    if not isinstance(code, LinearCode):
-        raise TypeError(f"a distance search needs a LinearCode, got {type(code).__name__}")
+def _fits(p: int, e: int, budget: int) -> bool:
+    """p^e <= budget. p^e >= 2^e, so an exponent past the budget's bit length
+    fails before its power is formed."""
+    return e < budget.bit_length() and p**e <= budget
 
 
 def min_distance_exhaustive(
@@ -213,22 +201,49 @@ def min_distance_exhaustive(
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> int:
-    """Exact minimum distance by enumerating the nonzero codewords.
+    """Exact minimum distance by exhaustive enumeration: the package's one
+    distance search, which picks its engine by the budget.
 
-    The engine visits one message per scalar class, (q^k - 1)/(q - 1) of
-    them, against the code's distinct projective columns. The budget still
-    counts q^k: BudgetExceededError (carrying that count) is raised when q^k
-    exceeds it, so callers can fall back to formula-level checks. Anything
-    but a LinearCode raises TypeError: a CodeParams' d is a formula, not a
-    search result.
+    When the q^k messages fit ``budget``, the engine visits one message per
+    scalar class, (q^k - 1)/(q - 1) of them, against the code's distinct
+    projective columns. Otherwise, when the q^(n-k) words of the dual fit,
+    it enumerates those and applies the MacWilliams identity
+    (_min_distance_by_dual), which suits high-rate codes. When neither fits,
+    BudgetExceededError names both counts and carries the smaller, so
+    callers can fall back to formula-level checks; the larger power is never
+    formed. Anything but a LinearCode raises TypeError: a CodeParams' d is a
+    formula, not a search result.
     """
-    _check_searchable(code)
-    if code.d is not None:
-        return code.d
-    _check_enumeration(code.field.p, code.k, budget)
-    d = _engine.min_weight_enumeration(code.field.p, *code._columns)
-    code._record_distance(d)
-    return d
+    if not isinstance(code, LinearCode):
+        raise TypeError(f"a distance search needs a LinearCode, got {type(code).__name__}")
+    if code.d is None:
+        p, k, redundancy = code.field.p, code.k, code.n - code.k
+        if _fits(p, k, budget):
+            d = _engine.min_weight_enumeration(p, *code._columns)
+        elif _fits(p, redundancy, budget):
+            d = _min_distance_by_dual(code)
+        else:
+            raise BudgetExceededError(
+                f"enumeration needs {p}^{k} codewords or {p}^{redundancy} dual words, budget is {budget}",
+                required=p ** min(k, redundancy),
+                budget=budget,
+            )
+        code._record_distance(d)
+    return code.d
+
+
+def _min_distance_by_dual(code: LinearCode) -> int:
+    """The minimum distance from the dual code's weight distribution: the
+    message scan over the q^(n-k) words of the dual, whose generator is
+    linalg.parity_check_matrix, and the MacWilliams identity turning their
+    weight counts into the code's. A code with n = k has d = 1. The caller
+    checks the budget."""
+    p, redundancy = code.field.p, code.n - code.k
+    if redundancy == 0:
+        return 1
+    dual = LinearCode(code.field, parity_check_matrix(code._rows, p))
+    counts = _engine.weight_distribution(p, *dual._columns)
+    return _engine.min_weight_from_dual(p, code.n, redundancy, counts)
 
 
 def min_distance_by_weight_search(
@@ -236,29 +251,9 @@ def min_distance_by_weight_search(
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> int:
-    """Exact minimum distance from the dual code's weight distribution.
-
-    Enumerates the q^(n-k) words of the dual (with the message-enumeration
-    engine) and turns their weight counts into the code's by the MacWilliams
-    identity, so it suits high-rate codes, whose messages are out of budget
-    but whose dual is small. The budget counts q^(n-k): BudgetExceededError
-    (carrying that count) is raised past it, so a code with large redundancy
-    is refused even when d is tiny. Anything but a LinearCode raises
-    TypeError, as for min_distance_exhaustive.
-    """
-    _check_searchable(code)
-    if code.d is not None:
-        return code.d
-    p, redundancy = code.field.p, code.n - code.k
-    if redundancy == 0:
-        d = 1
-    else:
-        _check_enumeration(p, redundancy, budget)
-        dual = LinearCode(code.field, parity_check_matrix(code._rows, p))
-        counts = _engine.weight_distribution(p, *dual._columns)
-        d = _engine.min_weight_from_dual(p, code.n, redundancy, counts)
-    code._record_distance(d)
-    return d
+    """min_distance_exhaustive, under the name of the former dual search. A
+    function of its own, not an alias, so the two names stay distinct."""
+    return min_distance_exhaustive(code, budget=budget)
 
 
 def rate(code: LinearCode) -> Fraction:

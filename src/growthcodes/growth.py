@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import FAMILIES
-from .errors import BudgetExceededError, RangeViolationError, UnknownFamilyError, VerificationError
+from .errors import RangeViolationError, UnknownFamilyError, VerificationError
 from .field import make_field
 from .params import CodeParams
 from .reedmuller import rm_generator, rm_params, rm_third_series
@@ -94,18 +94,16 @@ def _row(family: str, index: int, params: CodeParams, extras: dict, build, walke
     when the family has them, else None.
 
     Both caps are tested on the formula's parameters, so ``build`` runs only
-    for a code that will be searched; a search contradicting the formula
-    raises VerificationError.
+    for a code that will be searched, and the search cannot refuse: k <= 16
+    and n <= 10^5 keep its generator within 1.6 * 10^6 int64 cells and its
+    multiplicities below 2^53. A search contradicting the formula raises
+    VerificationError.
     """
     searched = None
-    if build is not None and params.n <= VERIFY_LENGTH_CAP:
-        from .code import _check_enumeration, min_distance_exhaustive
+    if build is not None and params.n <= VERIFY_LENGTH_CAP and p**params.k <= VERIFY_MESSAGE_CAP:
+        from .code import min_distance_exhaustive
 
-        try:
-            _check_enumeration(p, params.k, VERIFY_MESSAGE_CAP)
-            searched = min_distance_exhaustive(build(), budget=VERIFY_MESSAGE_CAP)
-        except BudgetExceededError:
-            pass
+        searched = min_distance_exhaustive(build(), budget=VERIFY_MESSAGE_CAP)
     if searched is not None and searched != params.d:
         raise VerificationError(
             f"{family} row {index}: searched distance {searched} disagrees with the formula {params.d}"

@@ -23,11 +23,11 @@ from growthcodes import (
     determinant,
     direct_sum,
     make_field,
-    min_distance_by_weight_search,
     min_distance_exhaustive,
     new_code,
     repetition,
 )
+from growthcodes.code import _min_distance_by_dual
 from growthcodes.reedmuller import rm_generator, rm_params, rm_third_series
 from growthcodes.seeds import (
     build_seed_matrices,
@@ -207,12 +207,13 @@ def test_criterion_08_reed_muller():
             expected = rm_params(m, r)
             if (code.n, code.k) != (expected.n, expected.k):
                 failures.append((m, r, "dimensions"))
-            if 2**code.k <= budget:
-                d = min_distance_exhaustive(code, budget=budget)
-            else:
-                d = min_distance_by_weight_search(code)
+            # the search takes the dual wherever the 2^k messages are over budget
+            d = min_distance_exhaustive(code, budget=budget)
             if d != expected.d:
                 failures.append((m, r, "distance", d, expected.d))
+            # and the dual engine is checked on its own where its words are few
+            if code.n - code.k <= 16 and _min_distance_by_dual(code) != expected.d:
+                failures.append((m, r, "dual distance", expected.d))
     for r in range(1, 11):
         params = rm_params(2 * r + 1, r)
         if params.k != 4**r or Fraction(params.k * params.d, params.n) != 2**r:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -157,20 +158,41 @@ def test_verify_field_past_int64_exactness_exits_2(tmp_path):
 
 
 def test_verify_budget_env_exits_2(tmp_path):
+    # [4, 3] over GF(3): 3^3 messages and 3^1 dual words, both over 2
     out = tmp_path / "c2.txt"
     run_cli("build", "--family", "seed", "--i", "2", "--field", "3", "--out", str(out))
     proc = run_cli(
-        "verify", "--in", str(out), "--checks", "distance", env={"GROWTHCODES_BUDGET": "4"}
+        "verify", "--in", str(out), "--checks", "distance", env={"GROWTHCODES_BUDGET": "2"}
     )
     assert proc.returncode == 2
     assert "budget" in proc.stderr
+    assert "3^3 codewords" in proc.stderr and "3^1 dual words" in proc.stderr
+
+
+def test_verify_high_rate_code_by_its_dual(tmp_path):
+    # RM(7,5) has 2^120 messages but 2^8 dual words
+    out = tmp_path / "rm75.txt"
+    assert run_cli("build", "--family", "rm", "--m", "7", "--r", "5", "--out", str(out)).returncode == 0
+    proc = run_cli("verify", "--in", str(out), "--checks", "distance,params:128,120,4")
+    assert proc.returncode == 0, proc.stderr
+    report = report_of(proc)
+    assert report["params"]["d"] == 4 and report["checks"][0]["actual"] == 4
+    table = tmp_path / "t.csv"
+    args = ("growth", "--family", "direct-sum", "--in", str(out), "--max-index", "2", "--out", str(table))
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(io.StringIO(table.read_text())))
+    assert [(r["n"], r["k"], r["d"], r["verified"]) for r in rows] == [
+        ("128", "120", "4", "false"),
+        ("256", "240", "4", "false"),
+    ]
 
 
 def test_growth_searches_its_base_under_the_budget_env(tmp_path):
     base, out = tmp_path / "s23.txt", tmp_path / "t.csv"
     run_cli("build", "--family", "seed", "--i", "2", "--field", "3", "--out", str(base))
     args = ("growth", "--family", "repetition", "--in", str(base), "--max-index", "2", "--out", str(out))
-    proc = run_cli(*args, env={"GROWTHCODES_BUDGET": "4"})
+    proc = run_cli(*args, env={"GROWTHCODES_BUDGET": "2"})
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr and "budget" in proc.stderr
@@ -354,9 +376,10 @@ def test_construct_bounded_input_gets_exact_prediction(tmp_path):
 
 
 def test_construct_unbounded_input_lower_bound_only(tmp_path):
-    # fixed [4, 2, 2] code with basis weights 3 and 2: only the lower-bound path
+    # fixed [7, 2, 2] code with basis weights 5 and 2, so W = 7 > (k+1)d = 6:
+    # only the lower-bound path
     src = tmp_path / "mixed.txt"
-    src.write_text("2 4 2\n1 1 1 0\n0 0 1 1\n")
+    src.write_text("2 7 2\n1 1 1 1 1 0 0\n0 0 0 0 0 1 1\n")
     out = tmp_path / "stepped.txt"
     proc = run_cli("construct", "--in", str(src), "--steps", "1", "--out", str(out))
     assert proc.returncode == 0
@@ -373,6 +396,23 @@ def test_construct_unbounded_input_lower_bound_only(tmp_path):
     assert [c["name"] for c in report["checks"]] == ["distance_lower_bound"]
     assert report["checks"][0]["expected"] == ">= " + str(2 * 2 * 3)
     assert report["checks"][0]["pass"]
+
+
+@pytest.mark.parametrize("steps,d", [(1, 5), (2, 15), (3, 60)])
+def test_construct_input_with_light_basis_gets_exact_prediction(tmp_path, steps, d):
+    # [4, 2, 2] with basis weights 2 and 3: (k+1)d = 6 >= W = 5, so the
+    # distance is W (k+1)...(k+s-1) at every step s >= 1
+    src = tmp_path / "light.txt"
+    src.write_text("2 4 2\n1 1 0 0\n0 1 1 1\n")
+    out = tmp_path / "stepped.txt"
+    proc = run_cli("construct", "--in", str(src), "--steps", str(steps), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    report = report_of(proc)
+    assert [c["name"] for c in report["checks"]] == ["distance_lower_bound", "distance_exact_prediction"]
+    exact = report["checks"][1]
+    assert exact["expected"] == exact["actual"] == d and exact["pass"]
+    n = 4 * math.prod(range(3, 3 + steps))
+    assert report["params"] == {"n": n, "k": 2 + steps, "d": d, "u": d} and "notes" not in report
 
 
 @pytest.mark.parametrize(

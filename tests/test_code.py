@@ -177,11 +177,36 @@ def test_min_distance_examples():
 
 
 def test_min_distance_budget_exceeded_carries_required_count():
-    c = _code(F2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    # 2^3 messages and 2^4 dual words: both over the budget
+    c = _code(F2, np.eye(3, 7, dtype=np.int64))
     with pytest.raises(BudgetExceededError) as err:
         min_distance_exhaustive(c, budget=4)
     assert err.value.required == 8
     assert err.value.budget == 4
+
+
+@pytest.mark.parametrize("k,n,smaller", [(4, 6, 3**2), (2, 6, 3**2), (3, 6, 3**3)])
+def test_refusal_carries_the_smaller_count_and_names_both(k, n, smaller):
+    code = _code(F3, np.hstack([np.eye(k, dtype=np.int64), np.ones((k, n - k), dtype=np.int64)]))
+    with pytest.raises(BudgetExceededError) as err:
+        min_distance_exhaustive(code, budget=smaller - 1)
+    assert (err.value.required, err.value.budget) == (smaller, smaller - 1)
+    assert f"3^{k} codewords" in str(err.value) and f"3^{n - k} dual words" in str(err.value)
+    assert code.d is None
+
+
+def test_search_builds_no_dual_while_the_messages_fit(monkeypatch):
+    # 2^3 messages and 2^2 dual words: the scan runs up to a budget of 2^3,
+    # exactly, and the dual below it.
+    built = []
+    real = code_module.parity_check_matrix
+    monkeypatch.setattr(code_module, "parity_check_matrix", lambda *a: built.append(1) or real(*a))
+    rows = [[1, 0, 0, 1, 1], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]]
+    for budget in (DEFAULT_ENUMERATION_BUDGET, 8):
+        assert min_distance_exhaustive(_code(F2, rows), budget=budget) == 2
+    assert built == []
+    assert min_distance_exhaustive(_code(F2, rows), budget=7) == 2
+    assert built == [1]
 
 
 @pytest.mark.parametrize("search", (min_distance_exhaustive, min_distance_by_weight_search))
@@ -194,9 +219,10 @@ def test_searches_refuse_a_non_code(search):
 
 
 def test_budget_refusal_past_the_int_to_str_digit_limit():
-    # 65521^1000 has 4817 decimal digits; the refusal must not print it
+    # 65521^1000 has 4817 decimal digits, and the dual's 65521^1001 more;
+    # the refusal must print neither
     field = make_field(65521)
-    code = LinearCode(field, np.eye(1000, 1001, dtype=np.int64))
+    code = LinearCode(field, np.eye(1000, 2001, dtype=np.int64))
     with pytest.raises(BudgetExceededError) as err:
         min_distance_exhaustive(code)
     assert err.value.required == 65521**1000
@@ -231,30 +257,30 @@ def test_engine_matches_lexicographic_oracle_on_100_random_codes():
 
 
 def test_support_search_matches_message_search():
-    # restricted to codes where weight-layer enumeration stays cheap
+    # restricted to codes where the dual's enumeration stays cheap
     for code in random_small_codes(seed=2202, count=40, max_length=10, primes=(2, 3, 5)):
-        by_support = min_distance_by_weight_search(
-            LinearCode(code.field, code.generator.array)
-        )
-        assert by_support == min_distance_exhaustive(code)
+        by_dual = code_module._min_distance_by_dual(LinearCode(code.field, code.generator.array))
+        assert by_dual == min_distance_exhaustive(code)
 
 
 def test_support_search_full_space_code():
     c = _code(F2, [[1, 0], [0, 1]])
-    assert min_distance_by_weight_search(c) == 1
+    assert code_module._min_distance_by_dual(c) == 1
+    assert min_distance_by_weight_search(c, budget=1) == 1
 
 
 def test_weight_search_counts_zero_columns_in_the_code_length():
     # The dual of this code, spanned by (0, 1, 1), has a zero column, so its
     # multiset has length 2; MacWilliams over n = 2 would miss (1, 0, 0).
-    assert min_distance_by_weight_search(_code(F2, [[1, 0, 0], [0, 1, 1]])) == 1
+    assert code_module._min_distance_by_dual(_code(F2, [[1, 0, 0], [0, 1, 1]])) == 1
     with_zero_column = _code(F3, [[1, 0, 0, 1, 1], [0, 1, 0, 1, 2]])
     assert lex_min_distance(with_zero_column) == 3
-    assert min_distance_by_weight_search(with_zero_column) == 3
+    assert code_module._min_distance_by_dual(with_zero_column) == 3
 
 
 def test_weight_search_refusal_carries_the_dual_word_count():
-    code = _code(F3, np.hstack([np.eye(2, dtype=np.int64), np.ones((2, 8), dtype=np.int64)]))
+    # 3^9 messages and 3^8 dual words: both over the budget, the dual's fewer
+    code = _code(F3, np.hstack([np.eye(9, dtype=np.int64), np.ones((9, 8), dtype=np.int64)]))
     with pytest.raises(BudgetExceededError) as err:
         min_distance_by_weight_search(code, budget=3**8 - 1)
     assert (err.value.required, err.value.budget) == (3**8, 3**8 - 1)
@@ -295,11 +321,11 @@ def test_macwilliams_guards_hold_under_optimize():
     p=st.sampled_from((2, 3, 5, 7, 11)),
     k=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
-    search=st.sampled_from((min_distance_exhaustive, min_distance_by_weight_search)),
+    search=st.sampled_from((min_distance_exhaustive, code_module._min_distance_by_dual)),
 )
 def test_engine_matches_oracle_on_repeated_scaled_and_zero_columns(p, k, seed, search):
     # The lexicographic oracle materializes every codeword, so q^k is capped,
-    # and the weight search enumerates the dual, so q^(n-k) is capped for it.
+    # and the dual search enumerates the dual, so q^(n-k) is capped for it.
     assume(p**k <= 1 << 15)
     rng = np.random.default_rng(seed)
     field = make_field(p)
@@ -316,11 +342,11 @@ def test_engine_matches_oracle_on_repeated_scaled_and_zero_columns(p, k, seed, s
 def test_engine_matches_oracle_on_wider_prime_fields():
     for code in random_small_codes(seed=6611, count=20, max_messages=1 << 10, primes=(11, 13)):
         assert min_distance_exhaustive(code) == lex_min_distance(code)
-    # n <= 5 keeps the dual within 13^4 <= 2^15 words for the weight search.
+    # n <= 5 keeps the dual within 13^4 <= 2^15 words for the dual search.
     short = random_small_codes(seed=6612, count=20, max_messages=1 << 10, max_length=5, primes=(11, 13))
     for code in short:
         assert code.field.p ** (code.n - code.k) <= 1 << 15
-        assert min_distance_by_weight_search(code) == lex_min_distance(code)
+        assert code_module._min_distance_by_dual(code) == lex_min_distance(code)
 
 
 @pytest.mark.parametrize("p,k", [(4099, 1), (4099, 2), (65521, 1)])
@@ -335,7 +361,7 @@ def test_engine_matches_oracle_past_the_batch_table(p, k):
     rows = np.hstack([random_columns, *extra])
     field = make_field(p)
     want = lex_min_distance(_code(field, rows))
-    for search in (min_distance_exhaustive, min_distance_by_weight_search):
+    for search in (min_distance_exhaustive, code_module._min_distance_by_dual):
         assert search(LinearCode(field, rows)) == want
 
 
@@ -345,14 +371,14 @@ def test_odd_scan_without_table_digits_matches_oracle(monkeypatch, p, k):
     # digits: a one-row table, an empty head and one message per block.
     monkeypatch.setattr(_engine, "_BLOCK_BYTES", 1)
     # A random column, a scalar multiple of it and a zero column keep the
-    # weight search's p^(n-k) dual words few.
+    # dual search's p^(n-k) dual words few.
     column = np.random.default_rng(100 * p + k).integers(1, p, size=(k, 1), dtype=np.int64)
     rows = np.hstack([np.eye(k, dtype=np.int64), column, 2 * column % p, np.zeros((k, 1), dtype=np.int64)])
     cols, mult = LinearCode(make_field(p), rows)._columns
     blocks = list(_engine._message_weights_odd(p, cols, mult))
     assert [len(block) for block in blocks] == [1] * ((p**k - 1) // (p - 1))
     want = lex_min_distance(_code(make_field(p), rows))
-    for search in (min_distance_exhaustive, min_distance_by_weight_search):
+    for search in (min_distance_exhaustive, code_module._min_distance_by_dual):
         assert search(LinearCode(make_field(p), rows)) == want
 
 

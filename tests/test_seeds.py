@@ -184,10 +184,11 @@ def test_family_code_refuses_past_the_materialization_budget(monkeypatch):
 
 
 def test_verification_stops_at_the_default_budget():
-    # family_code(verify=True) searches only when q^k <= 2^26, else leaves d unset
+    # family_code(verify=True) searches only when q^k or q^(n-k) is at most 2^26,
+    # else leaves d unset
     f11 = make_field(11)
     assert family_code(f11, 2, 4, verify=True).d == family_params(2, 4).d  # 11^7 messages
-    over = family_code(f11, 2, 5, verify=True)  # 11^8
+    over = family_code(f11, 2, 5, verify=True)  # 11^8 messages, 11^(n-8) dual words
     assert isinstance(over, LinearCode) and over.d is None
 
 
