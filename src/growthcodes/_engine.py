@@ -13,8 +13,16 @@ columns: the cost is (q^k - 1)/(q - 1) x D, against q^k x n over raw
 coordinates. The construction chain repeats its columns heavily: the seed-4
 member at j = 5 has n = 760320 but D = 1716 over GF(2). The rank checks in
 ``code`` run on the same multiset. Chain members are stepped on it directly
-(construct.iterate_code, by merge_projective), so they are built and
-searched without a generator until something reads their rows.
+(construct.iterate_code, through projective_columns with the stepped
+multiplicities as weights), so they are built and searched without a
+generator until something reads their rows.
+
+projective_columns makes the multiset in one pass: it scales every column
+so that its first nonzero entry is 1 (a zero column stays zero), keys the
+columns exactly, sorts the keys once and counts their runs, and drops the
+zero column's run, which sorts first. Scaling all n columns costs more than
+scaling the D distinct ones when n is far above D, as on a materialized
+chain member, but saves a second sort and its set-up on every small code.
 
 Both scans weigh the multiset divided by the gcd g of its multiplicities,
 and the weights they find are multiplied back by g in Python integers. The
@@ -26,10 +34,12 @@ inexact, is refused with BudgetExceededError rather than scanned.
   Gray-code order (one XOR per step, hardware popcount for weights) against
   a table of all trailing-digit combinations. Blocks are word-major: the
   table is (width, 2^t), one column per trailing combination, XORed with the
-  running base as a (width, 1) column. A block's weights are then a sum
-  over the leading (word) axis. When every reduced multiplicity is 1 (every
-  Reed-Muller code, for one) that is an integer sum of the popcounts, in
-  uint16 (uint32 from 2^16 columns). Otherwise columns are packed by
+  running base as a (width, 1) column. The table is filled in place, one
+  trailing row at a time: its first 2^b columns XOR row b give the next
+  2^b. A block's weights are then a sum over the leading (word) axis.
+  When every reduced multiplicity is 1 (every Reed-Muller code, for one)
+  that is an integer sum of the popcounts, in uint16 (uint32 from 2^16
+  columns). Otherwise columns are packed by
   multiplicity class and weighed by one exact float product of the per-word
   class multiplicities with the popcounts. The XOR, popcount and weight
   arrays are allocated once per scan and every block is written into them,
@@ -42,9 +52,9 @@ inexact, is refused with BudgetExceededError rather than scanned.
   by one matrix-vector product. The table is built and kept in the
   narrowest unsigned dtype that holds a sum of two residues,
   min_scalar_type(2(p - 1)): uint8 up to p = 127, uint16 up to p = 32749
-  and uint32 beyond. Each digit's sums, all below 2p - 1, are reduced by
-  subtracting p where they reach it, in that dtype, so the table never has
-  an int64 temporary.
+  and uint32 beyond. Each digit's sums, all below 2p - 1, are reduced as
+  the minimum of the sum and the sum minus p, which wraps past every sum
+  below p, in that dtype, so the table never has an int64 temporary.
 * High-rate codes are searched through their dual: the scan above, run over
   the q^(n-k) words of the dual, gives the dual's weight distribution, and
   the MacWilliams identity (MacWilliams & Sloane, "The Theory of
@@ -63,6 +73,7 @@ twice the serial time on the GF(7) chain members).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -115,16 +126,66 @@ def _pack_rows(bools: np.ndarray, width_words: int) -> np.ndarray:
     return np.ascontiguousarray(packed).view(np.uint64)
 
 
-def _distinct_columns(p: int, rows: np.ndarray, weights: np.ndarray | None = None):
-    """The distinct columns of canonical ``rows``, in ascending key order, and
-    each one's total weight.
+@functools.lru_cache(maxsize=None)
+def _inverses(p: int) -> np.ndarray:
+    """v^(p-2) mod p for v = 0 .. p-1, read-only: the inverse of each nonzero
+    residue of the odd prime p, and 0 for 0. Computed once per p for all
+    residues at once by square-and-multiply, in uint64, where every product
+    of two residues is exact."""
+    base = np.arange(p, dtype=np.uint64)
+    modulus = np.uint64(p)
+    inverse = np.ones(p, dtype=np.uint64)
+    e = p - 2
+    while e:
+        if e & 1:
+            inverse = inverse * base % modulus
+        base = base * base % modulus
+        e >>= 1
+    inverse = inverse.astype(np.min_scalar_type((p - 1) ** 2))
+    inverse.flags.writeable = False
+    return inverse
 
-    A column's weight defaults to its number of occurrences. Columns are keyed
-    exactly: by their base-p value while p**k stays below 2**62, otherwise by
-    their bytes. Without weights the keys are sorted in place and counted by
-    their runs, so the n keys are held once.
+
+def _scaled(p: int, rows: np.ndarray) -> np.ndarray:
+    """``rows`` with each column multiplied by the inverse of its first
+    nonzero entry mod the odd prime p, so that entry becomes 1; a zero column
+    is multiplied by 0 and stays zero. The product is formed in the
+    narrowest unsigned dtype that holds it, min_scalar_type((p - 1)^2), and
+    reduced as x - (x // p) * p: numpy divides by a scalar with a multiply
+    and a shift in ``//``, but not in ``%``."""
+    inverse = _inverses(p)
+    scaled = rows.astype(inverse.dtype)
+    lead = scaled[0].copy()
+    for row in scaled[1:]:
+        lead += row * (lead == 0)
+    scaled *= inverse.take(lead)
+    modulus = inverse.dtype.type(p)
+    scaled -= scaled // modulus * modulus
+    return scaled
+
+
+def projective_columns(p: int, rows: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce the columns of ``rows``, (k, n) canonical residues, to the
+    projective multiset ``(cols, mult)``.
+
+    ``cols`` (k, D) holds the distinct nonzero columns, each scaled so that
+    its first nonzero entry is 1, in ascending key order, and ``mult`` (D,)
+    the total weight of the columns that are a nonzero multiple of each. A
+    column weighs 1 unless ``weights`` gives one weight per column
+    (ShapeMismatchError for any other count). Zero columns are dropped: they
+    add to no codeword's weight and to no rank.
+
+    One pass: the columns are scaled (a zero column stays zero), keyed
+    exactly, by their base-p value while p**k stays below 2**62 and by their
+    bytes otherwise, sorted and counted by their runs. Without weights the
+    keys are sorted in place, so the n keys are held once. A zero column has
+    the smallest key, so its run, if any, is the first, and is dropped there.
     """
-    k = rows.shape[0]
+    k, n = rows.shape
+    if weights is not None and len(weights) != n:
+        raise ShapeMismatchError(f"{len(weights)} weights for {n} columns")
+    if p > 2:
+        rows = _scaled(p, rows)
     integer_keys = p**k < _KEY_LIMIT
     if integer_keys:
         # Exact: every partial sum of the product is below p**k.
@@ -138,48 +199,22 @@ def _distinct_columns(p: int, rows: np.ndarray, weights: np.ndarray | None = Non
     else:
         order = np.argsort(keys)
         keys, weights = keys[order], weights[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(first)
-    mult = np.diff(starts, append=len(keys)) if weights is None else np.add.reduceat(weights, starts)
+    # bounds holds where each run of equal keys starts, then n.
+    change = np.empty(n + 1, dtype=bool)
+    change[0] = change[n] = True
+    change[1:n] = keys[1:] != keys[:-1]
+    bounds = np.flatnonzero(change)
+    if n and not any(keys[0].tobytes()):
+        bounds = bounds[1:]
+    starts = bounds[:-1]
+    mult = np.diff(bounds) if weights is None else np.add.reduceat(weights, starts)
     keys = keys[starts]
     if integer_keys:
         cols = keys // powers[:, None]
         cols %= p
     else:
         cols = np.frombuffer(keys.tobytes(), dtype=narrow.dtype).reshape(-1, k).T.astype(np.int64)
-    return cols, mult.astype(np.int64)
-
-
-def merge_projective(p: int, cols: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The projective multiset of the nonzero columns ``cols`` with the given
-    ``weights``: each column scaled so that its first nonzero entry is 1, and
-    equal columns merged with their weights summed, in _distinct_columns
-    order. ShapeMismatchError unless there is one weight per column."""
-    if len(weights) != cols.shape[1]:
-        raise ShapeMismatchError(f"{len(weights)} weights for {cols.shape[1]} columns")
-    if p > 2:
-        lead = cols[np.argmax(cols != 0, axis=0), np.arange(cols.shape[1])]
-        values, which = np.unique(lead, return_inverse=True)
-        inverses = np.array([pow(int(v), p - 2, p) for v in values], dtype=np.int64)
-        cols = cols * inverses[which.ravel()] % p
-    return _distinct_columns(p, cols, weights)
-
-
-def projective_columns(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce a (k, n) generator of canonical residues to ``(cols, mult)``.
-
-    ``cols`` (k, D) holds the distinct nonzero columns, each scaled so that
-    its first nonzero entry is 1, and ``mult`` (D,) how many of the n columns
-    are a nonzero multiple of each. Zero columns are dropped: they add to no
-    codeword's weight and to no rank. The order is deterministic.
-    """
-    cols, mult = _distinct_columns(p, rows)
-    nonzero = cols.any(axis=0)
-    cols, mult = cols[:, nonzero], mult[nonzero]
-    if p > 2:
-        cols, mult = merge_projective(p, cols, mult)
-    return cols, mult
+    return cols, mult.astype(np.int64, copy=False)
 
 
 def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
@@ -208,10 +243,12 @@ def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
     t = 1
     while t < k and (1 << (t + 1)) * width * 8 <= _BLOCK_BYTES:
         t += 1
-    # offsets[:, m] is the XOR of packed[k - t + b] over the set bits b of m.
-    offsets = np.zeros((width, 1), dtype=np.uint64)
-    for row in packed[k - t :]:
-        offsets = np.hstack([offsets, offsets ^ row[:, None]])
+    # offsets[:, m] is the XOR of packed[k - t + b] over the set bits b of m:
+    # columns 2^b .. 2^(b+1) - 1 are the first 2^b with row k - t + b XORed in.
+    offsets = np.empty((width, 1 << t), dtype=np.uint64)
+    offsets[:, 0] = 0
+    for b, row in enumerate(packed[k - t :]):
+        np.bitwise_xor(offsets[:, : 1 << b], row[:, None], out=offsets[:, 1 << b : 2 << b])
     xor = np.empty_like(offsets)
     counts = np.empty(offsets.shape, dtype=np.uint8)
 
@@ -248,7 +285,9 @@ def _trailing_table(p: int, rows: np.ndarray, narrow: np.dtype) -> np.ndarray:
     for row in rows[::-1]:
         multiples = (np.arange(p)[:, None] * row % p).astype(narrow)
         table = (table[:, None, :] + multiples).reshape(-1, rows.shape[1])
-        table -= (table >= modulus) * modulus
+        # A sum below p wraps past it when p is subtracted, so the minimum
+        # is the sum reduced mod p.
+        np.minimum(table, table - modulus, out=table)
     return table
 
 
@@ -268,8 +307,10 @@ def _message_weights_odd(p: int, cols: np.ndarray, mult: np.ndarray):
     high = k - t
     table = _trailing_table(p, cols[high:], narrow)
     # With a zero prefix, only trailing parts whose most significant nonzero
-    # digit is 1 are enumerated: one per scalar class.
-    head = table[[m for g in range(t) for m in range(p**g, 2 * p**g)]]
+    # digit is 1 are enumerated, one per scalar class: p**g .. 2*p**g - 1 for
+    # g = 0 .. t-1, which start (p**g - 1)/(p - 1) entries into the head.
+    sizes = p ** np.arange(t, dtype=np.int64)
+    head = table[np.arange(sizes.sum()) + np.repeat(sizes - (sizes - 1) // (p - 1), sizes)]
     dtype = _exact_sum_dtype(n)
     weights = mult.astype(dtype)
     high_rows = cols[:high]
@@ -316,7 +357,7 @@ def _gcd_reduced(mult: np.ndarray) -> tuple[int, np.ndarray, int]:
     the reduced sum, when the sum reaches _EXACT_SUM_LIMIT, past which the
     scans' float64 products are no longer exact."""
     g = int(np.gcd.reduce(mult))
-    reduced = mult // np.int64(g)
+    reduced = mult if g == 1 else mult // np.int64(g)
     total = sum(reduced.tolist())
     if total >= _EXACT_SUM_LIMIT:
         raise BudgetExceededError(

@@ -193,10 +193,10 @@ def _step(a: np.ndarray) -> np.ndarray:
 
 def _step_columns(p: int, cols: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One step of a projective multiset, by the step lemma: the columns of
-    ``_step(cols)``, each with its source's multiplicity, renormalized and
-    merged in _engine.projective_columns order. ``cols`` is a generator of
-    the code, so this is the multiset of the stepped generator."""
-    return _engine.merge_projective(p, _step(cols), np.tile(mult, cols.shape[0] + 1))
+    ``_step(cols)``, each with its source's multiplicity, rescaled and
+    merged by _engine.projective_columns. ``cols`` is a generator of the
+    code, so this is the multiset of the stepped generator."""
+    return _engine.projective_columns(p, _step(cols), np.tile(mult, cols.shape[0] + 1))
 
 
 def construction_step(basis: Sequence[FieldVector]) -> list[FieldVector]:

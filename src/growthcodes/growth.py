@@ -93,17 +93,23 @@ def _row(family: str, index: int, params: CodeParams, extras: dict, build, walke
     ``walked`` is the formula's kd/n and the decimal text of its n, d and u
     when the family has them, else None.
 
-    Both caps are tested on the formula's parameters, so ``build`` runs only
-    for a code that will be searched, and the search cannot refuse: k <= 16
-    and n <= 10^5 keep its generator within 1.6 * 10^6 int64 cells and its
-    multiplicities below 2^53. A search contradicting the formula raises
-    VerificationError.
+    A row is searched when its formula's n is at most VERIFY_LENGTH_CAP, its
+    k x n generator fits the materialization budget, and its q^k messages or
+    its q^(n-k) dual words fit VERIFY_MESSAGE_CAP: the search's own rule
+    (code._fits), so a high-rate row is searched through its dual. All are
+    tested on the formula's parameters, so ``build`` runs only for a code
+    that will be searched, and neither the build nor the search can refuse:
+    n <= 10^5 also keeps the multiplicities below 2^53. A search
+    contradicting the formula raises VerificationError.
     """
     searched = None
-    if build is not None and params.n <= VERIFY_LENGTH_CAP and p**params.k <= VERIFY_MESSAGE_CAP:
-        from .code import min_distance_exhaustive
+    if build is not None and params.n <= VERIFY_LENGTH_CAP:
+        from .code import MATERIALIZATION_BUDGET, _fits, min_distance_exhaustive
 
-        searched = min_distance_exhaustive(build(), budget=VERIFY_MESSAGE_CAP)
+        n, k = params.n, params.k
+        fits = _fits(p, k, VERIFY_MESSAGE_CAP) or _fits(p, n - k, VERIFY_MESSAGE_CAP)
+        if fits and k * n <= MATERIALIZATION_BUDGET:
+            searched = min_distance_exhaustive(build(), budget=VERIFY_MESSAGE_CAP)
     if searched is not None and searched != params.d:
         raise VerificationError(
             f"{family} row {index}: searched distance {searched} disagrees with the formula {params.d}"
@@ -199,9 +205,10 @@ def growth_table(
     range too, and needs seed_index; direct-sum and repetition index the
     multiplier s from 1 and need a base code, whose distance is searched and
     gives their formula. With ``verify``, every row but rm-third's is
-    searched by brute force when its formula's n and q^k are under
-    VERIFY_LENGTH_CAP and VERIFY_MESSAGE_CAP; the flag records which rows
-    that happened for.
+    searched by brute force when its formula's n is at most
+    VERIFY_LENGTH_CAP and its q^k messages or q^(n-k) dual words fit
+    VERIFY_MESSAGE_CAP (see _row); the flag records which rows that
+    happened for.
     """
     if family not in FAMILIES:
         raise UnknownFamilyError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")

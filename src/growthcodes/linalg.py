@@ -268,38 +268,53 @@ def hamming_distance(x: FieldVector, y: FieldVector) -> int:
 
 
 def _echelon(data: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
-    """Row-echelon form mod p by forward elimination, the list of pivot
-    columns, and the product of the pivots with the sign of the row swaps
-    (mod p), which is the determinant when ``data`` is square and of full
-    rank. Each pivot updates only the rows below it, from its column on:
-    nothing is cleared above a pivot and no pivot is scaled to 1. A row
-    with entry f' in the pivot column takes row + (p - f) * pivot row, f the
-    residue of f' / pivot, so every operand of the modulo is nonnegative and
-    below p^2."""
-    m = data % p
-    n_rows, n_cols = m.shape
-    pivots: list[int] = []
+    """Row-echelon form mod p of the canonical residues ``data``, the list of
+    pivot columns, and the product of the pivots with the sign of the row
+    permutation (mod p), which is the determinant when ``data`` is square and
+    of full rank. The one elimination kernel over a prime: rank,
+    determinant, the reduced form and the parity-check matrix all read it.
+
+    Pivots are found row by row, so a k-row input takes O(k) numpy calls
+    however many columns it has: row r's pivot is its first nonzero entry
+    once the pivot rows above it are eliminated from it, and it is then
+    eliminated from the rows below it, from its column on, as row r is zero
+    left of it. A row with entry f' in the pivot column takes
+    row + (p - f) * pivot row, f the residue of f' / pivot, so every operand
+    of the modulo is nonnegative and below p^2. Nothing is cleared above a
+    pivot and no pivot is scaled to 1. Each pivot row is zero left of its
+    pivot, and no two share a pivot column, so ordering the rows by pivot
+    column, zero rows last, gives an echelon form."""
+    m = data.astype(np.int64)
+    leads: list[tuple[int, int]] = []  # (pivot column, row)
     scale = 1
-    r = 0
-    for col in range(n_cols):
-        if r == n_rows:
-            break
-        nonzero = np.flatnonzero(m[r:, col])
+    for r in range(m.shape[0]):
+        row = m[r]
+        nonzero = row.nonzero()[0]
         if not nonzero.size:
             continue
-        # Rows r.. are zero left of ``col``, so swaps and updates start there.
-        if nonzero[0]:
-            m[[r, r + nonzero[0]], col:] = m[[r + nonzero[0], r], col:]
-            scale = -scale
-        pivot = int(m[r, col])
+        col = int(nonzero[0])
+        pivot = int(row[col])
+        leads.append((col, r))
         scale = scale * pivot % p
-        hit = r + nonzero[1:]  # after a swap the row moved down is zero in ``col``
-        if hit.size:
-            factors = p - m[hit, col] * pow(pivot, p - 2, p) % p
-            m[hit, col:] = (m[hit, col:] + np.outer(factors, m[r, col:])) % p
-        pivots.append(col)
-        r += 1
-    return m, pivots, scale
+        below = m[r + 1 :, col:]
+        # A row already zero in ``col`` gets factor p, which leaves it as it is.
+        factors = p - below[:, 0] * pow(pivot, p - 2, p) % p
+        below += factors[:, None] * row[col:]
+        below %= p
+    leads.sort()
+    rows = [r for _, r in leads]
+    if len(rows) == m.shape[0]:
+        # Times the sign of the row permutation: -1 per cycle of even length.
+        seen = [False] * len(rows)
+        for start in range(len(rows)):
+            i, length = start, 0
+            while not seen[i]:
+                seen[i] = True
+                i, length = rows[i], length + 1
+            if length and not length % 2:
+                scale = -scale
+    zero = sorted(set(range(m.shape[0])).difference(rows))
+    return m[rows + zero], [col for col, _ in leads], scale % p
 
 
 def _gf2_basis(data: np.ndarray) -> dict[int, int]:

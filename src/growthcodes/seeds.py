@@ -45,21 +45,28 @@ def build_seed_matrices(field: PrimeField, index: int) -> SeedMatrices:
     and -B_1^T below it, so each 2x2 block is written once. The 2i x 2i matrix
     is refused past the materialization budget (index > 2048) before any work.
     """
+    p = field.p
+    a = _seed_a(p, index)
+    b = np.tile(np.array([[1, p - 1], [p - 1, 1]], dtype=np.int64), (1, index))
+    return SeedMatrices(index, FieldMatrix(field, a), FieldMatrix(field, b))
+
+
+def _seed_a(p: int, index: int) -> np.ndarray:
+    """The square seed matrix A of build_seed_matrices over GF(p), as a new
+    int64 array, with its checks."""
     if index < 1:
         raise ValueError("index must be >= 1")
     _check_materialization(2 * index, 2 * index)
-    p = field.p
-    a1 = np.array([[0, -1], [1, 0]], dtype=np.int64) % p
-    b1 = np.array([[1, -1], [-1, 1]], dtype=np.int64) % p
+    a1 = np.array([[0, p - 1], [1, 0]], dtype=np.int64)
+    b1 = np.array([[1, p - 1], [p - 1, 1]], dtype=np.int64)
     a = np.empty((index, 2, index, 2), dtype=np.int64)
     blocks = a.transpose(0, 2, 1, 3)  # blocks[r, c] is the 2x2 block (r, c)
-    above = np.triu(np.ones((index, index), dtype=bool), 1)
+    r = np.arange(index)
+    above = r[:, None] < r
     blocks[above] = b1
-    blocks[~above] = (-b1.T) % p
-    blocks[np.arange(index), np.arange(index)] = a1
-    a = a.reshape(2 * index, 2 * index)
-    b = np.tile(b1, (1, index))
-    return SeedMatrices(index, FieldMatrix(field, a), FieldMatrix(field, b))
+    blocks[~above] = p - b1.T
+    blocks[r, r] = a1
+    return a.reshape(2 * index, 2 * index)
 
 
 def seed_code(field: PrimeField, index: int) -> LinearCode:
@@ -69,8 +76,8 @@ def seed_code(field: PrimeField, index: int) -> LinearCode:
     index=1 is permitted but the resulting [2, 1, 1] code is not bounded
     (the inequality condition fails); the bounded family starts at index 2.
     """
-    matrices = build_seed_matrices(field, index)
-    return LinearCode(field, matrices.a.array[:, : 2 * index - 1].T)
+    # A new C-contiguous basis, which LinearCode adopts without a copy.
+    return LinearCode(field, _seed_a(field.p, index).T[: 2 * index - 1].copy())
 
 
 def max_family_steps(index: int) -> int:

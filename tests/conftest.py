@@ -12,7 +12,7 @@ import pytest
 import growthcodes
 from growthcodes import FieldMatrix, GeneratorFormatError, LinearCode, make_field, new_code
 from growthcodes.code import MATERIALIZATION_BUDGET, _check_materialization
-from growthcodes.linalg import _echelon, check_array_field
+from growthcodes.linalg import check_array_field
 
 # The CLI tests run ``python -m growthcodes`` in subprocesses. Pytest's
 # ``pythonpath`` setting reaches only this process, so hand the package's
@@ -120,25 +120,34 @@ def reference_format_rows(p: int, rows: np.ndarray) -> str:
 
 
 def reference_parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
-    """The parity-check matrix of the independent ``rows`` by int64 forward
-    elimination, back-substitution and one row of H per free column: the
-    version linalg.parity_check_matrix replaced over GF(2), kept as its
-    differential oracle."""
+    """The parity-check matrix of the independent ``rows``: Gauss-Jordan
+    elimination on Python ints, column by column with row swaps, to the
+    reduced row-echelon form R, which the row space fixes, then for each free
+    column f, in order, the unit vector at f minus R's column f placed at the
+    pivot columns. It shares no code with linalg's elimination kernels and
+    is their differential oracle."""
     k, n = rows.shape
-    reduced, pivots, _ = _echelon(rows, p)
-    for r in range(k - 1, -1, -1):
-        col = pivots[r]
-        reduced[r] = reduced[r] * pow(int(reduced[r, col]), p - 2, p) % p
-        above = np.flatnonzero(reduced[:r, col])
-        if above.size:
-            reduced[above] = (reduced[above] - np.outer(reduced[above, col], reduced[r])) % p
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
+    reduced = [[int(v) % p for v in row] for row in rows.tolist()]
+    pivots: list[int] = []
+    for col in range(n):
+        r = len(pivots)
+        pivot = next((i for i in range(r, k) if reduced[i][col]), None)
+        if pivot is None:
+            continue
+        reduced[r], reduced[pivot] = reduced[pivot], reduced[r]
+        inverse = pow(reduced[r][col], p - 2, p)
+        reduced[r] = [v * inverse % p for v in reduced[r]]
+        for i in range(k):
+            if i != r and reduced[i][col]:
+                factor = reduced[i][col]
+                reduced[i] = [(a - factor * b) % p for a, b in zip(reduced[i], reduced[r])]
+        pivots.append(col)
+    free = [j for j in range(n) if j not in set(pivots)]
     check = np.zeros((n - k, n), dtype=np.int64)
-    pivot_idx = np.array(pivots, dtype=np.intp)
     for idx, f in enumerate(free):
         check[idx, f] = 1
-        check[idx, pivot_idx] = (-reduced[:k, f]) % p
+        for r, col in enumerate(pivots):
+            check[idx, col] = -reduced[r][f] % p
     return check
 
 

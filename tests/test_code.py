@@ -473,8 +473,9 @@ def test_odd_scan_at_the_table_dtype_boundaries(p, k):
 
 @pytest.mark.parametrize("p", [3, 7, 127, 131, 257])
 def test_trailing_table_equals_the_int64_remainder(p):
-    # Each digit's sums, below 2p - 1, are reduced in the narrow dtype by a
-    # masked subtraction of p; they must equal the int64 sums taken mod p.
+    # Each digit's sums, below 2p - 1, are reduced in the narrow dtype as the
+    # minimum of the sum and the sum minus p, which wraps below p; they must
+    # equal the int64 sums taken mod p.
     narrow = np.min_scalar_type(2 * (p - 1))
     t = 3 if p < 100 else 2
     rows = np.random.default_rng(p).integers(0, p, size=(t, 40), dtype=np.int64)
@@ -522,6 +523,77 @@ def test_scans_divide_out_the_gcd_and_refuse_inexact_sums(p):
         with pytest.raises(BudgetExceededError) as info:
             scan(p, cols[:, :2], np.array([1 << 53, 1], dtype=np.int64))
         assert info.value.required == (1 << 53) + 1
+
+
+def _two_pass_projective(p: int, rows: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """The projective multiset composed in two passes over Python tuples, as
+    it was before the one-pass kernel: equal columns merged first and the
+    zero column dropped, then each distinct column scaled so that its first
+    nonzero entry is 1 and the scaled columns merged again. Columns come out
+    in the kernel's key order: base-p value while p^k < 2^62, otherwise the
+    bytes of the column in min_scalar_type(p - 1)."""
+    k, n = rows.shape
+    weights = [1] * n if weights is None else weights.tolist()
+    raw: dict[tuple, int] = {}
+    for column, w in zip(map(tuple, rows.T.tolist()), weights):
+        raw[column] = raw.get(column, 0) + w
+    raw.pop((0,) * k, None)
+    merged: dict[tuple, int] = {}
+    for column, w in raw.items():
+        inverse = pow(next(v for v in column if v), p - 2, p)
+        scaled = tuple(v * inverse % p for v in column)
+        merged[scaled] = merged.get(scaled, 0) + w
+    if p**k < 1 << 62:
+        order = sorted(merged, key=lambda c: sum(v * p ** (k - 1 - d) for d, v in enumerate(c)))
+    else:
+        order = sorted(merged, key=lambda c: np.array(c, dtype=np.min_scalar_type(p - 1)).tobytes())
+    cols = np.array(order, dtype=np.int64).reshape(len(order), k).T
+    return cols, np.array([merged[c] for c in order], dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5, 7, 65521)),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    weighted=st.booleans(),
+)
+def test_projective_pass_equals_the_two_pass_composition(p, k, seed, weighted):
+    # Repeated columns, nonzero scalar multiples and zero columns, with unit
+    # weights or with the stepped multisets' arbitrary ones.
+    rng = np.random.default_rng(seed)
+    distinct = rng.integers(0, p, size=(k, int(rng.integers(1, 8))), dtype=np.int64)
+    rows = _repeated_columns(rng, p, distinct)
+    weights = rng.integers(1, 50, size=rows.shape[1], dtype=np.int64) if weighted else None
+    got = _engine.projective_columns(p, rows, weights)
+    want = _two_pass_projective(p, rows, weights)
+    assert got[0].dtype == got[1].dtype == np.int64
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("p,k", [(2, 62), (2, 70), (3, 40), (7, 23), (251, 8), (65521, 4), (65521, 5)])
+def test_projective_pass_equals_the_two_pass_composition_on_byte_keys(p, k):
+    # p^k >= 2^62: columns are keyed by their bytes, uint8 up to p = 251 and
+    # uint16 for GF(65521), whose little-endian bytes do not sort as values.
+    rng = np.random.default_rng(p * 100 + k)
+    distinct = np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, p, size=(k, 10), dtype=np.int64)])
+    distinct[:, -1] = p - 1  # a column led by p - 1, scaled by its inverse
+    rows = _repeated_columns(rng, p, distinct)
+    assert p**k >= 1 << 62
+    for weights in (None, rng.integers(1, 9, size=rows.shape[1], dtype=np.int64)):
+        got = _engine.projective_columns(p, rows, weights)
+        want = _two_pass_projective(p, rows, weights)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_projective_pass_drops_zero_columns_and_keeps_empty_inputs_empty(p):
+    zero = np.zeros((3, 4), dtype=np.int64)
+    for rows in (zero, zero[:, :0]):
+        cols, mult = _engine.projective_columns(p, rows)
+        assert cols.shape == (3, 0) and mult.shape == (0,)
+    cols, mult = _engine.projective_columns(p, np.array([[0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.int64))
+    assert cols.tolist() == [[0, 1], [1, 0]] and mult.tolist() == [1, 1]
 
 
 def test_byte_table_popcount_matches_bitwise_count_on_word_major_blocks():

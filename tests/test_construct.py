@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,7 @@ from growthcodes import (
 from growthcodes import _engine, construct
 from growthcodes import code as code_module
 from growthcodes.construct import _chain_walk, iterate_code, rising_factorial
-from growthcodes.seeds import family_code, seed_code
+from growthcodes.seeds import family_code, family_params, seed_code
 
 from conftest import random_small_codes, step_weight_tables
 
@@ -406,7 +407,7 @@ def _rolled_step(p, cols, mult):
     """The wrong orientation: the k+1 cyclic shifts of (0, c)."""
     ext = np.vstack([np.zeros((1, cols.shape[1]), dtype=np.int64), cols])
     stepped = np.hstack([np.roll(ext, i, axis=0) for i in range(cols.shape[0] + 1)])
-    return _engine.merge_projective(p, stepped, np.tile(mult, cols.shape[0] + 1))
+    return _engine.projective_columns(p, stepped, np.tile(mult, cols.shape[0] + 1))
 
 
 def _assert_same_multiset(got, want):
@@ -432,6 +433,29 @@ def test_stepped_multiset_equals_the_materialized_rows_multiset(field):
         family_code(field, 4, 6)
 
 
+# The odd-prime chain members the tier-1 tests scan: seed 2 to j = 6 over
+# GF(3) and GF(5) and to j = 5 over GF(7), seed 3 to j = 4 over GF(3) and
+# GF(5) and to j = 3 over GF(7).
+_ODD_CHAIN_MEMBERS = [(F3, 2, 6), (F5, 2, 6), (F7, 2, 5), (F3, 3, 4), (F5, 3, 4), (F7, 3, 3)]
+
+
+@pytest.mark.parametrize("field,index,last", _ODD_CHAIN_MEMBERS, ids=lambda v: getattr(v, "p", v))
+def test_odd_chain_scans_raise_no_warning_or_floating_point_error(field, index, last):
+    # A RuntimeWarning ("invalid value encountered in matmul") was once seen
+    # from the odd-prime scan's float product, with every value correct.
+    # Both scans of every member run with warnings as errors and every
+    # floating-point flag raising, and still give the chain's distance.
+    for j in range(last + 1):
+        member = family_code(field, index, j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                d = min_distance_exhaustive(member)
+                counts = _engine.weight_distribution(field.p, *member._columns)
+        assert d == family_params(index, j).d == min(w for w in counts if w)
+        assert sum(counts.values()) == field.p**member.k
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_merge_refuses_weights_that_do_not_match_the_columns(p):
     # One weight per column: a longer or shorter weights array is refused,
@@ -439,8 +463,8 @@ def test_merge_refuses_weights_that_do_not_match_the_columns(p):
     cols = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)
     for length in (2, 4, 6):
         with pytest.raises(ShapeMismatchError):
-            _engine.merge_projective(p, cols, np.ones(length, dtype=np.int64))
-    merged = _engine.merge_projective(p, cols, np.ones(3, dtype=np.int64))
+            _engine.projective_columns(p, cols, np.ones(length, dtype=np.int64))
+    merged = _engine.projective_columns(p, cols, np.ones(3, dtype=np.int64))
     _assert_same_multiset(merged, _engine.projective_columns(p, cols))
 
 

@@ -115,15 +115,27 @@ def test_composition_tables_preserve_ratio():
 
 
 def test_composed_rows_past_the_caps_are_not_built(monkeypatch):
-    # direct_sum(seed [4, 3, 1], s) has k = 3s: only s <= 5 fits VERIFY_MESSAGE_CAP = 2^16
+    # direct_sum(seed [4, 3, 1], s) is [4s, 3s]: its 2^(3s) messages fit
+    # VERIFY_MESSAGE_CAP = 2^16 up to s = 5 and its 2^s dual words up to s = 16
     built = []
     real = gc_code.direct_sum
     monkeypatch.setattr(gc_code, "direct_sum", lambda code, s: built.append(s) or real(code, s))
     records = growth_table("direct-sum", 40, base_code=seed_code(F2, 2))
     # row 1 is the base itself
-    assert built == [2, 3, 4, 5]
-    assert [r.verified for r in records] == [True] * 5 + [False] * 35
+    assert built == list(range(2, 17))
+    assert [r.verified for r in records] == [True] * 16 + [False] * 24
     assert [(r.n, r.k, r.d) for r in records[38:]] == [(156, 117, 1), (160, 120, 1)]
+
+
+def test_dual_rows_past_the_materialization_budget_are_not_built(monkeypatch):
+    # The [8, 7] parity code's direct sums are [8s, 7s] with 2^s dual words,
+    # all within the caps; under a budget of 100 cells only s = 1 (56 cells)
+    # is built, and the [16, 14] row (224 cells) is written from its formula
+    # instead of refusing.
+    monkeypatch.setattr(gc_code, "MATERIALIZATION_BUDGET", 100)
+    base = gc_code.LinearCode(F2, [[int(j in (i, 7)) for j in range(8)] for i in range(7)])
+    records = growth_table("direct-sum", 2, base_code=base)
+    assert [(r.n, r.k, r.d, r.verified) for r in records] == [(8, 7, 2, True), (16, 14, 2, False)]
 
 
 def test_composed_rows_without_verify_build_nothing(monkeypatch):

@@ -431,3 +431,67 @@ def test_gf2_bit_row_rank_equals_the_int64_elimination(seed, m, n, dependent, ze
     size = min(rows.shape)
     square = rows[:size, :size]
     assert int(determinant(FieldMatrix(F2, square))) == int(len(_gf2_basis(square)) == size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7, 65521]),
+    seed=st.integers(0, 10**6),
+    independent=st.integers(0, 8),
+    dependent=st.integers(0, 3),
+    zero_rows=st.integers(0, 2),
+    n=st.integers(1, 40),
+)
+def test_rank_kernel_matches_python_elimination(p, seed, independent, dependent, zero_rows, n):
+    # Wide (n > rows), tall (n < rows), zero-row and rank-deficient inputs,
+    # with the dependent rows random combinations of the others and the rows
+    # in random order; a draw with no rows at all is skipped.
+    rng = np.random.default_rng(seed)
+    field = make_field(p)
+    rows = rng.integers(0, p, size=(independent, n), dtype=np.int64)
+    combos = rng.integers(0, p, size=(dependent, independent), dtype=np.int64)
+    sums = [[sum(int(c) * int(v) for c, v in zip(combo, col)) % p for col in rows.T] for combo in combos]
+    sums = np.array(sums, dtype=np.int64).reshape(dependent, n)
+    rows = np.vstack([rows, sums, np.zeros((zero_rows, n), dtype=np.int64)])
+    if not len(rows):
+        return
+    rows = rows[rng.permutation(len(rows))]
+    want = _reference_rank(rows.tolist(), p)
+    echelon, pivots, _ = _echelon(rows, p)
+    assert len(pivots) == want == rank(FieldMatrix(field, rows))
+    # An echelon form of the same row space: each row's first nonzero entry
+    # is its pivot, pivots increase, the zero rows come last.
+    assert pivots == sorted(set(pivots))
+    leading = [int(np.flatnonzero(row)[0]) if row.any() else None for row in echelon]
+    assert leading == pivots + [None] * (len(rows) - want)
+    assert _reference_rank(np.vstack([rows, echelon]).tolist(), p) == want
+    if want < len(rows):
+        with pytest.raises(DependentBasisError):
+            LinearCode(field, rows)
+    else:
+        assert LinearCode(field, rows).k == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7, 65521]),
+    seed=st.integers(0, 10**6),
+    size=st.integers(1, 6),
+)
+def test_determinant_of_row_permuted_matrices_matches_leibniz(p, seed, size):
+    # Row r's pivot is the first nonzero entry of row r after elimination, so a
+    # row-permuted triangular matrix puts its pivots out of order: the kernel
+    # sorts them, and the determinant takes the sign of that permutation.
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.integers(1, p, size=(size, size)))
+    for entries in (upper[rng.permutation(size)], rng.integers(0, p, size=(size, size))):
+        assert int(determinant(FieldMatrix(make_field(p), entries))) == _leibniz(entries.tolist(), p)
+
+
+def test_determinant_of_permutation_matrices_is_their_sign():
+    rng = np.random.default_rng(27)
+    for size in range(1, 13):
+        perm = rng.permutation(size)
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(size), 2))
+        matrix = FieldMatrix(F7, np.eye(size, dtype=np.int64)[perm])
+        assert int(determinant(matrix)) == (6 if inversions % 2 else 1)

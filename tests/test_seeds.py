@@ -165,9 +165,10 @@ def test_family_code_small_members():
 def test_family_code_refuses_past_the_materialization_budget(monkeypatch):
     # The member's exact k * n is refused before its seed is built; its
     # parameters come from family_params and series_params instead.
+    # _seed_a builds the seed matrix for seed_code and build_seed_matrices.
     seeds_built = []
-    real = seeds_module.build_seed_matrices
-    monkeypatch.setattr(seeds_module, "build_seed_matrices", lambda *args: seeds_built.append(args) or real(*args))
+    real = seeds_module._seed_a
+    monkeypatch.setattr(seeds_module, "_seed_a", lambda *args: seeds_built.append(args) or real(*args))
     refused = [
         (lambda: family_code(F2, 14, 3), family_params(14, 3)),
         (lambda: family_code(F2, 4, 20), family_params(4, 20)),
