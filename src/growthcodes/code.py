@@ -1,16 +1,20 @@
 """Linear codes: ordered generator bases, exact parameters, exhaustive
 minimum-distance search, rate, Singleton check, direct sum and repetition.
 
-The minimum distance cached on a LinearCode is always the result of an
-exhaustive search; formula-predicted distances belong in CodeParams.
+The minimum distance cached on a LinearCode is always exact and computed
+from the code itself, its rows or its column multiset: by the message
+scan, the dual, or the (u | u+v) split, whose every step is tested on the
+rows and whose leaves are searched. It never comes from a formula:
+formula-predicted distances belong in CodeParams.
 
 The two budgets that refuse work (BudgetExceededError) live here: the
 enumeration budget of min_distance_exhaustive, the one distance search,
-which scans the q^k messages when they fit and else the q^(n-k) dual words,
-and _check_materialization's test of the int64 cells of a generator to be
-allocated. The search also passes on the engine's refusal of a multiset
-whose gcd-reduced multiplicities sum to 2^53 or more, which no float64
-product weighs exactly.
+which scans the q^k messages when they fit and else the q^(n-k) dual words
+(and splits a GF(2) code that holds its rows when neither fits, searching
+each leaf under the same budget), and _check_materialization's test of the
+int64 cells of a generator to be allocated. The search also passes on the
+engine's refusal of a multiset whose gcd-reduced multiplicities sum to 2^53
+or more, which no float64 product weighs exactly.
 growth.VERIFY_MESSAGE_CAP and VERIFY_LENGTH_CAP refuse nothing: they decide
 which growth-table rows are searched, and the others are written from their
 formula.
@@ -18,6 +22,8 @@ formula.
 
 from __future__ import annotations
 
+import contextlib
+import math
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -32,11 +38,27 @@ from .errors import (
     VerificationError,
 )
 from .field import PrimeField, make_field
-from .linalg import FieldMatrix, FieldVector, _rank, _reduce, _residues, check_array_field, parity_check_matrix
+from .linalg import (
+    FieldMatrix,
+    FieldVector,
+    _gf2_rref,
+    _gf2_unpack,
+    _rank,
+    _reduce,
+    _residues,
+    check_array_field,
+    parity_check_matrix,
+)
 from .params import CodeParams
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 26
 MATERIALIZATION_BUDGET = 1 << 24  # int64 cells (128 MiB) of one k x n generator
+# Counted scan work, (2^k - 1) x D cells, above which min_distance_exhaustive
+# tries the (u | u+v) split of a GF(2) code before it scans. A code that
+# splits is found faster by the split at every size measured; from here on,
+# the elimination that a code which does not split pays first is about a
+# tenth of its scan or less (README, budget table).
+SPLIT_BREAK_EVEN = 1 << 24
 
 
 class LinearCode:
@@ -49,13 +71,14 @@ class LinearCode:
     then reuses: dropping zero, repeated and scalar-multiple columns leaves
     the column rank unchanged.
 
-    ``d`` is None until an exhaustive search verifies the minimum distance;
-    it is written once and never holds a merely predicted value. A
-    FieldMatrix over the code's field shares its frozen canonical array with
-    the code (FieldMismatchError for another field). A writeable,
-    C-contiguous two-dimensional int64 array that owns its data becomes the
-    code's storage (reduced in place and frozen) without a copy; any other
-    ``rows`` is read into a new array by linalg._residues, with its checks.
+    ``d`` is None until min_distance_exhaustive computes the minimum
+    distance from the code itself; it is written once and never holds a
+    formula's value. A FieldMatrix over the code's field shares its frozen
+    canonical array with the code (FieldMismatchError for another field). A
+    writeable, C-contiguous two-dimensional int64 array that owns its data
+    becomes the code's storage (reduced in place and frozen) without a copy;
+    any other ``rows`` is read into a new array by linalg._residues, with
+    its checks.
     A code built by _from_columns holds no rows until ``_rows`` is read.
     """
 
@@ -205,31 +228,50 @@ def min_distance_exhaustive(
     distance search, which picks its engine by the budget.
 
     When the q^k messages fit ``budget``, the engine visits one message per
-    scalar class, (q^k - 1)/(q - 1) of them, against the code's distinct
+    scalar class, (q^k - 1)/(q - 1) of them, against the code's D distinct
     projective columns. Otherwise, when the q^(n-k) words of the dual fit,
     it enumerates those and applies the MacWilliams identity
-    (_min_distance_by_dual), which suits high-rate codes. When neither fits,
-    BudgetExceededError names both counts and carries the smaller, so
-    callers can fall back to formula-level checks; the larger power is never
-    formed. Anything but a LinearCode raises TypeError: a CodeParams' d is a
-    formula, not a search result.
+    (_min_distance_by_dual), which suits high-rate codes. A GF(2) code that
+    holds its rows and has even length is first tried by the (u | u+v)
+    split (_min_distance_by_split) when the scan fits but its counted work,
+    (2^k - 1) x D cells, is above SPLIT_BREAK_EVEN, and when neither count
+    fits. A code built from its column multiset alone is never split. When
+    no engine completes, BudgetExceededError names both counts and carries
+    the smaller, so callers can fall back to formula-level checks; the
+    larger power is never formed. Anything but a LinearCode raises
+    TypeError: a CodeParams' d is a formula, not a search result.
     """
     if not isinstance(code, LinearCode):
         raise TypeError(f"a distance search needs a LinearCode, got {type(code).__name__}")
     if code.d is None:
-        p, k, redundancy = code.field.p, code.k, code.n - code.k
-        if _fits(p, k, budget):
-            d = _engine.min_weight_enumeration(p, *code._columns)
-        elif _fits(p, redundancy, budget):
-            d = _min_distance_by_dual(code)
-        else:
-            raise BudgetExceededError(
-                f"enumeration needs {p}^{k} codewords or {p}^{redundancy} dual words, budget is {budget}",
-                required=p ** min(k, redundancy),
-                budget=budget,
-            )
-        code._record_distance(d)
+        d = None
+        if code.field.p == 2 and code._generator is not None and code.n % 2 == 0:
+            if _fits(2, code.k, budget):
+                split = ((1 << code.k) - 1) * code._columns[0].shape[1] > SPLIT_BREAK_EVEN
+            else:
+                split = not _fits(2, code.n - code.k, budget)
+            if split:
+                # A leaf over the budget leaves d unset, and the code's own
+                # refusal is raised below.
+                with contextlib.suppress(BudgetExceededError):
+                    d = _min_distance_by_split(code, budget)
+        code._record_distance(_scan_or_dual(code, budget) if d is None else d)
     return code.d
+
+
+def _scan_or_dual(code: LinearCode, budget: int) -> int:
+    """The message scan when the q^k messages fit ``budget``, else the dual
+    when the q^(n-k) dual words do, else the refusal that names both."""
+    p, k, redundancy = code.field.p, code.k, code.n - code.k
+    if _fits(p, k, budget):
+        return _engine.min_weight_enumeration(p, *code._columns)
+    if _fits(p, redundancy, budget):
+        return _min_distance_by_dual(code)
+    raise BudgetExceededError(
+        f"enumeration needs {p}^{k} codewords or {p}^{redundancy} dual words, budget is {budget}",
+        required=p ** min(k, redundancy),
+        budget=budget,
+    )
 
 
 def _min_distance_by_dual(code: LinearCode) -> int:
@@ -244,6 +286,79 @@ def _min_distance_by_dual(code: LinearCode) -> int:
     dual = LinearCode(code.field, parity_check_matrix(code._rows, p))
     counts = _engine.weight_distribution(p, *dual._columns)
     return _engine.min_weight_from_dual(p, code.n, redundancy, counts)
+
+
+def _min_distance_by_split(code: LinearCode, budget: int) -> int | None:
+    """The minimum distance of the GF(2) code C, read from the rows it holds,
+    by the (u | u+v) split (M. Plotkin, "Binary codes with
+    specified minimum distance", 1960; MacWilliams & Sloane, ch. 13), or
+    None when C does not split.
+
+    A code of even length n = 2h is split on its reduced row-echelon rows,
+    n-bit ints whose high h bits are the left half (see _plotkin_halves):
+    L is the left-half projection of C and V = {v : (0|v) in C}. When every
+    basis row (l|r) of L has l + r in V, C holds (l|l) for every l in L, so
+    C = {(u | u+v) : u in L, v in V} and
+
+        d(C) = min(2 d(L), d(V))
+
+    exactly: (l|l) and (0|v) are codewords of weight 2 wt(l) and wt(v),
+    which bounds d(C) from above, and a word (u | u+v) with u != 0 weighs
+    2 wt(u) >= 2 d(L) when v = 0, and wt(u) + wt(u+v) >= wt(v) >= d(V)
+    otherwise. An empty L or V drops its term. L and V are split again on
+    their own rows, which the projection keeps in reduced form, so each is
+    in its canonical form and a memo that lives for this call shares the
+    repeated ones (Reed-Muller codes have O(m r) distinct ones). A code
+    with one row weighs its popcount; any other L or V that does not split
+    is a leaf, searched by _scan_or_dual under ``budget``, whose refusal
+    propagates. Nothing is taken from how the code was built: every split
+    is tested on the rows."""
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def distance(n: int, basis: tuple[int, ...]) -> int:
+        if len(basis) == 1:
+            return basis[0].bit_count()
+        if (n, basis) not in memo:
+            halves = _plotkin_halves(n, basis)
+            if halves is None:
+                memo[n, basis] = _scan_or_dual(LinearCode(code.field, _gf2_unpack(basis, n)), budget)
+            else:
+                memo[n, basis] = split(n, halves)
+        return memo[n, basis]
+
+    def split(n: int, halves: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
+        d_left, d_right = (distance(n // 2, half) if half else math.inf for half in halves)
+        return min(2 * d_left, d_right)
+
+    top = _plotkin_halves(code.n, tuple(_gf2_rref(code._generator)))
+    return None if top is None else split(code.n, top)
+
+
+def _plotkin_halves(n: int, basis: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The bases of L and V (see _min_distance_by_split) of the code whose
+    reduced row-echelon rows are the n-bit ints ``basis``, in pivot order,
+    or None when n is odd or some L basis row (l|r) has l + r outside V.
+
+    A row whose pivot is in the left half, above the low h bits, is a
+    (l|r) with l != 0; the l of these rows have distinct pivots, so they
+    are a basis of L. The other rows are the (0|v) and a basis of V: a sum
+    that takes in a left-pivot row keeps its highest pivot. Both keep the
+    order and the reduced form of ``basis``. l + r is tested against V by
+    XORing away V's pivots, highest first."""
+    if n % 2:
+        return None
+    h = n // 2
+    mask = (1 << h) - 1
+    right = {row.bit_length(): row for row in basis if row <= mask}
+    left = [row for row in basis if row > mask]
+    for row in left:
+        rest = (row >> h) ^ (row & mask)
+        while rest:
+            pivot = right.get(rest.bit_length())
+            if pivot is None:
+                return None
+            rest ^= pivot
+    return tuple(row >> h for row in left), tuple(right.values())
 
 
 def min_distance_by_weight_search(
@@ -269,8 +384,8 @@ def singleton_check(params: CodeParams) -> bool:
 def direct_sum(code: LinearCode, s: int) -> LinearCode:
     """s-fold direct sum: block-diagonal basis, parameters [ns, ks, d].
 
-    The result's distance is left unset: the cache only ever holds
-    search-verified values.
+    The result's distance is left unset: the cache only ever holds a
+    distance computed from the code itself.
     """
     if s < 1:
         raise ValueError("s must be >= 1")

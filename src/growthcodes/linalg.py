@@ -351,17 +351,17 @@ def _rank(data: np.ndarray, p: int) -> int:
     return len(_echelon(data, p)[1])
 
 
-def _gf2_reduced(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """The pivot columns and the nonzero rows of the reduced row-echelon form
-    of the GF(2) ``rows``, from _gf2_basis: each basis row is XORed free of
-    the pivot bits of the rows right of it, rightmost pivot first, and the
-    rows are unpacked in pivot order."""
+def _gf2_rref(rows: np.ndarray) -> list[int]:
+    """The nonzero rows of the reduced row-echelon form of the GF(2) ``rows``,
+    in pivot order, as Python ints of n bits, column j at bit n - 1 - j.
+    From _gf2_basis: each basis row is XORed free of the pivot bits of the
+    rows right of it, rightmost pivot first, and the byte padding is shifted
+    off."""
     n = rows.shape[1]
     basis = _gf2_basis(rows)
-    tops = sorted(basis)
     reduced: dict[int, int] = {}
     done = 0  # the pivot bits of the rows reduced so far
-    for top in tops:
+    for top in sorted(basis):
         row = basis[top]
         hits = row & done
         while hits:
@@ -370,10 +370,26 @@ def _gf2_reduced(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
             hits ^= 1 << (bit - 1)
         reduced[top] = row
         done |= 1 << (top - 1)
+    pad = 8 * ((n + 7) // 8) - n
+    return [reduced[top] >> pad for top in sorted(reduced, reverse=True)]
+
+
+def _gf2_unpack(rows: Sequence[int], n: int) -> np.ndarray:
+    """The 0/1 int64 array of the n-bit row ints ``rows``, column j from bit
+    n - 1 - j: the inverse of the packing _gf2_rref returns."""
     width = (n + 7) // 8
-    raw = b"".join(reduced[top].to_bytes(width, "big") for top in reversed(tops))
+    pad = 8 * width - n
+    raw = b"".join((row << pad).to_bytes(width, "big") for row in rows)
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, width), axis=1, count=n)
-    return [8 * width - top for top in reversed(tops)], bits.astype(np.int64)
+    return bits.astype(np.int64)
+
+
+def _gf2_reduced(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The pivot columns and the nonzero rows of the reduced row-echelon form
+    of the GF(2) ``rows`` (see _gf2_rref)."""
+    n = rows.shape[1]
+    reduced = _gf2_rref(rows)
+    return [n - row.bit_length() for row in reduced], _gf2_unpack(reduced, n)
 
 
 def _reduced_echelon(rows: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:

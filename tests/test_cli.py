@@ -189,6 +189,25 @@ def test_verify_high_rate_code_by_its_dual(tmp_path):
     ]
 
 
+def test_verify_reaches_rm_7_3_by_the_split(tmp_path):
+    # RM(7,3) is self-dual: 2^64 messages and 2^64 dual words, over any budget
+    out = tmp_path / "rm73.txt"
+    assert run_cli("build", "--family", "rm", "--m", "7", "--r", "3", "--out", str(out)).returncode == 0
+    proc = run_cli("verify", "--in", str(out), "--checks", "distance,params:128,64,16")
+    assert proc.returncode == 0, proc.stderr
+    report = report_of(proc)
+    assert report["params"]["d"] == 16 and report["checks"][0]["actual"] == 16 and report["pass"]
+
+
+def test_verify_keeps_the_refusal_of_a_code_that_does_not_split(tmp_path):
+    # Length 8, but (l|l) is not in the code: 2^3 messages and 2^5 dual words
+    out = tmp_path / "eye.txt"
+    out.write_text("2 8 3\n1 0 0 0 0 0 0 0\n0 1 0 0 0 0 0 0\n0 0 1 0 0 0 0 0\n")
+    proc = run_cli("verify", "--in", str(out), "--checks", "distance", env={"GROWTHCODES_BUDGET": "4"})
+    assert proc.returncode == 2
+    assert proc.stderr == "error: enumeration needs 2^3 codewords or 2^5 dual words, budget is 4\n"
+
+
 def test_growth_searches_its_base_under_the_budget_env(tmp_path):
     base, out = tmp_path / "s23.txt", tmp_path / "t.csv"
     run_cli("build", "--family", "seed", "--i", "2", "--field", "3", "--out", str(base))

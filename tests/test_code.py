@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from growthcodes import _engine
 from growthcodes import code as code_module
+from growthcodes import linalg as linalg_module
 from growthcodes import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
@@ -39,11 +40,12 @@ from growthcodes import (
     write_generator_file,
 )
 from growthcodes.construct import construction_step, iterate_code
-from growthcodes.reedmuller import rm_generator
+from growthcodes.reedmuller import rm_generator, rm_params
 from growthcodes.seeds import build_seed_matrices, family_code, family_params, seed_code
 
 from conftest import (
     lex_min_distance,
+    random_code,
     random_small_codes,
     reference_format_rows,
     reference_parse_generator,
@@ -630,6 +632,143 @@ def test_every_generator_allocation_checks_the_one_materialization_budget(monkey
     # Exactly at the budget is admitted.
     assert repetition(base, 4).n == 16
     assert isinstance(family_code(F3, 2, 0), LinearCode)
+
+
+def _plotkin_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The generator [[L, L], [0, V]] of the (u | u+v) code of the row
+    spaces of ``left`` and ``right``, two arrays of one width."""
+    return np.vstack([np.hstack([left, left]), np.hstack([np.zeros_like(right), right])])
+
+
+def test_split_equals_the_scan_or_the_dual_on_reed_muller_codes():
+    compared = 0
+    for m in range(1, 9):
+        for r in range(m + 1):
+            code = rm_generator(m, r)
+            split = code_module._min_distance_by_split(code, DEFAULT_ENUMERATION_BUDGET)
+            assert split == rm_params(m, r).d, (m, r)
+            try:
+                searched = code_module._scan_or_dual(code, DEFAULT_ENUMERATION_BUDGET)
+            except BudgetExceededError:
+                continue
+            assert split == searched, (m, r)
+            compared += 1
+    assert compared == 37  # of 44: RM(7, 2..4) and RM(8, 2..5) reach neither engine
+
+
+def test_split_equals_the_formula_on_reed_muller_codes_to_m_11():
+    # A budget of 1 refuses every leaf search: each RM code splits all the
+    # way down to one-row codes.
+    for m in range(9, 12):
+        for r in range(m + 1):
+            assert code_module._min_distance_by_split(rm_generator(m, r), 1) == rm_params(m, r).d, (m, r)
+
+
+def test_search_reaches_the_rm_diagonal_rows_by_the_split():
+    # RM(7,3), RM(9,4), RM(11,5): 2^64 or more messages and as many dual words
+    for m, r in ((7, 3), (9, 4), (11, 5)):
+        code = rm_generator(m, r)
+        assert min_distance_exhaustive(code) == rm_params(m, r).d == 2 ** (m - r)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_split_of_random_plotkin_codes_under_a_change_of_basis(seed):
+    rng = np.random.default_rng(seed)
+    h = int(rng.integers(2, 10))
+    k_left, k_right = int(rng.integers(0, h + 1)), int(rng.integers(0, h + 1))
+    if k_left + k_right == 0:
+        k_left = 1
+    left = random_code(rng, 2, k_left, h).generator.array if k_left else np.zeros((0, h), dtype=np.int64)
+    right = random_code(rng, 2, k_right, h).generator.array if k_right else np.zeros((0, h), dtype=np.int64)
+    k = k_left + k_right
+    while True:
+        change = rng.integers(0, 2, size=(k, k))
+        if linalg_module._rank(change, 2) == k:
+            break
+    rows = change @ _plotkin_rows(left, right) % 2
+    code = _code(F2, rows)
+    split = code_module._min_distance_by_split(code, DEFAULT_ENUMERATION_BUDGET)
+    assert split is not None
+    assert split == lex_min_distance(code)
+    terms = [2 * lex_min_distance(_code(F2, left))] if k_left else []
+    terms += [lex_min_distance(_code(F2, right))] if k_right else []
+    assert split == min(terms)
+
+
+def test_split_refuses_a_code_without_the_doubled_words():
+    # span{(10|00), (01|01)}: L is all of GF(2)^2 and V is {0}, so the lemma
+    # would give 2 d(L) = 2; the code holds (10|00), and (10|10) is not in it.
+    code = _code(F2, [[1, 0, 0, 0], [0, 1, 0, 1]])
+    assert code_module._min_distance_by_split(code, DEFAULT_ENUMERATION_BUDGET) is None
+    assert code_module._plotkin_halves(4, (0b1000, 0b0101)) is None
+    assert code_module._plotkin_halves(4, (0b1010, 0b0101)) == ((0b10, 0b01), ())
+    assert code_module._plotkin_halves(4, (0b1010, 0b0001)) == ((0b10,), (0b01,))
+
+
+def test_search_checks_the_doubled_words_on_every_path(monkeypatch):
+    monkeypatch.setattr(code_module, "SPLIT_BREAK_EVEN", 0)
+    assert min_distance_exhaustive(_code(F2, [[1, 0, 0, 0], [0, 1, 0, 1]])) == 1
+    # The same failure one level down: (0 | x) holds the code above.
+    assert min_distance_exhaustive(_code(F2, [[0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 1]])) == 1
+    assert min_distance_exhaustive(_code(F2, [[1, 0, 0, 0, 1, 0, 0, 0], [0, 1, 0, 1, 0, 1, 0, 1]])) == 2
+
+
+def test_split_leaf_refusal_is_the_codes_own_refusal():
+    # L = span of [7, 3] rows (odd length: a leaf) and V = {0}: 2^3 leaf
+    # messages and 2^4 leaf dual words are over a budget of 4.
+    left = np.array([[1, 0, 0, 1, 1, 0, 1], [0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 0, 1, 1, 1]], dtype=np.int64)
+    code = _code(F2, _plotkin_rows(left, np.zeros((0, 7), dtype=np.int64)))
+    with pytest.raises(BudgetExceededError) as err:
+        min_distance_exhaustive(code, budget=4)
+    assert str(err.value) == "enumeration needs 2^3 codewords or 2^11 dual words, budget is 4"
+    assert (err.value.required, err.value.budget, code.d) == (8, 4, None)
+    assert min_distance_exhaustive(code, budget=8) == 2 * lex_min_distance(_code(F2, left)) == 8
+
+
+def test_length_2_to_the_m_code_that_does_not_split_keeps_its_refusal():
+    code = _code(F2, np.eye(3, 8, dtype=np.int64))
+    assert code_module._min_distance_by_split(code, 4) is None
+    with pytest.raises(BudgetExceededError) as err:
+        min_distance_exhaustive(code, budget=4)
+    assert str(err.value) == "enumeration needs 2^3 codewords or 2^5 dual words, budget is 4"
+    assert (err.value.required, err.value.budget) == (8, 4)
+
+
+def test_search_never_splits_a_code_built_from_its_columns(monkeypatch):
+    monkeypatch.setattr(code_module, "SPLIT_BREAK_EVEN", 0)
+    rm = rm_generator(4, 1)
+    calls = []
+
+    def recipe():
+        calls.append(1)
+        return rm._rows.copy()
+
+    for budget, outcome in ((DEFAULT_ENUMERATION_BUDGET, 8), (2, BudgetExceededError)):
+        code = LinearCode._from_columns(F2, rm.n, rm._columns, recipe)
+        if outcome is BudgetExceededError:
+            with pytest.raises(BudgetExceededError):
+                min_distance_exhaustive(code, budget=budget)
+        else:
+            assert min_distance_exhaustive(code, budget=budget) == outcome
+        assert calls == [] and code._generator is None
+    stepped = family_code(F2, 2, 2)
+    assert stepped.n % 2 == 0 and min_distance_exhaustive(stepped) == family_params(2, 2).d
+    assert stepped._generator is None
+
+
+def test_codes_below_the_break_even_or_reached_by_the_dual_are_not_split(monkeypatch):
+    split = []
+    real = code_module._min_distance_by_split
+    monkeypatch.setattr(code_module, "_min_distance_by_split", lambda *a: split.append(a[0]) or real(*a))
+    # The [8, 7] seed code and small random codes scan; a [128, 127] seed code
+    # is searched by its 2 dual words, with no 127-row elimination.
+    for code in [seed_code(F2, 4), seed_code(F2, 64), *random_small_codes(seed=28, count=60, primes=(2,))]:
+        assert min_distance_exhaustive(code) >= 1
+    assert split == []
+    # RM(6,2) counts (2^22 - 1) x 64 cells of scan, above the break-even.
+    assert ((1 << 22) - 1) * 64 > code_module.SPLIT_BREAK_EVEN
+    assert min_distance_exhaustive(rm_generator(6, 2)) == 16
+    assert len(split) == 1
 
 
 def test_rate_examples():
