@@ -235,7 +235,8 @@ def min_distance_exhaustive(
     holds its rows and has even length is first tried by the (u | u+v)
     split (_min_distance_by_split) when the scan fits but its counted work,
     (2^k - 1) x D cells, is above SPLIT_BREAK_EVEN, and when neither count
-    fits. A code built from its column multiset alone is never split. When
+    fits but the split's elimination, counted as k^2 x ceil(n/64) word XORs,
+    does. A code built from its column multiset alone is never split. When
     no engine completes, BudgetExceededError names both counts and carries
     the smaller, so callers can fall back to formula-level checks; the
     larger power is never formed. Anything but a LinearCode raises
@@ -249,7 +250,9 @@ def min_distance_exhaustive(
             if _fits(2, code.k, budget):
                 split = ((1 << code.k) - 1) * code._columns[0].shape[1] > SPLIT_BREAK_EVEN
             else:
-                split = not _fits(2, code.n - code.k, budget)
+                # The split's one elimination counts k^2 x ceil(n/64) word
+                # XORs; over the budget the code is refused without it.
+                split = not _fits(2, code.n - code.k, budget) and code.k**2 * ((code.n + 63) // 64) <= budget
             if split:
                 # A leaf over the budget leaves d unset, and the code's own
                 # refusal is raised below.

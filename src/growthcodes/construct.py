@@ -23,20 +23,24 @@ Hence min((k+1)d, W) <= d' <= min((k+1)sigma, W), u' = W and
 sigma' = (k+1)sigma.
 
 Chain theorem. Let every basis vector have weight u and the basis sum have
-weight d (sigma = d). Write growth = (k+1)...(k+s) and shifted =
-k(k+1)...(k+s-1). Then after s steps the basis weights are all
-u_s = u shifted, the basis sum has weight d growth, and the distance is
-exactly d_s = min(d growth, u_s). Proof by induction on s; s = 0 holds as
-d <= u. The all-ones message and a basis vector are codewords, so
-d_s <= min(d growth, u_s). For the lower bound the lemma gives
+weight d (sigma = d). Write growth_s = (k+1)...(k+s), with growth_0 = 1.
+Then after s steps the basis weights are all u_s = u k growth_(s-1) (u_0 = u),
+the basis sum has weight d growth_s, and the distance is exactly
+d_s = min(d growth_s, u_s). Proof by induction on s; s = 0 holds as d <= u.
+The all-ones message and a basis vector are codewords, so
+d_s <= min(d growth_s, u_s). For the lower bound the lemma gives
 d_{s+1} >= min((k+s+1) d_s, W_s), where W_s = (k+s) u_s = u_{s+1}; with the
-induction hypothesis that is >= min(d growth (k+s+1), (k+s+1) u_s, u_{s+1})
-= min(d growth (k+s+1), u_{s+1}). The first term is the smaller exactly
-while u >= d(1 + s/k), tested by exact integer cross-multiplication,
-u*k >= d*(k + s) (_exact_through), since the range ends in an equality case.
-Past it d_s = u_s, so k_s d_s / n_s = u k / n stays constant. (When
-(k+1)d >= W instead, whatever sigma and the basis weights are, the same
-induction gives d_s = u_s = W (k+1)...(k+s-1) for every s >= 1.)
+induction hypothesis that is >= min(d growth_(s+1), (k+s+1) u_s, u_{s+1})
+= min(d growth_(s+1), u_{s+1}). Dividing by growth_(s-1), the first term is
+the smaller exactly while u >= d(1 + s/k), tested by exact integer
+cross-multiplication, u*k >= d*(k + s) (_exact_through), since the range
+ends in an equality case. Past it d_s = u_s, so k_s d_s / n_s = u k / n
+stays constant. (When (k+1)d >= W instead, whatever sigma and the basis
+weights are, the same induction gives d_s = u_s = W (k+1)...(k+s-1) for
+every s >= 1.) Every parameter record, ChainParams, the seed family's
+CodeParams and the growth-table rows, is built from the plain ints of the
+one kernel _chain_at, which takes growth_(s-1) from one rising factorial
+(_chain) or from the running product of a table (_chain_walk).
 
 Step lemma, on columns. Let c = (c_1, ..., c_k) be a generator column and
 ext = (0, c_1, ..., c_k). At the position of c in block i, the stepped
@@ -264,26 +268,33 @@ def predict_params(n: int, k: int, d: int, u: int, steps: int) -> ChainParams:
     u >= d(1 + s/k). ``bounded_after`` holds iff u >= d(1 + (s+1)/k). The
     caller is responsible for the input having those weights.
     """
+    n_s, k_s, d_s, u_s = _chain(n, k, d, u, steps)
+    return ChainParams(steps, n_s, k_s, d_s, u_s, True, _exact_through(k, d, u, steps + 1))
+
+
+def _chain(n: int, k: int, d: int, u: int, steps: int) -> tuple[int, int, int, int]:
+    """(n_s, k_s, d_s, u_s) of predict_params as plain ints, from one rising
+    factorial, growth_(s-1) = (k+1)...(k+s-1). ValueError for n, k, d or u
+    below 1 or negative steps."""
     if min(n, k, d, u) < 1:
         raise ValueError("n, k, d, u must be positive")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    growth = rising_factorial(k + 1, steps)
-    return _chain(n, k, d, u, steps, growth, growth * k // (k + steps))
+    return _chain_at(n, k, d, u, steps, rising_factorial(k + 1, steps - 1) if steps else 1)
 
 
-def _chain(n: int, k: int, d: int, u: int, steps: int, growth: int, shifted: int) -> ChainParams:
-    """predict_params from growth = (k+1)...(k+steps) and shifted = k...(k+steps-1)."""
-    u_s = u * shifted
-    return ChainParams(
-        steps=steps,
-        n=n * growth,
-        k=k + steps,
-        d=min(d * growth, u_s),
-        u=u_s,
-        d_exact=True,
-        bounded_after=_exact_through(k, d, u, steps + 1),
-    )
+def _chain_at(n: int, k: int, d: int, u: int, steps: int, previous: int) -> tuple[int, int, int, int]:
+    """The one chain kernel: (n_s, k_s, d_s, u_s) at s = steps from
+    previous = growth_(s-1) = (k+1)...(k+s-1), which is not read at s = 0.
+    u_s = u k growth_(s-1) and growth_s = growth_(s-1) (k+s); d_s is
+    d growth_s while u >= d(1 + s/k) and u_s past it, the same as their
+    minimum."""
+    if steps:
+        growth = previous * (k + steps)
+        u_s = u * k * previous
+    else:
+        growth, u_s = 1, u
+    return n * growth, k + steps, d * growth if _exact_through(k, d, u, steps) else u_s, u_s
 
 
 # Integers carried as Decimals in this context are multiplied exactly: no
@@ -296,15 +307,19 @@ _EXACT = decimal.Context(
 )
 
 
-def _chain_walk(n: int, k: int, d: int, u: int, last: int) -> Iterator[tuple[ChainParams, Fraction, tuple[str, ...]]]:
-    """predict_params(n, k, d, u, s) for s = 0..last, each with its kd/n and
-    the decimal text of its n, d and u, by running product.
+def _chain_walk(
+    n: int, k: int, d: int, u: int, last: int
+) -> Iterator[tuple[tuple[int, int, int, int], Fraction, tuple[str, str, str]]]:
+    """_chain(n, k, d, u, s) for s = 0..last, each with its kd/n and the
+    decimal text of its n, d and u, by one running product.
 
-    growth = (k+1)...(k+s) and shifted = k...(k+s-1) are each kept as an int
-    and as a Decimal in the exact context _EXACT, one multiplication per step;
-    the text is that of the Decimals, so no int is converted to decimal. kd/n
-    comes from small integers: k_s d / n while d_s = d growth, u k / n once
-    d_s = u_s.
+    growth_s = (k+1)...(k+s) is kept as an int and as a Decimal in the exact
+    context _EXACT, one multiplication each per step. Each row's ints come
+    from the kernel _chain_at on growth_(s-1), the product before the step
+    multiplies it in, and so does the text of u_s = u k growth_(s-1). The
+    text is that of the Decimals, so no int is converted to decimal. kd/n
+    comes from small integers: k_s d / n while d_s = d growth_s, and the one
+    u k / n once d_s = u_s.
     """
     if min(n, k, d, u) < 1:
         raise ValueError("n, k, d, u must be positive")
@@ -312,21 +327,22 @@ def _chain_walk(n: int, k: int, d: int, u: int, last: int) -> Iterator[tuple[Cha
         raise ValueError("last must be >= 0")
     mul = _EXACT.multiply
     text = _EXACT.to_sci_string
-    growth, shifted = 1, 1
-    growth_dec, shifted_dec = _EXACT.create_decimal(1), _EXACT.create_decimal(1)
-    n_dec, d_dec, u_dec = (_EXACT.create_decimal(x) for x in (n, d, u))
+    n_dec, d_dec, u_dec, uk_dec = (_EXACT.create_decimal(x) for x in (n, d, u, u * k))
+    past = Fraction(u * k, n)
+    growth, growth_dec = 1, _EXACT.create_decimal(1)
+    u_text = text(u_dec)
     for s in range(last + 1):
+        previous = growth
         if s:
+            u_text = text(mul(uk_dec, growth_dec))
             growth *= k + s
-            shifted *= k + s - 1
             growth_dec = mul(growth_dec, k + s)
-            shifted_dec = mul(shifted_dec, k + s - 1)
-        chain = _chain(n, k, d, u, s, growth, shifted)
-        u_text = text(mul(u_dec, shifted_dec))
-        if chain.d == chain.u:  # d growth >= u_s: equal decimal text either way
-            yield chain, Fraction(u * k, n), (text(mul(n_dec, growth_dec)), u_text, u_text)
+        values = _chain_at(n, k, d, u, s, previous)
+        n_text = text(mul(n_dec, growth_dec))
+        if values[2] == values[3]:  # d growth_s >= u_s: equal decimal text either way
+            yield values, past, (n_text, u_text, u_text)
         else:
-            yield chain, Fraction((k + s) * d, n), (text(mul(n_dec, growth_dec)), text(mul(d_dec, growth_dec)), u_text)
+            yield values, Fraction((k + s) * d, n), (n_text, text(mul(d_dec, growth_dec)), u_text)
 
 
 def max_exact_steps(k: int, d: int, u: int) -> int:

@@ -3,8 +3,10 @@ square-root bracket check for the headline series.
 
 Every record carries exact big integers plus kd/n as an exact rational, and
 a flag telling whether the distance was verified by exhaustive search or
-comes from a formula. Each family supplies a row's formula parameters and a
-builder for its code; one row function searches every row small enough
+comes from a formula. Each family supplies a row's formula as plain ints
+(n, k, d, u), its kd/n when the family already has it, and a builder for its
+code; one row function builds the record from those ints, with no
+intermediate parameter object, searches every row small enough
 (seed-series, seed-family, rm-diagonal, direct-sum and repetition; rm-third
 has no builder) and raises VerificationError when a search contradicts the
 formula. Output orders are fixed so emitted tables are byte-identical across
@@ -12,12 +14,12 @@ runs.
 
 Records are frozen, and the CSV and JSON writers both build their text from
 one decimal text per record. Seed-family rows get theirs as they are made:
-the table walks the chain by running product (construct._chain_walk), which
-carries n, d and u as exact Decimals as well as ints and gives kd/n from
-small integers, and checks its last row against family_params. Every other
-record converts its integer base columns with str() once, on its first
-write; the exact parameters of the headline series run to thousands of
-digits, and str() is quadratic in them.
+the table walks the chain by one running product (construct._chain_walk),
+growth_s = (k+1)...(k+s) kept as an int and as an exact Decimal, which gives
+the ints and text of n, d and u and kd/n from small integers, and checks its
+last row against family_params. Every other record converts its integer base
+columns with str() once, on its first write; the exact parameters of the
+headline series run to thousands of digits, and str() is quadratic in them.
 
 The code, construct and seeds layers, and numpy with them, are imported by
 the families and rows that use them, so the rm-third table loads none.
@@ -32,12 +34,16 @@ import sys
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import partial
+from typing import TYPE_CHECKING
 
 from . import FAMILIES
 from .errors import RangeViolationError, UnknownFamilyError, VerificationError
 from .field import make_field
 from .params import CodeParams
 from .reedmuller import rm_generator, rm_params, rm_third_series
+
+if TYPE_CHECKING:
+    from .code import LinearCode
 
 # Verification ceilings for table rows, tested on the row's formula
 # parameters: materialize and brute-force only when the code is this small,
@@ -87,11 +93,14 @@ def sqrt_bracket_check(i_max: int) -> list[tuple[int, bool]]:
     return [(i, _bracket_holds(i, 4 * i * (i + 1))) for i in range(1, i_max + 1)]
 
 
-def _row(family: str, index: int, params: CodeParams, extras: dict, build, walked, p: int) -> GrowthRecord:
-    """The one table row: ``params`` is the row's formula, ``build`` makes its
-    code over GF(p), or is None when the row is not to be searched;
-    ``walked`` is the formula's kd/n and the decimal text of its n, d and u
-    when the family has them, else None.
+def _row(family: str, index: int, values: tuple, ratio, text, extras: dict, build, p: int) -> GrowthRecord:
+    """The one table row from plain ints: ``values`` is the row's formula
+    (n, k, d, u), ``ratio`` its kd/n when the family has it (else None, and
+    it is computed here), ``text`` the decimal text of n, d and u when the
+    family has it (seed-family rows; else None), and ``build`` makes the
+    row's code over GF(p), or is None when the row is not to be searched.
+    No CodeParams is built: every family's values are positive with k <= n,
+    and a chain row's n_s >= n (k+s) >= k_s.
 
     A row is searched when its formula's n is at most VERIFY_LENGTH_CAP, its
     k x n generator fits the materialization budget, and its q^k messages or
@@ -102,56 +111,52 @@ def _row(family: str, index: int, params: CodeParams, extras: dict, build, walke
     n <= 10^5 also keeps the multiplicities below 2^53. A search
     contradicting the formula raises VerificationError.
     """
+    n, k, d, u = values
     searched = None
-    if build is not None and params.n <= VERIFY_LENGTH_CAP:
+    if build is not None and n <= VERIFY_LENGTH_CAP:
         from .code import MATERIALIZATION_BUDGET, _fits, min_distance_exhaustive
 
-        n, k = params.n, params.k
         fits = _fits(p, k, VERIFY_MESSAGE_CAP) or _fits(p, n - k, VERIFY_MESSAGE_CAP)
         if fits and k * n <= MATERIALIZATION_BUDGET:
             searched = min_distance_exhaustive(build(), budget=VERIFY_MESSAGE_CAP)
-    if searched is not None and searched != params.d:
-        raise VerificationError(
-            f"{family} row {index}: searched distance {searched} disagrees with the formula {params.d}"
-        )
-    record = GrowthRecord(
-        family=family,
-        index=index,
-        n=params.n,
-        k=params.k,
-        d=params.d,
-        u=params.u,
-        kd_over_n=Fraction(params.k * params.d, params.n) if walked is None else walked[0],
-        verified=searched is not None,
-        extras=extras,
-    )
-    if walked is not None:
+    if searched is not None and searched != d:
+        raise VerificationError(f"{family} row {index}: searched distance {searched} disagrees with the formula {d}")
+    if ratio is None:
+        ratio = Fraction(k * d, n)
+    record = GrowthRecord(family, index, n, k, d, u, ratio, searched is not None, extras)
+    if text is not None:
         # seed-family rows, whose other columns are small: k = 2i-1+j, and
         # kd/n is k/2i up to the bounded range and (2i-1)^2/2i past it
-        ratio, (n, d, u) = walked
-        values = (str(index), n, str(params.k), d, u, str(ratio.numerator), str(ratio.denominator))
-        object.__setattr__(record, "_decimal", values)
+        n_text, d_text, u_text = text
+        decimal = (str(index), n_text, str(k), d_text, u_text, str(ratio.numerator), str(ratio.denominator))
+        object.__setattr__(record, "_decimal", decimal)
     return record
 
 
+def _values(params: CodeParams) -> tuple:
+    return params.n, params.k, params.d, params.u
+
+
 def _row_inputs(family: str, max_index: int, seed_index: int | None, base_code: LinearCode | None):
-    """(index, formula parameters, extras, builder or None, kd/n with the
-    decimal text of n, d and u, or None) of each row."""
+    """(index, formula (n, k, d, u), kd/n or None, decimal text of n, d and
+    u or None, extras, builder or None) of each row."""
     f2 = make_field(2)
     if family == "seed-series":
         from .seeds import family_code, series_params
 
         for i in range(1, max_index + 1):
             member = series_params(i)
+            params = member.params
             extras = {
                 "resolved_steps": member.resolved_steps,
                 "declared_steps": member.declared_steps,
                 "declared_k": member.declared_k,
                 "declared_kd_over_n_num": member.declared_kd_over_n.numerator,
                 "declared_kd_over_n_den": member.declared_kd_over_n.denominator,
-                "bracket_holds": _bracket_holds(i, member.params.k),
+                "bracket_holds": _bracket_holds(i, params.k),
             }
-            yield i, member.params, extras, partial(family_code, f2, i + 1, member.resolved_steps), None
+            build = partial(family_code, f2, i + 1, member.resolved_steps)
+            yield i, _values(params), member.kd_over_n, None, extras, build
     elif family == "seed-family":
         if seed_index is None:
             raise ValueError("seed-family needs seed_index")
@@ -161,21 +166,20 @@ def _row_inputs(family: str, max_index: int, seed_index: int | None, base_code: 
         from .seeds import family_code, family_params
 
         two_i = 2 * seed_index
-        for chain, ratio, text in _chain_walk(two_i, two_i - 1, 1, two_i - 1, max_index):
-            j = chain.steps
-            params = CodeParams(n=chain.n, k=chain.k, d=chain.d, u=chain.u)
+        for j, (values, ratio, text) in enumerate(_chain_walk(two_i, two_i - 1, 1, two_i - 1, max_index)):
             # the walk is checked against the single-point formula once a table
-            if j == max_index and params != family_params(seed_index, max_index):
+            if j == max_index and values != _values(family_params(seed_index, max_index)):
                 raise VerificationError(f"seed-family row {j}: the running product disagrees with family_params")
-            build = partial(family_code, f2, seed_index, j)
-            yield j, params, {"seed_index": seed_index}, build, (ratio, text)
+            yield j, values, ratio, text, {"seed_index": seed_index}, partial(family_code, f2, seed_index, j)
     elif family == "rm-diagonal":
         for r in range(1, max_index + 1):
-            yield r, rm_params(2 * r + 1, r), {"m": 2 * r + 1, "r": r}, partial(rm_generator, 2 * r + 1, r), None
+            extras = {"m": 2 * r + 1, "r": r}
+            yield r, _values(rm_params(2 * r + 1, r)), None, None, extras, partial(rm_generator, 2 * r + 1, r)
     elif family == "rm-third":
         for m in range(1, max_index + 1):
             rec = rm_third_series(m)
-            yield m, rec.params, {"r": rec.r, "asymptote_ratio": rec.asymptote_ratio}, None, None
+            extras = {"r": rec.r, "asymptote_ratio": rec.asymptote_ratio}
+            yield m, _values(rec.params), rec.kd_over_n, None, extras, None
     else:
         if base_code is None:
             raise ValueError(f"{family} needs a base code")
@@ -184,10 +188,10 @@ def _row_inputs(family: str, max_index: int, seed_index: int | None, base_code: 
         n, k, d = base_code.n, base_code.k, min_distance_exhaustive(base_code)
         compose = direct_sum if family == "direct-sum" else repetition
         for s in range(1, max_index + 1):
-            params = CodeParams(n * s, k * s, d) if family == "direct-sum" else CodeParams(n * s, k, s * d)
+            values = (n * s, k * s, d, None) if family == "direct-sum" else (n * s, k, s * d, None)
             # row 1 is the base itself, whose distance is already searched
             build = partial(compose, base_code, s) if s > 1 else lambda: base_code
-            yield s, params, {}, build, None
+            yield s, values, None, None, {}, build
 
 
 def growth_table(
@@ -216,8 +220,8 @@ def growth_table(
         raise RangeViolationError(f"max_index {max_index} out of range for {family}")
     p = base_code.field.p if family in ("direct-sum", "repetition") and base_code is not None else 2
     return [
-        _row(family, index, params, extras, build if verify else None, walked, p)
-        for index, params, extras, build, walked in _row_inputs(family, max_index, seed_index, base_code)
+        _row(family, index, values, ratio, text, extras, build if verify else None, p)
+        for index, values, ratio, text, extras, build in _row_inputs(family, max_index, seed_index, base_code)
     ]
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .code import CodeParams, LinearCode, _check_materialization, min_distance_exhaustive
-from .construct import iterate_code, predict_params
+from .construct import _chain, iterate_code
 from .errors import BudgetExceededError, RangeViolationError, VerificationError
 from .field import PrimeField
 from .linalg import FieldMatrix
@@ -86,17 +86,17 @@ def max_family_steps(index: int) -> int:
 
 
 def family_params(index: int, steps: int) -> CodeParams:
-    """predict_params(2i, 2i-1, 1, 2i-1, steps): the seed is a (2i-1)-bounded
-    [2i, 2i-1, 1] code, so d is exact at every step: d(k+1)...(k+s) up to
-    step 4i^2 - 6i + 2 and u_s past it. RangeViolationError for index < 2 or
+    """predict_params(2i, 2i-1, 1, 2i-1, steps), built like it from the
+    ints of construct._chain: the seed is a (2i-1)-bounded [2i, 2i-1, 1]
+    code, so d is exact at every step: d(k+1)...(k+s) up to step
+    4i^2 - 6i + 2 and u_s past it. RangeViolationError for index < 2 or
     steps < 0.
     """
     if index < 2:
         raise RangeViolationError(f"the bounded family needs index >= 2, got {index}")
     if steps < 0:
         raise RangeViolationError(f"steps must be >= 0, got {steps}")
-    chain = predict_params(2 * index, 2 * index - 1, 1, 2 * index - 1, steps)
-    return CodeParams(n=chain.n, k=chain.k, d=chain.d, u=chain.u)
+    return CodeParams(*_chain(2 * index, 2 * index - 1, 1, 2 * index - 1, steps))
 
 
 def family_code(

@@ -588,6 +588,23 @@ def test_projective_pass_equals_the_two_pass_composition_on_byte_keys(p, k):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("p", [3, 7, 65521])
+@pytest.mark.parametrize("k,n", [(1, 5), (3, 385), (52, 60), (2, 4000)])
+def test_scaled_columns_lead_with_one(p, k, n):
+    # against a column-by-column oracle, on short and wide arrays with zero
+    # columns and columns whose leading entries are zero
+    rng = np.random.default_rng(p * k + n)
+    rows = rng.integers(0, p, size=(k, n), dtype=np.int64)
+    rows[:, ::7] = 0
+    rows[: k - 1, 1::5] = 0
+    want = []
+    for column in rows.T.tolist():
+        lead = next((v for v in column if v), 0)
+        want.append([v * pow(lead, p - 2, p) % p for v in column])
+    got = _engine._scaled(p, rows)
+    assert got.tolist() == np.array(want, dtype=np.int64).reshape(n, k).T.tolist()
+
+
 @pytest.mark.parametrize("p", [2, 3, 65521])
 def test_projective_pass_drops_zero_columns_and_keeps_empty_inputs_empty(p):
     zero = np.zeros((3, 4), dtype=np.int64)
@@ -715,7 +732,8 @@ def test_search_checks_the_doubled_words_on_every_path(monkeypatch):
 
 def test_split_leaf_refusal_is_the_codes_own_refusal():
     # L = span of [7, 3] rows (odd length: a leaf) and V = {0}: 2^3 leaf
-    # messages and 2^4 leaf dual words are over a budget of 4.
+    # messages and 2^4 leaf dual words are over a budget of 4, and so is the
+    # split's elimination, 3^2 x 1 word XORs, so the split is not tried.
     left = np.array([[1, 0, 0, 1, 1, 0, 1], [0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 0, 1, 1, 1]], dtype=np.int64)
     code = _code(F2, _plotkin_rows(left, np.zeros((0, 7), dtype=np.int64)))
     with pytest.raises(BudgetExceededError) as err:
@@ -723,6 +741,58 @@ def test_split_leaf_refusal_is_the_codes_own_refusal():
     assert str(err.value) == "enumeration needs 2^3 codewords or 2^11 dual words, budget is 4"
     assert (err.value.required, err.value.budget, code.d) == (8, 4, None)
     assert min_distance_exhaustive(code, budget=8) == 2 * lex_min_distance(_code(F2, left)) == 8
+
+
+def _rref_calls(monkeypatch):
+    """The shapes of the inputs of every elimination the split runs."""
+    calls = []
+    real = linalg_module._gf2_rref
+    monkeypatch.setattr(code_module, "_gf2_rref", lambda rows: calls.append(rows.shape) or real(rows))
+    return calls
+
+
+def test_split_leaf_refusal_under_a_budget_that_admits_the_elimination(monkeypatch):
+    # L = the [15, 7, 5] cyclic code of x^8 + x^7 + x^6 + x^4 + 1 (odd
+    # length: a leaf) and V = {0}. A budget of 64 admits the elimination,
+    # 7^2 x 1 word XORs, but neither the leaf's 2^7 messages nor its 2^8
+    # dual words; the refusal is the code's own.
+    g = [1, 0, 0, 0, 1, 0, 1, 1, 1] + [0] * 6
+    left = np.array([np.roll(g, t) for t in range(7)], dtype=np.int64)
+    code = _code(F2, _plotkin_rows(left, np.zeros((0, 15), dtype=np.int64)))
+    calls = _rref_calls(monkeypatch)
+    with pytest.raises(BudgetExceededError) as err:
+        min_distance_exhaustive(code, budget=64)
+    assert calls == [(7, 30)]
+    assert str(err.value) == "enumeration needs 2^7 codewords or 2^23 dual words, budget is 64"
+    assert (err.value.required, err.value.budget, code.d) == (128, 64, None)
+    assert min_distance_exhaustive(code, budget=128) == 2 * lex_min_distance(_code(F2, left)) == 10
+
+
+def test_split_elimination_is_counted_against_the_budget_before_it_runs(monkeypatch):
+    # k^2 x ceil(n/64) word XORs: RM(7,3), RM(9,4) and RM(11,5) count 2^13,
+    # 2^19 and 2^25, within the default budget, so they still split.
+    for m, r, count in ((7, 3, 1 << 13), (9, 4, 1 << 19), (11, 5, 1 << 25)):
+        params = rm_params(m, r)
+        assert params.k**2 * ((params.n + 63) // 64) == count <= DEFAULT_ENUMERATION_BUDGET
+    calls = _rref_calls(monkeypatch)
+    for budget, eliminations in (((1 << 13) - 1, []), (1 << 13, [(64, 128)])):
+        code = rm_generator(7, 3)
+        if eliminations:
+            assert min_distance_exhaustive(code, budget=budget) == 16
+        else:
+            with pytest.raises(BudgetExceededError) as err:
+                min_distance_exhaustive(code, budget=budget)
+            assert str(err.value) == f"enumeration needs 2^64 codewords or 2^64 dual words, budget is {budget}"
+            assert (err.value.required, code.d) == (1 << 64, None)
+        assert calls == eliminations
+    # A [4096, 2048] code counts 2^28 and is refused with no elimination.
+    calls.clear()
+    code = _code(F2, np.eye(2048, 4096, dtype=np.int64))
+    with pytest.raises(BudgetExceededError) as err:
+        min_distance_exhaustive(code)
+    assert calls == []
+    assert str(err.value) == f"enumeration needs 2^2048 codewords or 2^2048 dual words, budget is {DEFAULT_ENUMERATION_BUDGET}"
+    assert err.value.required == 1 << 2048
 
 
 def test_length_2_to_the_m_code_that_does_not_split_keeps_its_refusal():

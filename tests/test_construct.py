@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from growthcodes import (
@@ -31,6 +31,7 @@ from growthcodes import (
 from growthcodes import _engine, construct
 from growthcodes import code as code_module
 from growthcodes.construct import _chain_walk, iterate_code, rising_factorial
+from growthcodes.growth import exact_integer_text
 from growthcodes.seeds import family_code, family_params, seed_code
 
 from conftest import random_small_codes, step_weight_tables
@@ -257,15 +258,29 @@ def test_predict_params_equals_the_search_on_stepped_random_codes(code):
     st.integers(1, 500),
     st.integers(0, 60),
 )
+@example(10, 4, 2, 5, 12)  # d > 1: exact through step 6, then d_s = u_s
+@example(6, 3, 3, 3, 8)  # u = d: d_s = u_s from step 1
+@example(12, 4, 5, 6, 8)  # (k+1)d = 25 > W = ku = 24: past the bound from step 0
+@example(4, 3, 1, 3, 2000)  # seed 2 far past its range: n_s has over 5,700 digits
 def test_chain_walk_equals_predict_params_at_every_step(n, k, d, u, last):
     # u up to 500 against d up to 50 reaches past the exact range, and
-    # below d(1 + 1/k) from the start, as well as staying inside it
+    # below d(1 + 1/k) from the start, as well as staying inside it. The
+    # walk's one running product against the single-point formula and the
+    # closed forms at every step, and its decimal text against str() of its
+    # own ints, which past 4300 (or PYTHONINTMAXSTRDIGITS) digits needs
+    # exact_integer_text.
     walk = list(_chain_walk(n, k, d, u, last))
-    assert [chain.steps for chain, _, _ in walk] == list(range(last + 1))
-    for s, (chain, ratio, text) in enumerate(walk):
-        assert chain == predict_params(n, k, d, u, s)
-        assert ratio == Fraction(chain.k * chain.d, chain.n)
-        assert text == (str(chain.n), str(chain.d), str(chain.u))
+    assert len(walk) == last + 1
+    with exact_integer_text():
+        for s, (values, ratio, text) in enumerate(walk):
+            chain = predict_params(n, k, d, u, s)
+            assert values == (chain.n, chain.k, chain.d, chain.u)
+            if s <= 12:
+                u_s = u * _rising(k, s)
+                assert values == (n * _rising(k + 1, s), k + s, min(d * _rising(k + 1, s), u_s), u_s)
+            assert ratio == Fraction(chain.k * chain.d, chain.n)
+            assert text == (str(chain.n), str(chain.d), str(chain.u))
+    assert last < 2000 or len(text[0]) > 5700
 
 
 def test_chain_walk_refuses_what_predict_params_refuses():

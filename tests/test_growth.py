@@ -235,6 +235,40 @@ def test_seed_family_rows_are_family_params_with_their_decimal_text():
                 assert r._decimal_text() == tuple(map(str, want))
 
 
+def _seed_family_reference(i, last):
+    """The seed-i table's CSV and JSON for j = 0..last from factorial closed
+    forms: growth_j = (2i-1+j)!/(2i-1)!, n_j = 2i growth_j, k_j = 2i-1+j,
+    u_j = (2i-1)^2 (2i-2+j)!/(2i-1)! and d_j = growth_j through step
+    4i^2 - 6i + 1, u_j past it, rendered by csv.writer and json.dumps."""
+    base = math.factorial(2 * i - 1)
+    top = 4 * i * i - 6 * i + 1
+    rows = []
+    for j in range(last + 1):
+        growth_j = math.factorial(2 * i - 1 + j) // base
+        u = (2 * i - 1) ** 2 * math.factorial(2 * i - 2 + j) // base
+        n, k, d = 2 * i * growth_j, 2 * i - 1 + j, growth_j if j <= top else u
+        ratio = Fraction(k * d, n)
+        rows.append([
+            ("family", "seed-family"), ("index", j), ("n", n), ("k", k), ("d", d), ("u", u),
+            ("kd_over_n_num", ratio.numerator), ("kd_over_n_den", ratio.denominator),
+            ("verified", False), ("seed_index", i),
+        ])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([key for key, _ in rows[0]])
+    with exact_integer_text():
+        writer.writerows([str(value).lower() if isinstance(value, bool) else value for _, value in row] for row in rows)
+        return buf.getvalue(), json.dumps([dict(row) for row in rows], indent=2) + "\n"
+
+
+def test_seed_family_tables_equal_their_factorial_closed_forms():
+    # seeds 2-16 over the bounded range and five rows past it
+    for i in range(2, 17):
+        last = max_family_steps(i) + 5
+        records = growth_table("seed-family", last, seed_index=i, verify=False)
+        assert (records_to_csv(records), records_to_json(records)) == _seed_family_reference(i, last)
+
+
 def test_seed_family_table_runs_past_the_bounded_range():
     # seed 2 has max_family_steps = 5; past it d = u_s and kd/n stays (2i-1)^2/2i
     records = growth_table("seed-family", 10, seed_index=2)
