@@ -2,19 +2,25 @@
 minimum-distance search, rate, Singleton check, direct sum and repetition.
 
 The minimum distance cached on a LinearCode is always exact and computed
-from the code itself, its rows or its column multiset: by the message
-scan, the dual, or the (u | u+v) split, whose every step is tested on the
-rows and whose leaves are searched. It never comes from a formula:
-formula-predicted distances belong in CodeParams.
+from the code itself: its rows, its column multiset, or the (base, steps)
+recipe of a chain member, which construct.iterate_code makes and which
+holds nothing of the member until it is read. It comes from the message
+scan, the dual, the (u | u+v) split, whose every step is tested on the
+rows and whose leaves are searched, or the member's whole weight table,
+stepped from its base's by the step lemma on tables (construct's
+docstring) and checked to be 0 only at message 0. It never comes from a
+formula: formula-predicted distances belong in CodeParams.
 
 The two budgets that refuse work (BudgetExceededError) live here: the
 enumeration budget of min_distance_exhaustive, the one distance search,
-which scans the q^k messages when they fit and else the q^(n-k) dual words
-(and splits a GF(2) code that holds its rows when neither fits, searching
-each leaf under the same budget), and _check_materialization's test of the
-int64 cells of a generator to be allocated. The search also passes on the
-engine's refusal of a multiset whose gcd-reduced multiplicities sum to 2^53
-or more, which no float64 product weighs exactly.
+which weighs a chain member by its table when the table's q^k cells fit it
+and MATERIALIZATION_BUDGET, else scans the q^k messages when they fit and
+else the q^(n-k) dual words (and splits a GF(2) code that holds its rows
+when neither fits, searching each leaf under the same budget), and
+_check_materialization's test of the int64 cells of a generator to be
+allocated. The search also passes on the engine's refusal of a multiset
+whose gcd-reduced multiplicities sum to 2^53 or more, which no float64
+product weighs exactly.
 growth.VERIFY_MESSAGE_CAP and VERIFY_LENGTH_CAP refuse nothing: they decide
 which growth-table rows are searched, and the others are written from their
 formula.
@@ -25,7 +31,7 @@ from __future__ import annotations
 import contextlib
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -64,9 +70,13 @@ SPLIT_BREAK_EVEN = 1 << 24
 class LinearCode:
     """A linear code given by an ordered basis of k length-n vectors.
 
-    The rows must be independent: construction raises DependentBasisError
-    otherwise, and for an empty basis, so ``k`` is always the dimension.
-    The rank is taken over the weighted projective column multiset
+    The rows must be independent: construction from rows raises
+    DependentBasisError otherwise, and for an empty basis, so ``k`` is the
+    dimension. A recipe code (below) is checked later: its ``n``, ``k`` and
+    rate() are read from the recipe, and its k is checked on the first read
+    of its multiset (the rank check) or of its weight table (no nonzero
+    message of weight 0), each of which raises DependentBasisError for a
+    broken base. The rank is taken over the weighted projective column multiset
     ``_columns`` (see _engine.projective_columns), which the distance search
     then reuses: dropping zero, repeated and scalar-multiple columns leaves
     the column rank unchanged.
@@ -79,10 +89,14 @@ class LinearCode:
     becomes the code's storage (reduced in place and frozen) without a copy;
     any other ``rows`` is read into a new array by linalg._residues, with
     its checks.
-    A code built by _from_columns holds no rows until ``_rows`` is read.
+    A code built by _stepped (construct.iterate_code) holds only its recipe
+    (base, steps) until ``_columns`` or ``_rows`` is read; reading ``_rows``
+    raises VerificationError unless the stepped rows have exactly the
+    stepped multiset, so a search and a written file cannot describe
+    different codes.
     """
 
-    __slots__ = ("field", "n", "k", "_d", "_columns", "_generator", "_recipe")
+    __slots__ = ("field", "n", "k", "_d", "_multiset", "_generator", "_recipe", "_weights")
 
     def __init__(self, field: PrimeField, rows: np.ndarray | FieldMatrix):
         int64_rows = isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2
@@ -97,43 +111,54 @@ class LinearCode:
             rows = _residues(field, rows, 2)
         if rows.shape[0] == 0:
             raise DependentBasisError("empty basis")
-        self._set(field, rows.shape[1], _engine.projective_columns(field.p, rows), rows, None)
+        self._set(field, rows.shape[1], rows.shape[0], rows, None)
+        self._adopt(_engine.projective_columns(field.p, rows))
+        rows.flags.writeable = False
 
     @classmethod
-    def _from_columns(
-        cls, field: PrimeField, n: int, columns: tuple[np.ndarray, np.ndarray], recipe: Callable[[], np.ndarray]
-    ) -> "LinearCode":
-        """A length-n code given by its projective multiset ``columns``, as
-        _engine.projective_columns returns it, with the same rank check.
-        ``recipe()`` returns its k x n rows; it is called on the first read of
-        ``_rows``, which raises VerificationError unless the rows have exactly
-        this multiset, so a search and a written file cannot describe
-        different codes."""
+    def _stepped(cls, base: "LinearCode", steps: int, n: int) -> "LinearCode":
+        """The length-n code that ``steps`` construction steps make from
+        ``base`` (construct.iterate_code), held as the recipe (base, steps)
+        alone: its multiset and its rows are stepped from the base's on
+        their first read, and min_distance_exhaustive can weigh it from the
+        base's weight table. Its dimension base.k + steps is not checked
+        here but on the first read of its multiset (the rank check) or of
+        its table (no nonzero message of weight 0), whichever comes first;
+        n, k and rate() can be read before either."""
         code = object.__new__(cls)
-        code._set(field, n, columns, None, recipe)
+        code._set(base.field, n, base.k + steps, None, (base, steps))
         return code
 
-    def _set(self, field, n, columns, rows, recipe) -> None:
-        cols, mult = columns
-        k = cols.shape[0]
-        rank = _rank(cols, field.p)
-        if rank < k:
-            raise DependentBasisError(f"basis has rank {rank} but {k} vectors")
-        for array in (rows, cols, mult):
-            if array is not None:
-                array.flags.writeable = False
+    def _set(self, field, n, k, rows, recipe) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_d", None)
-        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_multiset", None)
         object.__setattr__(self, "_generator", rows)
         object.__setattr__(self, "_recipe", recipe)
+        object.__setattr__(self, "_weights", None)
+
+    def _adopt(self, columns: tuple[np.ndarray, np.ndarray]) -> None:
+        """Take ``columns`` as the code's multiset after the rank check."""
+        cols, mult = columns
+        rank = _rank(cols, self.field.p)
+        if rank < self.k:
+            raise DependentBasisError(f"basis has rank {rank} but {self.k} vectors")
+        cols.flags.writeable = False
+        mult.flags.writeable = False
+        object.__setattr__(self, "_multiset", columns)
+
+    @property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._multiset is None:
+            self._adopt(self._expand(rows=False))
+        return self._multiset
 
     @property
     def _rows(self) -> np.ndarray:
         if self._generator is None:
-            rows = self._recipe()
+            rows = self._expand(rows=True)
             cols, mult = _engine.projective_columns(self.field.p, rows)
             want_cols, want_mult = self._columns
             if not (
@@ -144,8 +169,16 @@ class LinearCode:
                 raise VerificationError(f"rows of {self!r} differ from the column multiset it was built from")
             rows.flags.writeable = False
             object.__setattr__(self, "_generator", rows)
-            object.__setattr__(self, "_recipe", None)
         return self._generator
+
+    def _expand(self, rows: bool):
+        """A recipe code's rows (``rows``) or its projective multiset,
+        stepped from its base's by construct._expand_recipe. Only a recipe
+        code comes without either; construct, which made it, is imported
+        here, as it imports this module."""
+        from .construct import _expand_recipe
+
+        return _expand_recipe(*self._recipe, rows)
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"LinearCode is immutable ({name})")
@@ -163,8 +196,17 @@ class LinearCode:
         return FieldMatrix(self.field, self._rows)
 
     def basis_weights(self) -> tuple[int, ...]:
+        if self._weights is not None:
+            return self._weights[0]
         cols, mult = self._columns
         return tuple(int(w) for w in (cols != 0).astype(np.int64) @ mult)
+
+    def _sum_weight(self) -> int:
+        """The weight of the basis sum a_1 + ... + a_k."""
+        if self._weights is not None:
+            return self._weights[1]
+        cols, mult = self._columns
+        return int(mult[cols.sum(axis=0) % self.field.p != 0].sum())
 
     def params(self, u: int | None = None) -> CodeParams:
         if self._d is None:
@@ -227,6 +269,13 @@ def min_distance_exhaustive(
     """Exact minimum distance by exhaustive enumeration: the package's one
     distance search, which picks its engine by the budget.
 
+    A chain member that iterate_code made is weighed by its whole weight
+    table (_min_distance_by_steps) when the table's q^k cells fit both
+    ``budget`` and MATERIALIZATION_BUDGET, with no multiset of the member built (on all but one measured member
+    within those budgets that was faster than building and scanning the
+    multiset; see _engine). Any other member builds its multiset and goes
+    on as below, with the same refusals.
+
     When the q^k messages fit ``budget``, the engine visits one message per
     scalar class, (q^k - 1)/(q - 1) of them, against the code's D distinct
     projective columns. Otherwise, when the q^(n-k) words of the dual fit,
@@ -246,7 +295,9 @@ def min_distance_exhaustive(
         raise TypeError(f"a distance search needs a LinearCode, got {type(code).__name__}")
     if code.d is None:
         d = None
-        if code.field.p == 2 and code._generator is not None and code.n % 2 == 0:
+        if code._recipe is not None and _fits(code.field.p, code.k, min(budget, MATERIALIZATION_BUDGET)):
+            d = _min_distance_by_steps(code)
+        elif code.field.p == 2 and code._generator is not None and code.n % 2 == 0:
             if _fits(2, code.k, budget):
                 split = ((1 << code.k) - 1) * code._columns[0].shape[1] > SPLIT_BREAK_EVEN
             else:
@@ -260,6 +311,24 @@ def min_distance_exhaustive(
                     d = _min_distance_by_split(code, budget)
         code._record_distance(_scan_or_dual(code, budget) if d is None else d)
     return code.d
+
+
+def _min_distance_by_steps(code: LinearCode) -> int:
+    """The minimum distance of the recipe code (base, steps) from its whole
+    weight table, _engine.stepped_weight_table of the base's multiset, in
+    the narrowest dtype that holds its length. The table stands in for the rank check: a nonzero message of
+    weight 0 raises DependentBasisError. The k unit-message weights and the
+    all-ones weight are kept on the code (basis_weights, _sum_weight), and
+    the table is dropped."""
+    base, steps = code._recipe
+    p, k = code.field.p, code.k
+    table = _engine.stepped_weight_table(p, *base._columns, steps, _engine.weight_table_dtype(code.n))
+    d = int(table[1:].min())
+    if d == 0:
+        raise DependentBasisError(f"a nonzero message of {code!r} has weight 0")
+    units = table[p ** np.arange(k - 1, -1, -1, dtype=np.int64)]
+    object.__setattr__(code, "_weights", (tuple(units.tolist()), int(table[(p**k - 1) // (p - 1)])))
+    return d
 
 
 def _scan_or_dual(code: LinearCode, budget: int) -> int:

@@ -50,8 +50,30 @@ So a column of multiplicity m becomes k + 1 columns of multiplicity m, the
 cyclic shifts of (0, c_k, ..., c_1). These are not the shifts of (0, c),
 which give the same multiset only when the code's multiset is closed under
 reversing (c_1, ..., c_k). Scaling c scales all k + 1 images, so the step
-maps a projective multiset to a projective multiset, and iterate_code steps
-``(cols, mult)`` with no generator built.
+maps a projective multiset to a projective multiset, and a member's
+``(cols, mult)`` is stepped from its base's with no generator built.
+
+Step lemma, on tables. Let T be the input's weight table over its q^k
+messages, with axis r - 1 holding the coefficient of a_r, and S = T with
+its axes reversed, S[y_1, ..., y_k] = T[y_k, ..., y_1]. The stepped code's
+table, over the same kind of axes, is
+
+    T'[x_0, ..., x_k] = sum over i = 0..k of S[x_{i+1}, ..., x_k, x_0, ..., x_{i-1}].
+
+Proof: term i is T[x_{i-1}, ..., x_0, x_k, ..., x_{i+1}], that is
+T[x_{i-1}, x_{i-2}, ..., x_{i-k}] with indices mod k+1, which is
+wt(m_i(x)); the lemma on messages sums it over i. (With S broadcast along
+a new axis 0 and rot(x) = (x_1, ..., x_k, x_0), term i is S o rot^i.) In C
+order each term is a plain 2-D transpose: with P = (x_0, ..., x_{i-1}) and
+Q = (x_{i+1}, ..., x_k) it is S[Q, P], S viewed as (q^(k-i), q^i) and read
+transposed, broadcast over x_i, the middle axis of T' viewed as
+(q^i, q, q^(k-i)). Each term is the weight of one block, so every entry and
+every partial sum is at most the stepped length n(k+1). The table is 0
+only at message 0 exactly when the stepped basis is independent: a zero
+elsewhere is a nonzero combination of the basis that vanishes.
+_engine.stepped_weight_table runs this from the base's multiset, and
+code.min_distance_exhaustive reads a member's distance, basis weights and
+basis-sum weight from it, with no column of the member built.
 """
 
 from __future__ import annotations
@@ -129,18 +151,18 @@ def check_bounded(
     """Evaluate the three u-boundedness conditions for the code's basis.
 
     Runs the exhaustive distance search if the code has no verified distance
-    yet (BudgetExceededError propagates).
+    yet (BudgetExceededError propagates), and reads the weights after it: a
+    code the search weighed by its weight table has them from the table,
+    with no multiset built.
     """
     if u < 1:
         raise ValueError("u must be a positive integer")
-    weights = code.basis_weights()
     d = min_distance_exhaustive(code, budget=budget)
-    cols, mult = code._columns
-    sum_weight = int(mult[cols.sum(axis=0) % code.field.p != 0].sum())
+    weights = code.basis_weights()
     return BoundednessReport(
         u=u,
         cond_weights_ok=all(w == u for w in weights),
-        cond_sum_ok=sum_weight == d,
+        cond_sum_ok=code._sum_weight() == d,
         cond_inequality_ok=_exact_through(code.k, d, u, 1),
         d_used=d,
         basis_weights=weights,
@@ -203,6 +225,23 @@ def _step_columns(p: int, cols: np.ndarray, mult: np.ndarray) -> tuple[np.ndarra
     return _engine.projective_columns(p, _step(cols), np.tile(mult, cols.shape[0] + 1))
 
 
+def _expand_recipe(base: LinearCode, steps: int, rows: bool):
+    """The rows (``rows``) or the projective multiset of the code that
+    ``steps`` construction steps make from ``base``, stepped from the
+    base's by _step or _step_columns: what a recipe code
+    (LinearCode._stepped) reads on first use. The checks on the result are
+    the code's own."""
+    if rows:
+        out = base._rows
+        for _ in range(steps):
+            out = _step(out)
+        return out
+    columns = base._columns
+    for _ in range(steps):
+        columns = _step_columns(base.field.p, *columns)
+    return columns
+
+
 def construction_step(basis: Sequence[FieldVector]) -> list[FieldVector]:
     """One construction step on an ordered basis: iterate(basis, 1).
 
@@ -216,17 +255,21 @@ def construction_step(basis: Sequence[FieldVector]) -> list[FieldVector]:
 def iterate_code(code: LinearCode, steps: int) -> LinearCode:
     """Apply the construction ``steps`` times; steps=0 returns the input.
 
-    Each step maps the projective multiset ``code._columns`` by the step
-    lemma, so the result is built and searched without a generator: its rows
-    are stepped by the same _step from the input's only when something reads
-    them, and are then checked against the multiset (LinearCode._from_columns).
-    The final generator, k + steps rows of length n * (k+1)(k+2)...(k+steps),
-    is still what code._check_materialization refuses (BudgetExceededError)
-    before any work. Only the final multiset gets a rank check: if
+    The result is held as the recipe (base, steps) and nothing of it is
+    built (LinearCode._stepped); a code that is itself a recipe adds its
+    steps to its own base's, so recipes never nest. min_distance_exhaustive
+    weighs it from the base's weight table by the step lemma on tables. Its
+    projective multiset is stepped from the base's by the step lemma on
+    columns (_step_columns) on its first read, and its rows by _step from
+    the base's rows only when something reads them, and are then checked
+    against the multiset. The final generator, k + steps rows of length
+    n * (k+1)(k+2)...(k+steps), is still what code._check_materialization
+    refuses (BudgetExceededError) before any work. Only the final multiset
+    gets a rank check, or the final table its zero test: if
     sum_t lambda_t out_t = 0, block i (sum over t != i of
     lambda_t a_{(i-t) mod (k+1)}) forces lambda_t = 0 for every t != i, so
     blocks 0 and 1 force all lambda = 0. A step thus keeps an independent
-    basis independent, and the rank check still catches a broken one.
+    basis independent, and either check still catches a broken one.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -237,17 +280,8 @@ def iterate_code(code: LinearCode, steps: int) -> LinearCode:
     _check_materialization(code.k + steps, n)
     if steps == 0:
         return code
-    columns = code._columns
-    for _ in range(steps):
-        columns = _step_columns(code.field.p, *columns)
-
-    def rows() -> np.ndarray:
-        out = code._rows
-        for _ in range(steps):
-            out = _step(out)
-        return out
-
-    return LinearCode._from_columns(code.field, n, columns, rows)
+    base, done = code._recipe or (code, 0)
+    return LinearCode._stepped(base, done + steps, n)
 
 
 def iterate(basis: Sequence[FieldVector], steps: int) -> list[FieldVector]:

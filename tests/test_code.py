@@ -805,23 +805,21 @@ def test_length_2_to_the_m_code_that_does_not_split_keeps_its_refusal():
 
 
 def test_search_never_splits_a_code_built_from_its_columns(monkeypatch):
+    # A chain member whose weight table is over the budget is searched from
+    # its stepped multiset alone: it holds no rows, so it is never split,
+    # and the search derives none (reading them would keep them).
     monkeypatch.setattr(code_module, "SPLIT_BREAK_EVEN", 0)
-    rm = rm_generator(4, 1)
-    calls = []
-
-    def recipe():
-        calls.append(1)
-        return rm._rows.copy()
-
-    for budget, outcome in ((DEFAULT_ENUMERATION_BUDGET, 8), (2, BudgetExceededError)):
-        code = LinearCode._from_columns(F2, rm.n, rm._columns, recipe)
+    members = [family_code(F2, 2, 2) for _ in range(3)]  # [80, 5], 2^5 table cells
+    monkeypatch.setattr(code_module, "MATERIALIZATION_BUDGET", 31)
+    for code, budget, outcome in ((members[0], DEFAULT_ENUMERATION_BUDGET, 20), (members[1], 2, BudgetExceededError)):
         if outcome is BudgetExceededError:
             with pytest.raises(BudgetExceededError):
                 min_distance_exhaustive(code, budget=budget)
         else:
             assert min_distance_exhaustive(code, budget=budget) == outcome
-        assert calls == [] and code._generator is None
-    stepped = family_code(F2, 2, 2)
+        assert code._generator is None
+    monkeypatch.undo()
+    stepped = members[2]
     assert stepped.n % 2 == 0 and min_distance_exhaustive(stepped) == family_params(2, 2).d
     assert stepped._generator is None
 
@@ -839,6 +837,50 @@ def test_codes_below_the_break_even_or_reached_by_the_dual_are_not_split(monkeyp
     assert ((1 << 22) - 1) * 64 > code_module.SPLIT_BREAK_EVEN
     assert min_distance_exhaustive(rm_generator(6, 2)) == 16
     assert len(split) == 1
+
+
+@pytest.mark.parametrize(
+    "n,dtype",
+    [
+        (1, np.uint16),
+        (2**16 - 1, np.uint16),
+        (2**16, np.uint32),
+        # The longest recipe code: iterate_code refuses k x n past
+        # MATERIALIZATION_BUDGET, and a member has k >= 2.
+        (code_module.MATERIALIZATION_BUDGET // 2, np.uint32),
+    ],
+)
+def test_weight_table_dtype_is_the_narrowest_that_holds_the_length(n, dtype):
+    assert _engine.weight_table_dtype(n) == np.dtype(dtype)
+
+
+def test_recipe_over_a_dependent_base_is_refused_by_its_table(monkeypatch):
+    # A base whose third row is the sum of the other two, let through by a
+    # rank check that always passes. Its stepped table is 0 at a nonzero
+    # message: DependentBasisError, raised with ``raise`` (this file also
+    # runs under python -O), before any distance is recorded.
+    rows = np.array([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1], [1, 1, 0, 1, 1]], dtype=np.int64)
+    with monkeypatch.context() as patch:
+        patch.setattr(code_module, "_rank", lambda cols, p: cols.shape[0])
+        base = LinearCode(F2, rows)
+    for steps in (1, 2):
+        member = iterate_code(base, steps)
+        with pytest.raises(DependentBasisError, match="has weight 0"):
+            min_distance_exhaustive(member)
+        assert member.d is None and member._weights is None
+        with pytest.raises(DependentBasisError, match="rank"):
+            member._columns
+
+
+def test_recursion_weighs_nested_recipes_from_one_base():
+    # iterate_code on a recipe code steps the same base further: the member
+    # of two plus three steps is the member of five, table and rows alike.
+    seed = seed_code(F3, 2)
+    nested = iterate_code(iterate_code(seed, 2), 3)
+    assert nested._recipe == (seed, 5) and iterate_code(nested, 0) is nested
+    assert min_distance_exhaustive(nested) == family_params(2, 5).d
+    assert nested.basis_weights() == (family_params(2, 5).u,) * 8
+    assert format_generator(nested) == format_generator(family_code(F3, 2, 5))
 
 
 def test_rate_examples():
@@ -909,7 +951,9 @@ def test_refused_rows_leave_no_generator_file(tmp_path):
     # are first read, which happens before the file is opened.
     code = _code(F3, [[1, 0, 1, 2], [0, 1, 1, 1]])
     other = _code(F3, [[1, 0, 1, 1], [0, 1, 1, 1]])
-    member = LinearCode._from_columns(F3, code.n, code._columns, lambda: other._rows.copy())
+    member = iterate_code(code, 1)
+    member._columns
+    object.__setattr__(member, "_recipe", (other, 1))
     path = tmp_path / "g.txt"
     with pytest.raises(VerificationError):
         write_generator_file(member, path)

@@ -34,7 +34,7 @@ from growthcodes.construct import _chain_walk, iterate_code, rising_factorial
 from growthcodes.growth import exact_integer_text
 from growthcodes.seeds import family_code, family_params, seed_code
 
-from conftest import random_small_codes, step_weight_tables
+from conftest import lex_min_distance, random_small_codes, step_weight_tables
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -115,8 +115,9 @@ def test_construction_step_rejects_dependent_output(monkeypatch):
         construction_step(basis)
     with pytest.raises(DependentBasisError):
         iterate(basis, 2)
+    # A member's multiset is stepped, and its rank checked, on first read.
     with pytest.raises(DependentBasisError):
-        family_code(F3, 2, 1)
+        family_code(F3, 2, 1)._columns
 
 
 def test_iterate_zero_steps_returns_input():
@@ -405,6 +406,10 @@ def test_iterate_code_builds_one_code(monkeypatch, steps, built):
 
     monkeypatch.setattr(code_module, "_rank", counting)
     out = iterate_code(base, steps)
+    # A member is a recipe until its multiset is read; that read is its one
+    # rank check.
+    assert (out._multiset is None) == (steps > 0)
+    out._columns
     assert len(checks) == built
     assert (out._generator is None) == (steps > 0)
     assert (out.n, out.k) == (predict_params(4, 3, 1, 3, steps).n, 3 + steps)
@@ -446,6 +451,94 @@ def test_stepped_multiset_equals_the_materialized_rows_multiset(field):
             _assert_same_multiset(stepped, _engine.projective_columns(field.p, rows))
     with pytest.raises(BudgetExceededError):
         family_code(field, 4, 6)
+
+
+def _table_witnesses_agree(field, index, j, want):
+    """One chain member weighed by the step recursion, against its
+    witnesses: the conftest oracle's table ``want``, the scan's weight
+    distribution of the built multiset, family_params, and the lex oracle
+    when the member is small. Returns the member's distance."""
+    p = field.p
+    seed = seed_code(field, index)
+    member = family_code(field, index, j)
+    table = _engine.stepped_weight_table(p, *seed._columns, j, _engine.weight_table_dtype(member.n))
+    assert np.array_equal(table, want.ravel()), (p, index, j)
+    d = min_distance_exhaustive(member)
+    assert d == int(table[1:].min()) == family_params(index, j).d
+    # Built from its multiset, the same member weighs the same.
+    twin = family_code(field, index, j)
+    weights, counts = np.unique(table, return_counts=True)
+    assert _engine.weight_distribution(p, *twin._columns) == dict(zip(weights.tolist(), counts.tolist()))
+    assert member.basis_weights() == twin.basis_weights() == (family_params(index, j).u,) * member.k
+    assert member._sum_weight() == twin._sum_weight()
+    if p**member.k * member.n <= 1 << 20:
+        assert lex_min_distance(member) == d
+    return d
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F7], ids=lambda f: f"GF({f.p})")
+def test_step_recursion_agrees_with_every_witness_on_the_members_tier1_builds(field):
+    # Every member under the materialization budget whose table fits it too;
+    # the others take the multiset path (see the GF(7) test below).
+    for index, last in _MEMBERS_UNDER_BUDGET:
+        k = 2 * index - 1
+        while field.p ** (k + last) > MATERIALIZATION_BUDGET:
+            last -= 1
+        for j, want in enumerate(step_weight_tables(seed_code(field, index), last)):
+            _table_witnesses_agree(field, index, j, want)
+
+
+@pytest.mark.parametrize("p,index,last", [(2, 4, 5), (3, 2, 5), (3, 3, 4), (5, 2, 4), (7, 2, 4)])
+def test_chain_verify_op_builds_only_the_seeds_multiset(monkeypatch, p, index, last):
+    # family_code, the search and check_bounded: the member is weighed by its
+    # table, and the one projective pass is the seed's, in its constructor.
+    real = _engine.projective_columns
+    shapes = []
+
+    def spy(q, rows, *weights):
+        shapes.append(rows.shape)
+        return real(q, rows, *weights)
+
+    monkeypatch.setattr(_engine, "projective_columns", spy)
+    field = make_field(p)
+    for j in range(last + 1):
+        shapes.clear()
+        params = family_params(index, j)
+        member = family_code(field, index, j)
+        assert min_distance_exhaustive(member) == params.d
+        report = check_bounded(member, params.u)
+        assert report.bounded and report.d_used == params.d
+        assert shapes == [(2 * index - 1, 2 * index)]
+        assert j == 0 or (member._multiset is None and member._generator is None)
+
+
+def test_member_past_the_table_budget_takes_the_multiset_path(monkeypatch):
+    # 7^9 cells: over MATERIALIZATION_BUDGET, so the member's multiset is
+    # built and scanned, with the distance the scan gave before the recursion.
+    def refuse(*args):
+        raise AssertionError("the step recursion ran past MATERIALIZATION_BUDGET")
+
+    monkeypatch.setattr(_engine, "stepped_weight_table", refuse)
+    member = family_code(F7, 2, 6)
+    assert F7.p**member.k > MATERIALIZATION_BUDGET
+    assert min_distance_exhaustive(member) == family_params(2, 6).d == 60480
+    assert member._multiset is not None
+
+
+def test_table_budget_is_the_smaller_of_the_callers_and_the_materialization_budget(monkeypatch):
+    # family_code(F3, 2, 3) has a table of 3^6 = 729 cells.
+    over, fits, refused = (family_code(F3, 2, 3) for _ in range(3))
+    calls = []
+    real = _engine.stepped_weight_table
+    monkeypatch.setattr(_engine, "stepped_weight_table", lambda *a: calls.append(a[3]) or real(*a))
+    monkeypatch.setattr(code_module, "MATERIALIZATION_BUDGET", 728)
+    assert min_distance_exhaustive(over) == 120 and calls == [] and over._multiset is not None
+    monkeypatch.setattr(code_module, "MATERIALIZATION_BUDGET", 729)
+    assert min_distance_exhaustive(fits) == 120 and calls == [3] and fits._multiset is None
+    # Under the caller's budget the refusal is the scan's, word for word.
+    with pytest.raises(BudgetExceededError, match=r"^enumeration needs 3\^6 codewords or 3\^474 dual words"):
+        min_distance_exhaustive(refused, budget=728)
+    assert calls == [3]
 
 
 # The odd-prime chain members the tier-1 tests scan: seed 2 to j = 6 over
@@ -517,14 +610,13 @@ def test_stepped_generator_text_matches_the_docstring_step(field, index, steps):
 def test_rows_that_disagree_with_the_stepped_multiset_are_refused():
     member = family_code(F3, 2, 2)
     assert min_distance_exhaustive(member) == 20
-    real = member._recipe
-
-    def flipped():
-        out = real()
-        out[0, 0] = (out[0, 0] + 1) % 3
-        return out
-
-    object.__setattr__(member, "_recipe", flipped)
+    # The multiset is stepped from the true recipe; the rows then come from
+    # a recipe whose base has one entry changed.
+    member._columns
+    base, steps = member._recipe
+    rows = base._rows.copy()
+    rows[0, 0] = (rows[0, 0] + 1) % 3
+    object.__setattr__(member, "_recipe", (LinearCode(F3, rows), steps))
     for read in (lambda c: c.generator, lambda c: c.basis, format_generator):
         with pytest.raises(VerificationError):
             read(member)
