@@ -53,26 +53,33 @@ inexact, is refused with BudgetExceededError rather than scanned.
   arrays are allocated once per scan and every block is written into them,
   so a yielded block is valid only until the next one is requested; both readers
   (min_weight_enumeration, weight_distribution) use each block at once.
-* Odd primes step the leading digits with a mixed-radix odometer and
-  compare the remaining digits' table of partial products, one block of
-  trailing-digit combinations at a time: x.c = 0 exactly where the table
-  entry equals -base(c), and the multiplicities of those columns are summed
-  by one matrix-vector product. The table is built and kept in the
-  narrowest unsigned dtype that holds a sum of two residues,
-  min_scalar_type(2(p - 1)): uint8 up to p = 127, uint16 up to p = 32749
-  and uint32 beyond. Each digit's sums, all below 2p - 1, are reduced as
-  the minimum of the sum and the sum minus p, which wraps past every sum
-  below p, in that dtype, so the table never has an int64 temporary.
+* Odd primes weigh a table of the trailing digits' partial products against
+  one prefix of the leading digits at a time (_prefix_kernel): x.c = 0
+  exactly where the table entry equals -base(c), the prefix's product,
+  computed directly from the prefix's digits, and the multiplicities of
+  those columns are summed by one matrix-vector product. The scan weighs a
+  head block first, the zero prefix with the trailing parts whose leading
+  nonzero digit is 1, then the whole table against every prefix whose
+  leading nonzero digit is 1; a code whose whole table fits is one head
+  block. The table is built and kept in the narrowest unsigned dtype that
+  holds a sum of two residues, min_scalar_type(2(p - 1)): uint8 up to
+  p = 127, uint16 up to p = 32749 and uint32 beyond. Each digit's sums, all
+  below 2p - 1, are reduced as the minimum of the sum and the sum minus p,
+  which wraps past every sum below p, in that dtype, so the table never has
+  an int64 temporary.
 * The step recursion (stepped_weight_table) weighs a chain member whose
   q^K table fits code.min_distance_exhaustive's budget and
   MATERIALIZATION_BUDGET cells: its base's table is weighed from the base's
-  multiset (_weight_table), then stepped. Against building and scanning the
+  multiset by the same kernel as the odd scan, over every prefix in C order
+  (_weight_table), then stepped. Against building and scanning the
   member's multiset it was faster on every chain member measured within
   those budgets but one, from 1.9x on GF(2) seed 2 at j = 6 and 3.6x on
   GF(7) seed 2 at j = 5 to 75x on GF(3) seed 4 at j = 5. The one is GF(7)
   seed 4 at j = 1, whose 36 distinct columns scan in 19 ms against 25 ms
   for its 7^8 table; a rule that counts the scan's work needs D, which
   only the multiset the recursion avoids building gives.
+  Any other member builds its multiset and is searched like any other code,
+  with the same refusals.
 * High-rate codes are searched through their dual: the scan above, run over
   the q^(n-k) words of the dual, gives the dual's weight distribution, and
   the MacWilliams identity (MacWilliams & Sloane, "The Theory of
@@ -85,14 +92,17 @@ inexact, is refused with BudgetExceededError rather than scanned.
   left-half projection L and V = {v : (0|v) in C}, once the rows show that
   (l|l) is in C for every l in L, and the scans above search the leaves
   that do not split. code.min_distance_exhaustive tries it first when
-  neither count fits its budget, and when the message scan's counted
-  work, (2^k - 1) x D cells, is above code.SPLIT_BREAK_EVEN (2^24): a
+  neither count fits its budget but the split's one elimination, counted as
+  k^2 x ceil(n/64) word XORs, does, and when the message scan fits but its
+  counted work, (2^k - 1) x D cells, is above code.SPLIT_BREAK_EVEN (2^24): a
   code that splits is found faster by the split at every size measured,
   and from 2^24 cells the elimination a code that does not split pays
   first is about a tenth of its scan or less.
 
-Both scans size their blocks by one budget, ``_BLOCK_BYTES``: the trailing
-table holds the largest number of digits whose table fits in 256 KiB.
+Every enumeration (the GF(2) scan, the odd scan and the base weight table)
+sizes its blocks by one budget, ``_BLOCK_BYTES``, in _block_digits: the
+trailing table holds the largest number of digits, at least one, whose table
+fits in 256 KiB.
 
 All engines are deterministic and run serially: on every benchmarked input a
 thread pool over message ranges was slower than one scan (two threads took
@@ -108,11 +118,12 @@ import numpy as np
 
 from .errors import BudgetExceededError, ShapeMismatchError, VerificationError
 
-# Bytes of one block's trailing-digit table, for both scans: each picks the
-# largest number t of trailing digits whose table fits. Over GF(2) that is the
+# Bytes of one block's trailing-digit table, for every enumeration: each
+# takes the largest number t of trailing digits whose table fits, at least
+# one (_block_digits). Over GF(2) that is the
 # packed (width, 2^t) uint64 table, 2^15 words, so that the table, its XOR with
-# the running base and the popcounts stay in cache; over an odd prime it is the
-# (p^t, width) table of np.min_scalar_type(2 * (p - 1)).
+# the running base and the popcounts stay in cache; for the odd scan and every
+# weight table it is the (p^t, width) table of np.min_scalar_type(2 * (p - 1)).
 _BLOCK_BYTES = 1 << 18
 
 # Integer column keys are exact while p**k fits in an int64 with room to spare.
@@ -254,30 +265,80 @@ def weight_table_dtype(n: int) -> np.dtype:
     return np.dtype(np.uint16 if n <= np.iinfo(np.uint16).max else np.uint32)
 
 
+def _trailing_table(p: int, rows: np.ndarray, narrow: np.dtype) -> np.ndarray:
+    """table[m] = sum_d digit_d(m) * rows[d] (mod p) over the t rows, in C
+    order: digit d of m is worth p**(t - 1 - d), so rows[0]'s is the most
+    significant. In ``narrow``, an unsigned dtype that holds a sum of two
+    residues."""
+    modulus = narrow.type(p)
+    multiples = (np.arange(p)[:, None, None] * rows % p).astype(narrow)
+    table = multiples[:, 0]
+    for i in range(1, len(rows)):
+        table = (table[:, None, :] + multiples[:, i]).reshape(-1, rows.shape[1])
+        # A sum below p wraps past it when p is subtracted, so the minimum
+        # is the sum reduced mod p.
+        np.minimum(table, table - modulus, out=table)
+    return table
+
+
+def _block_digits(p: int, k: int, row_bytes: int) -> int:
+    """The number t of trailing message digits of one enumeration block: the
+    largest t in 1..k whose p^t table rows of ``row_bytes`` each fit
+    _BLOCK_BYTES, else 1. Every enumeration sizes its blocks here."""
+    t = 1
+    while t < k and p ** (t + 1) * row_bytes <= _BLOCK_BYTES:
+        t += 1
+    return t
+
+
+def _prefix_kernel(p: int, cols: np.ndarray, mult: np.ndarray):
+    """The enumeration core over GF(p) of the code whose projective multiset
+    is ``(cols, mult)``: _weight_table's for every p, GF(2) included, and
+    _message_weights_odd's.
+
+    Returns ``(t, trailing, weigh)``. ``trailing`` is the table of the last t
+    message digits (_trailing_table, t from _block_digits), in C order: entry
+    m is the trailing part whose most significant digit is a_(k-t+1)'s.
+    ``weigh(block, prefix)`` gives the weights of the messages whose first
+    k - t digits are those of the number ``prefix`` (a_1's the most
+    significant) and whose trailing parts are the entries of ``block``, a
+    slice or selection of ``trailing``: x.c = 0 exactly where the entry
+    equals -base(c), the prefix's own product, and the multiplicities of
+    those columns are summed by one matrix-vector product into the exact
+    float of _exact_sum_dtype.
+    """
+    k, width = cols.shape
+    n = sum(mult.tolist())
+    # The narrowest unsigned dtype that holds a sum of two residues, so that
+    # the table is built and reduced in it, with no wider temporary.
+    narrow = np.min_scalar_type(2 * (p - 1))
+    t = _block_digits(p, k, width * narrow.itemsize)
+    trailing = _trailing_table(p, cols[k - t :], narrow)
+    negated = (p - cols[: k - t]) % p
+    powers = p ** np.arange(k - t - 1, -1, -1, dtype=np.int64)
+    weights = mult.astype(_exact_sum_dtype(n))
+    # One buffer for every block's hits, so a block allocates nothing of the
+    # table's size.
+    hits = np.empty(trailing.shape, dtype=weights.dtype)
+
+    def weigh(block: np.ndarray, prefix: int) -> np.ndarray:
+        hit = hits[: len(block)]
+        np.equal(block, (prefix // powers % p @ negated % p).astype(narrow), out=hit)
+        return n - hit @ weights
+
+    return t, trailing, weigh
+
+
 def _weight_table(p: int, cols: np.ndarray, mult: np.ndarray, dtype: np.dtype) -> np.ndarray:
     """The weight of every message of the code whose projective multiset is
     ``(cols, mult)``, flat in C order with a_1's coefficient the most
-    significant digit, in ``dtype``: the odd-prime scan's trailing table of
-    the last t digits (_trailing_table, sized by _BLOCK_BYTES) against each
-    prefix of the other digits in turn. The multiplicity products are
-    exact in _exact_sum_dtype's float: a base's length is below its
-    member's, which is below 2^24."""
-    k, width = cols.shape
-    weights = mult.astype(_exact_sum_dtype(sum(mult.tolist())))
-    narrow = np.min_scalar_type(2 * (p - 1))
-    t = 1
-    while t < k and p ** (t + 1) * width * narrow.itemsize <= _BLOCK_BYTES:
-        t += 1
-    trailing = _trailing_table(p, cols[k - t :][::-1], narrow)
-    high = cols[: k - t]
-    powers = p ** np.arange(k - t - 1, -1, -1, dtype=np.int64)
-    modulus = narrow.type(p)
-    dots = np.empty_like(trailing)
-    table = np.empty((p ** (k - t), len(trailing)), dtype=dtype)
+    significant digit, in ``dtype``: _prefix_kernel's trailing table against
+    every prefix in turn. Its float products are exact: a base's length is
+    below its member's, which is below 2^24."""
+    t, trailing, weigh = _prefix_kernel(p, cols, mult)
+    table = np.empty((p ** (cols.shape[0] - t), len(trailing)), dtype=dtype)
     for prefix, row in enumerate(table):
-        np.add(trailing, (prefix // powers % p @ high % p).astype(narrow), out=dots)
-        np.minimum(dots, dots - modulus, out=dots)
-        row[:] = (dots != 0) @ weights
+        row[:] = weigh(trailing, prefix)
     return table.ravel()
 
 
@@ -338,9 +399,7 @@ def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
     packed = np.hstack(blocks)
     width = packed.shape[1]
 
-    t = 1
-    while t < k and (1 << (t + 1)) * width * 8 <= _BLOCK_BYTES:
-        t += 1
+    t = _block_digits(2, k, width * 8)
     # offsets[:, m] is the XOR of packed[k - t + b] over the set bits b of m:
     # columns 2^b .. 2^(b+1) - 1 are the first 2^b with row k - t + b XORed in.
     offsets = np.empty((width, 1 << t), dtype=np.uint64)
@@ -375,71 +434,20 @@ def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
         yield weigh(np.bitwise_xor(base, offsets, out=xor))
 
 
-def _trailing_table(p: int, rows: np.ndarray, narrow: np.dtype) -> np.ndarray:
-    """table[m] = sum_d digit_d(m) * rows[d] (mod p), digit d worth p**d, in
-    ``narrow``, an unsigned dtype that holds a sum of two residues."""
-    modulus = narrow.type(p)
-    table = np.zeros((1, rows.shape[1]), dtype=narrow)
-    for row in rows[::-1]:
-        multiples = (np.arange(p)[:, None] * row % p).astype(narrow)
-        table = (table[:, None, :] + multiples).reshape(-1, rows.shape[1])
-        # A sum below p wraps past it when p is subtracted, so the minimum
-        # is the sum reduced mod p.
-        np.minimum(table, table - modulus, out=table)
-    return table
-
-
 def _message_weights_odd(p: int, cols: np.ndarray, mult: np.ndarray):
     """Yield the codeword weights of one message per scalar class, one block
-    at a time: the zero prefix with the head, then every prefix whose most
+    at a time, from _prefix_kernel: the head block, the zero prefix with the
+    trailing parts whose most significant nonzero digit is 1 (the entries
+    p**g .. 2*p**g - 1 for g = 0 .. t-1), then every prefix whose most
     significant nonzero digit is 1 (the numbers p**g .. 2*p**g - 1 for
-    g = 0 .. high-1, stepped by an odometer) with the whole table."""
-    k, width = cols.shape
-    n = int(mult.sum())
-    # The narrowest unsigned dtype that holds a sum of two residues, so that
-    # the table is built and reduced in it, with no wider temporary.
-    narrow = np.min_scalar_type(2 * (p - 1))
-    t = 0
-    while t < k - 1 and p ** (t + 1) * width * narrow.itemsize <= _BLOCK_BYTES:
-        t += 1
-    high = k - t
-    table = _trailing_table(p, cols[high:], narrow)
-    # With a zero prefix, only trailing parts whose most significant nonzero
-    # digit is 1 are enumerated, one per scalar class: p**g .. 2*p**g - 1 for
-    # g = 0 .. t-1, which start (p**g - 1)/(p - 1) entries into the head.
+    g = 0 .. k-t-1) with the whole table."""
+    t, trailing, weigh = _prefix_kernel(p, cols, mult)
+    # The head's entry p**g sits (p**g - 1)/(p - 1) places into it.
     sizes = p ** np.arange(t, dtype=np.int64)
-    head = table[np.arange(sizes.sum()) + np.repeat(sizes - (sizes - 1) // (p - 1), sizes)]
-    dtype = _exact_sum_dtype(n)
-    weights = mult.astype(dtype)
-    high_rows = cols[:high]
-    # One buffer for every block's hits, so a block allocates nothing of the
-    # table's size.
-    hits = np.empty(table.shape, dtype=dtype)
-
-    def weigh(block: np.ndarray, base: np.ndarray) -> np.ndarray:
-        target = ((p - base) % p).astype(block.dtype)
-        hit = hits[: len(block)]
-        np.equal(block, target, out=hit)
-        return n - (hit @ weights).astype(np.int64)
-
-    if len(head):
-        yield weigh(head, np.zeros(width, dtype=np.int64))
-    for g in range(high):
-        digits = np.zeros(high, dtype=np.int64)
-        digits[g] = 1
-        base = high_rows[g].copy()
-        yield weigh(table, base)
-        for _ in range(p**g - 1):
-            i = 0
-            while True:
-                base += high_rows[i]
-                np.subtract(base, p, out=base, where=base >= p)
-                digits[i] += 1
-                if digits[i] < p:
-                    break
-                digits[i] = 0
-                i += 1
-            yield weigh(table, base)
+    yield weigh(trailing[np.arange(sizes.sum()) + np.repeat(sizes - (sizes - 1) // (p - 1), sizes)], 0)
+    for g in range(cols.shape[0] - t):
+        for prefix in range(p**g, 2 * p**g):
+            yield weigh(trailing, prefix)
 
 
 def _message_weights(p: int, cols: np.ndarray, mult: np.ndarray):
@@ -498,7 +506,8 @@ def weight_distribution(p: int, cols: np.ndarray, mult: np.ndarray) -> dict[int,
     dense = np.zeros(0, dtype=np.int64)
     counts: dict[int, int] = {}
     for weights in _message_weights(p, cols, reduced):
-        # Exact: GF(2) blocks hold integers, in floats for several classes.
+        # Exact: blocks hold integers, in floats from the odd scan and from
+        # a GF(2) scan of several classes.
         block = weights.astype(np.int64)
         if total < len(block) or block.max() < max(len(block), len(dense)):
             tally = np.bincount(block, minlength=len(dense))

@@ -4,20 +4,14 @@ minimum-distance search, rate, Singleton check, direct sum and repetition.
 The minimum distance cached on a LinearCode is always exact and computed
 from the code itself: its rows, its column multiset, or the (base, steps)
 recipe of a chain member, which construct.iterate_code makes and which
-holds nothing of the member until it is read. It comes from the message
-scan, the dual, the (u | u+v) split, whose every step is tested on the
-rows and whose leaves are searched, or the member's whole weight table,
-stepped from its base's by the step lemma on tables (construct's
-docstring) and checked to be 0 only at message 0. It never comes from a
-formula: formula-predicted distances belong in CodeParams.
+holds nothing of the member until it is read. It comes from one of the
+search engines that _engine's module docstring describes, with the rule
+that picks among them, and never from a formula: formula-predicted
+distances belong in CodeParams.
 
 The two budgets that refuse work (BudgetExceededError) live here: the
 enumeration budget of min_distance_exhaustive, the one distance search,
-which weighs a chain member by its table when the table's q^k cells fit it
-and MATERIALIZATION_BUDGET, else scans the q^k messages when they fit and
-else the q^(n-k) dual words (and splits a GF(2) code that holds its rows
-when neither fits, searching each leaf under the same budget), and
-_check_materialization's test of the int64 cells of a generator to be
+and _check_materialization's test of the int64 cells of a generator to be
 allocated. The search also passes on the engine's refusal of a multiset
 whose gcd-reduced multiplicities sum to 2^53 or more, which no float64
 product weighs exactly.
@@ -267,28 +261,15 @@ def min_distance_exhaustive(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> int:
     """Exact minimum distance by exhaustive enumeration: the package's one
-    distance search, which picks its engine by the budget.
+    distance search. Its engines (a chain member's stepped weight table, the
+    message scan, the dual with the MacWilliams identity, and the (u | u+v)
+    split of a GF(2) code that holds its rows) and the rule by which
+    ``budget`` picks among them are described once, in _engine's module
+    docstring.
 
-    A chain member that iterate_code made is weighed by its whole weight
-    table (_min_distance_by_steps) when the table's q^k cells fit both
-    ``budget`` and MATERIALIZATION_BUDGET, with no multiset of the member built (on all but one measured member
-    within those budgets that was faster than building and scanning the
-    multiset; see _engine). Any other member builds its multiset and goes
-    on as below, with the same refusals.
-
-    When the q^k messages fit ``budget``, the engine visits one message per
-    scalar class, (q^k - 1)/(q - 1) of them, against the code's D distinct
-    projective columns. Otherwise, when the q^(n-k) words of the dual fit,
-    it enumerates those and applies the MacWilliams identity
-    (_min_distance_by_dual), which suits high-rate codes. A GF(2) code that
-    holds its rows and has even length is first tried by the (u | u+v)
-    split (_min_distance_by_split) when the scan fits but its counted work,
-    (2^k - 1) x D cells, is above SPLIT_BREAK_EVEN, and when neither count
-    fits but the split's elimination, counted as k^2 x ceil(n/64) word XORs,
-    does. A code built from its column multiset alone is never split. When
-    no engine completes, BudgetExceededError names both counts and carries
-    the smaller, so callers can fall back to formula-level checks; the
-    larger power is never formed. Anything but a LinearCode raises
+    When no engine completes, BudgetExceededError names both counts and
+    carries the smaller, so callers can fall back to formula-level checks;
+    the larger power is never formed. Anything but a LinearCode raises
     TypeError: a CodeParams' d is a formula, not a search result.
     """
     if not isinstance(code, LinearCode):
@@ -316,10 +297,10 @@ def min_distance_exhaustive(
 def _min_distance_by_steps(code: LinearCode) -> int:
     """The minimum distance of the recipe code (base, steps) from its whole
     weight table, _engine.stepped_weight_table of the base's multiset, in
-    the narrowest dtype that holds its length. The table stands in for the rank check: a nonzero message of
-    weight 0 raises DependentBasisError. The k unit-message weights and the
-    all-ones weight are kept on the code (basis_weights, _sum_weight), and
-    the table is dropped."""
+    the narrowest dtype that holds its length. The table stands in for the
+    rank check: a nonzero message of weight 0 raises DependentBasisError.
+    The k unit-message weights and the all-ones weight are kept on the code
+    (basis_weights, _sum_weight), and the table is dropped."""
     base, steps = code._recipe
     p, k = code.field.p, code.k
     table = _engine.stepped_weight_table(p, *base._columns, steps, _engine.weight_table_dtype(code.n))

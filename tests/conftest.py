@@ -28,7 +28,8 @@ def lex_min_distance(code: LinearCode) -> int:
     Enumerates all nonzero messages in lexicographic order (message i has
     the base-p digits of i, most significant first) and computes each
     codeword by a direct matrix product; shares no code with the search
-    engines (which step in Gray-code / odometer order incrementally). The
+    engines (which weigh blocks of trailing digits against one prefix at a
+    time, stepped in Gray-code order over GF(2)). The
     messages go in slices of about 2^22 codeword entries, so a code over a
     large field such as GF(4099) with k = 2 needs no array of all p^k words.
     """

@@ -369,8 +369,9 @@ def test_engine_matches_oracle_past_the_batch_table(p, k):
 
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 4), (5, 3), (7, 3)])
 def test_odd_scan_without_table_digits_matches_oracle(monkeypatch, p, k):
-    # A block budget below one table row leaves the odd-prime scan no table
-    # digits: a one-row table, an empty head and one message per block.
+    # A block budget below one table row leaves the odd-prime scan its floor
+    # of one table digit: a head of one message, then one block of p per
+    # prefix whose leading nonzero digit is 1.
     monkeypatch.setattr(_engine, "_BLOCK_BYTES", 1)
     # A random column, a scalar multiple of it and a zero column keep the
     # dual search's p^(n-k) dual words few.
@@ -378,7 +379,7 @@ def test_odd_scan_without_table_digits_matches_oracle(monkeypatch, p, k):
     rows = np.hstack([np.eye(k, dtype=np.int64), column, 2 * column % p, np.zeros((k, 1), dtype=np.int64)])
     cols, mult = LinearCode(make_field(p), rows)._columns
     blocks = list(_engine._message_weights_odd(p, cols, mult))
-    assert [len(block) for block in blocks] == [1] * ((p**k - 1) // (p - 1))
+    assert [len(block) for block in blocks] == [1] + [p] * ((p ** (k - 1) - 1) // (p - 1))
     want = lex_min_distance(_code(make_field(p), rows))
     for search in (min_distance_exhaustive, code_module._min_distance_by_dual):
         assert search(LinearCode(make_field(p), rows)) == want
@@ -457,6 +458,25 @@ def test_odd_scan_matches_direct_count_across_blocks(monkeypatch, p, k):
     _check_scan_against_direct_count(p, rows)
 
 
+@pytest.mark.parametrize("budget", ["one byte", "one digit", "two digits", "default"])
+@pytest.mark.parametrize("p,k", [(2, 8), (3, 5), (5, 4), (7, 4)])
+def test_weight_table_equals_a_direct_count_over_every_message(monkeypatch, p, k, budget):
+    # Repeated, scaled and zero columns. A budget of one byte or of p table
+    # rows gives one trailing digit and p^(k-1) prefixes, p^2 rows two of
+    # each, and the default budget the whole table in one block.
+    rng = np.random.default_rng(7417 + p)
+    distinct = np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, p, size=(k, 12), dtype=np.int64)])
+    rows = _repeated_columns(rng, p, distinct)
+    cols, mult = LinearCode(make_field(p), rows)._columns
+    width = cols.shape[1]
+    sizes = {"one byte": 1, "one digit": p * width, "two digits": p * p * width, "default": _engine._BLOCK_BYTES}
+    monkeypatch.setattr(_engine, "_BLOCK_BYTES", sizes[budget])
+    messages = np.arange(p**k)[:, None] // p ** np.arange(k - 1, -1, -1) % p
+    table = _engine._weight_table(p, cols, mult, np.dtype(np.uint16))
+    assert table.dtype == np.uint16
+    assert np.array_equal(table, np.count_nonzero(messages @ rows % p, axis=1))
+
+
 @pytest.mark.parametrize("p,k", [(127, 3), (131, 3), (257, 2)])
 def test_odd_scan_at_the_table_dtype_boundaries(p, k):
     # The trailing table holds sums of two residues: uint8 up to p = 127,
@@ -483,7 +503,7 @@ def test_trailing_table_equals_the_int64_remainder(p):
     rows = np.random.default_rng(p).integers(0, p, size=(t, 40), dtype=np.int64)
     rows[:, 0] = 1  # its digit sums reach 2p - 2
     table = _engine._trailing_table(p, rows, narrow)
-    digits = np.arange(p**t)[:, None] // p ** np.arange(t) % p
+    digits = np.arange(p**t)[:, None] // p ** np.arange(t - 1, -1, -1) % p
     assert table.dtype == narrow
     assert np.array_equal(table, digits @ rows % p)
 
