@@ -22,8 +22,9 @@ every one of its q^K messages from its base's table by the step lemma on
 tables (construct's docstring), one add of a transposed table per block and
 step, about (K+1) q^K cell operations against the scan's q^K/(q-1) x D,
 with no column of the member built. Its cells are the narrowest unsigned
-integers that hold the member's length n (weight_table_dtype), so no sum
-wraps.
+integers that hold the recursion's own bound on a member weight, the base's
+length less its zero columns times (k+1)...(K), so no sum wraps; a bound
+past uint64 is refused.
 
 projective_columns makes the multiset in one pass: it scales every column
 so that its first nonzero entry is 1 (a zero column stays zero), keys the
@@ -39,12 +40,13 @@ whose reduced sum reaches 2^53, past which the float64 products below are
 inexact, is refused with BudgetExceededError rather than scanned.
 
 * GF(2) keeps the codeword bit-packed and steps the high message digits in
-  Gray-code order (one XOR per step, hardware popcount for weights) against
-  a table of all trailing-digit combinations. Blocks are word-major: the
-  table is (width, 2^t), one column per trailing combination, XORed with the
-  running base as a (width, 1) column. The table is filled in place, one
-  trailing row at a time: its first 2^b columns XOR row b give the next
-  2^b. A block's weights are then a sum over the leading (word) axis.
+  Gray-code order (one XOR per step, hardware popcount by np.bitwise_count
+  for weights) against a table of all trailing-digit combinations. Blocks
+  are word-major: the table is (width, 2^t), one column per trailing
+  combination, XORed with the running base as a (width, 1) column. The
+  table is filled in place, one trailing row at a time: its first 2^b
+  columns XOR row b give the next 2^b. A block's weights are then a sum
+  over the leading (word) axis.
   When every reduced multiplicity is 1 (every Reed-Muller code, for one)
   that is an integer sum of the popcounts, in uint16 (uint32 from 2^16
   columns). Otherwise columns are packed by
@@ -132,20 +134,6 @@ _KEY_LIMIT = 1 << 62
 # Float64 sums of nonnegative integers are exact below 2^53: the largest
 # reduced multiplicity sum a scan accepts is one less.
 _EXACT_SUM_LIMIT = 1 << 53
-
-_BYTE_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
-def _byte_table_popcount(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The set bits of each uint64 word, as uint8, by a byte table: what
-    ``np.bitwise_count`` computes, for numpy < 2.0, which lacks it. Like the
-    ufunc, it writes into ``out`` when given one."""
-    as_bytes = np.ascontiguousarray(words).view(np.uint8).reshape(words.shape + (8,))
-    return _BYTE_POP[as_bytes].sum(axis=-1, dtype=np.uint8, out=out)
-
-
-_word_popcount = getattr(np, "bitwise_count", _byte_table_popcount)
-
 
 def _exact_sum_dtype(n: int):
     """A float dtype whose sums of nonnegative integers up to ``n`` are exact,
@@ -256,15 +244,6 @@ def projective_columns(p: int, rows: np.ndarray, weights: np.ndarray | None = No
     return cols, mult.astype(np.int64, copy=False)
 
 
-def weight_table_dtype(n: int) -> np.dtype:
-    """uint16 when it holds every codeword weight of a length-n code, else
-    uint32, for stepped_weight_table. A recipe code's length is below 2^24,
-    as construct.iterate_code refuses a member whose k x n generator
-    exceeds MATERIALIZATION_BUDGET cells, so uint32 holds it. A function of
-    n alone: it allocates nothing."""
-    return np.dtype(np.uint16 if n <= np.iinfo(np.uint16).max else np.uint32)
-
-
 def _trailing_table(p: int, rows: np.ndarray, narrow: np.dtype) -> np.ndarray:
     """table[m] = sum_d digit_d(m) * rows[d] (mod p) over the t rows, in C
     order: digit d of m is worth p**(t - 1 - d), so rows[0]'s is the most
@@ -333,8 +312,9 @@ def _weight_table(p: int, cols: np.ndarray, mult: np.ndarray, dtype: np.dtype) -
     """The weight of every message of the code whose projective multiset is
     ``(cols, mult)``, flat in C order with a_1's coefficient the most
     significant digit, in ``dtype``: _prefix_kernel's trailing table against
-    every prefix in turn. Its float products are exact: a base's length is
-    below its member's, which is below 2^24."""
+    every prefix in turn. Its float products are exact while the
+    multiplicities sum below 2^53 (_exact_sum_dtype); a recipe base's length
+    is below 2^24."""
     t, trailing, weigh = _prefix_kernel(p, cols, mult)
     table = np.empty((p ** (cols.shape[0] - t), len(trailing)), dtype=dtype)
     for prefix, row in enumerate(table):
@@ -342,12 +322,11 @@ def _weight_table(p: int, cols: np.ndarray, mult: np.ndarray, dtype: np.dtype) -
     return table.ravel()
 
 
-def stepped_weight_table(p: int, cols: np.ndarray, mult: np.ndarray, steps: int, dtype: np.dtype) -> np.ndarray:
+def stepped_weight_table(p: int, cols: np.ndarray, mult: np.ndarray, steps: int) -> np.ndarray:
     """The weight of every codeword of the code that ``steps`` construction
     steps make from the code whose projective multiset is ``(cols, mult)``,
-    as a flat table in ``dtype`` over its p^K messages in C order: axis r - 1
-    holds the coefficient of basis vector a_r, so a_1's is the most
-    significant digit.
+    as a flat table over its p^K messages in C order: axis r - 1 holds the
+    coefficient of basis vector a_r, so a_1's is the most significant digit.
 
     The base table is weighed from the multiset by _weight_table. Each step
     of a table T over k digits is the step lemma on tables (construct's
@@ -357,14 +336,24 @@ def stepped_weight_table(p: int, cols: np.ndarray, mult: np.ndarray, steps: int,
     P = (x_0, ..., x_{i-1}), the deleted x_i and Q = (x_{i+1}, ..., x_k), so
     the term is S viewed as (p^(k-i), p^i), copied transposed into
     (p^i, p^(k-i)) and added to the table viewed as (p^i, p, p^(k-i)),
-    broadcast along the middle axis. Every entry and partial sum is a weight
-    of the member, so ``dtype`` must hold its length n (weight_table_dtype);
-    nothing wraps. One table of the member's p^K cells is alive at a time,
-    with S and one term, each a p-th of it: S holds all that a step reads,
-    so the old table is dropped before the new one is allocated.
+    broadcast along the middle axis. Every entry and partial sum is at most
+    the base's multiplicity sum times (k+1)...(k+steps), k the base's
+    dimension, so the table is in the narrowest unsigned dtype that holds
+    that bound, and nothing wraps; BudgetExceededError, carrying the bound,
+    when no unsigned dtype does. One table of the member's p^K cells is
+    alive at a time, with S and one term, each a p-th of it: S holds all
+    that a step reads, so the old table is dropped before the new one is
+    allocated.
     """
+    base = cols.shape[0]
+    bound = sum(mult.tolist()) * math.prod(range(base + 1, base + steps + 1))
+    dtype = np.min_scalar_type(bound)
+    if dtype.kind != "u":
+        raise BudgetExceededError(
+            f"member weights up to {bound} do not fit uint64", required=bound, budget=int(np.iinfo(np.uint64).max)
+        )
     table = _weight_table(p, cols, mult, dtype)
-    for k in range(cols.shape[0], cols.shape[0] + steps):
+    for k in range(base, base + steps):
         s = table.reshape((p,) * k).transpose().ravel()
         del table
         table = np.zeros(p * len(s), dtype=dtype)
@@ -413,7 +402,7 @@ def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
         weights = np.empty(offsets.shape[1], dtype=np.uint16 if len(mult) < 1 << 16 else np.uint32)
 
         def weigh(words: np.ndarray) -> np.ndarray:
-            _word_popcount(words, out=counts)
+            np.bitwise_count(words, out=counts)
             return np.add.reduce(counts, axis=0, dtype=weights.dtype, out=weights)
 
     else:
@@ -421,7 +410,7 @@ def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):
         weights = np.empty(offsets.shape[1], dtype=word_mult.dtype)
 
         def weigh(words: np.ndarray) -> np.ndarray:
-            _word_popcount(words, out=counts)
+            np.bitwise_count(words, out=counts)
             return np.matmul(word_mult, counts, out=weights)
 
     # The first block has a zero base; its column 0 is the zero message.

@@ -297,13 +297,14 @@ def min_distance_exhaustive(
 def _min_distance_by_steps(code: LinearCode) -> int:
     """The minimum distance of the recipe code (base, steps) from its whole
     weight table, _engine.stepped_weight_table of the base's multiset, in
-    the narrowest dtype that holds its length. The table stands in for the
-    rank check: a nonzero message of weight 0 raises DependentBasisError.
+    the narrowest unsigned dtype that holds the recursion's own bound on a
+    member weight (BudgetExceededError past uint64). The table stands in for
+    the rank check: a nonzero message of weight 0 raises DependentBasisError.
     The k unit-message weights and the all-ones weight are kept on the code
     (basis_weights, _sum_weight), and the table is dropped."""
     base, steps = code._recipe
     p, k = code.field.p, code.k
-    table = _engine.stepped_weight_table(p, *base._columns, steps, _engine.weight_table_dtype(code.n))
+    table = _engine.stepped_weight_table(p, *base._columns, steps)
     d = int(table[1:].min())
     if d == 0:
         raise DependentBasisError(f"a nonzero message of {code!r} has weight 0")

@@ -245,14 +245,12 @@ def exact_integer_text():
     exact parameters of the headline series pass that at index 20. The
     limit is restored on exit.
     """
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 def _cells(record: GrowthRecord, extra_keys: tuple[str, ...], render) -> list[str]:

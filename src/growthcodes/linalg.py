@@ -384,14 +384,6 @@ def _gf2_unpack(rows: Sequence[int], n: int) -> np.ndarray:
     return bits.astype(np.int64)
 
 
-def _gf2_reduced(rows: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """The pivot columns and the nonzero rows of the reduced row-echelon form
-    of the GF(2) ``rows`` (see _gf2_rref)."""
-    n = rows.shape[1]
-    reduced = _gf2_rref(rows)
-    return [n - row.bit_length() for row in reduced], _gf2_unpack(reduced, n)
-
-
 def _reduced_echelon(rows: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     """The pivot columns and the reduced row-echelon form of ``rows`` over an
     odd prime: forward elimination by _echelon, then back-substitution in the
@@ -414,7 +406,11 @@ def parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
     DependentBasisError unless the k rows are independent (a LinearCode's
     rows are)."""
     k, n = rows.shape
-    pivots, reduced = _gf2_reduced(rows) if p == 2 else _reduced_echelon(rows, p)
+    if p == 2:
+        bit_rows = _gf2_rref(rows)
+        pivots, reduced = [n - row.bit_length() for row in bit_rows], _gf2_unpack(bit_rows, n)
+    else:
+        pivots, reduced = _reduced_echelon(rows, p)
     if len(pivots) < k:
         raise DependentBasisError(f"basis has rank {len(pivots)} but {k} vectors")
     is_free = np.ones(n, dtype=bool)

@@ -49,6 +49,7 @@ from conftest import (
     random_small_codes,
     reference_format_rows,
     reference_parse_generator,
+    step_weight_tables,
 )
 
 F2 = make_field(2)
@@ -421,11 +422,10 @@ def _gf2_multiset_code(rng: np.random.Generator, k: int, class_sizes: dict[int, 
     return _code(F2, np.hstack(parts))
 
 
-@pytest.mark.parametrize("popcount", ["bitwise_count", "byte_table"])
 @pytest.mark.parametrize(
     "class_sizes", [{1: 150}, {1: 130, 3: 70}, {2: 66, 5: 80, 7: 3}, {1: 50}, {1: 600}, {4: 600}]
 )
-def test_gf2_scan_matches_direct_count_across_words_and_blocks(monkeypatch, class_sizes, popcount):
+def test_gf2_scan_matches_direct_count_across_words_and_blocks(monkeypatch, class_sizes):
     # Every class of more than 64 columns spans several packed words, and a
     # 128-byte (16-word) block budget splits the 2^10 messages into hundreds of
     # Gray-code blocks. Unit multisets are weighed by their popcounts: one
@@ -433,8 +433,6 @@ def test_gf2_scan_matches_direct_count_across_words_and_blocks(monkeypatch, clas
     # pass 255 and so overflow a uint8 sum; 600 columns of multiplicity 4
     # reduce to the same unit scan.
     monkeypatch.setattr(_engine, "_BLOCK_BYTES", 128)
-    if popcount == "byte_table":
-        monkeypatch.setattr(_engine, "_word_popcount", _engine._byte_table_popcount)
     code = _gf2_multiset_code(np.random.default_rng(7411), 10, class_sizes)
     _check_scan_against_direct_count(2, code.generator.array)
 
@@ -633,19 +631,6 @@ def test_projective_pass_drops_zero_columns_and_keeps_empty_inputs_empty(p):
         assert cols.shape == (3, 0) and mult.shape == (0,)
     cols, mult = _engine.projective_columns(p, np.array([[0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.int64))
     assert cols.tolist() == [[0, 1], [1, 0]] and mult.tolist() == [1, 1]
-
-
-def test_byte_table_popcount_matches_bitwise_count_on_word_major_blocks():
-    offsets = np.random.default_rng(7412).integers(0, 1 << 64, size=(5, 64), dtype=np.uint64, endpoint=False)
-    for words in (offsets, offsets[:, 1:], offsets[:, ::3], offsets.T, offsets[:, :1] ^ offsets):
-        got = _engine._byte_table_popcount(words)
-        assert got.dtype == np.uint8
-        assert got.tolist() == [[bin(w).count("1") for w in row] for row in words.tolist()]
-        out = np.empty(words.shape, dtype=np.uint8)
-        assert _engine._byte_table_popcount(words, out=out) is out
-        assert np.array_equal(out, got)
-        if hasattr(np, "bitwise_count"):
-            assert np.array_equal(got, np.bitwise_count(words))
 
 
 def test_every_generator_allocation_checks_the_one_materialization_budget(monkeypatch):
@@ -860,18 +845,36 @@ def test_codes_below_the_break_even_or_reached_by_the_dual_are_not_split(monkeyp
 
 
 @pytest.mark.parametrize(
-    "n,dtype",
+    "p,rows,c,dtype",
     [
-        (1, np.uint16),
-        (2**16 - 1, np.uint16),
-        (2**16, np.uint32),
-        # The longest recipe code: iterate_code refuses k x n past
-        # MATERIALIZATION_BUDGET, and a member has k >= 2.
-        (code_module.MATERIALIZATION_BUDGET // 2, np.uint32),
+        # A [5, 2] code over GF(5), one step: the bound 5c x 3 is the largest
+        # value of each dtype.
+        (5, [[1, 0, 1, 1, 1], [0, 1, 1, 2, 3]], 17, np.uint8),
+        (5, [[1, 0, 1, 1, 1], [0, 1, 1, 2, 3]], 4369, np.uint16),
+        (5, [[1, 0, 1, 1, 1], [0, 1, 1, 2, 3]], 286331153, np.uint32),
+        # The [1, 1] code over GF(2), one step: the bound c x 2, one past the
+        # narrower dtype, is the weight of the all-ones message.
+        (2, [[1]], 2**7, np.uint16),
+        (2, [[1]], 2**15, np.uint32),
+        (2, [[1]], 2**31, np.uint64),
     ],
 )
-def test_weight_table_dtype_is_the_narrowest_that_holds_the_length(n, dtype):
-    assert _engine.weight_table_dtype(n) == np.dtype(dtype)
+def test_stepped_table_is_in_the_narrowest_dtype_that_holds_its_bound(p, rows, c, dtype):
+    # Every column of the base c times: the member weighs c times the
+    # oracle's member of the base.
+    base = _code(make_field(p), rows)
+    cols, mult = base._columns
+    table = _engine.stepped_weight_table(p, cols, mult * c, 1)
+    assert table.dtype == dtype
+    *_, want = step_weight_tables(base, 1)
+    assert table.tolist() == (want.ravel() * c).tolist()
+
+
+def test_stepped_table_past_uint64_is_refused_with_its_bound():
+    cols, mult = _code(F2, [[1]])._columns
+    with pytest.raises(BudgetExceededError, match="do not fit uint64") as refused:
+        _engine.stepped_weight_table(2, cols, mult << 62, 2)
+    assert refused.value.required == 6 << 62
 
 
 def test_recipe_over_a_dependent_base_is_refused_by_its_table(monkeypatch):

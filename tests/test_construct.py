@@ -461,7 +461,7 @@ def _table_witnesses_agree(field, index, j, want):
     p = field.p
     seed = seed_code(field, index)
     member = family_code(field, index, j)
-    table = _engine.stepped_weight_table(p, *seed._columns, j, _engine.weight_table_dtype(member.n))
+    table = _engine.stepped_weight_table(p, *seed._columns, j)
     assert np.array_equal(table, want.ravel()), (p, index, j)
     d = min_distance_exhaustive(member)
     assert d == int(table[1:].min()) == family_params(index, j).d

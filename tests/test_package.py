@@ -2,8 +2,11 @@
 
 import importlib
 import inspect
+import re
 import subprocess
 import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -86,3 +89,23 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     assert "numpy" in loaded and "growthcodes.seeds" not in loaded
     loaded = _loaded_after("verify", "--in", "rm.txt", "--checks", "params:16,5,8", cwd=tmp_path)
     assert not loaded & {"growthcodes.growth", "growthcodes.seeds", "growthcodes.reedmuller"}
+
+
+def _version(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split("."))
+
+
+def test_declared_floors_match_the_ci_floor_job():
+    # The floor job is the one CI configuration that pins numpy: it must run
+    # the oldest Python and numpy that pyproject.toml admits, and no job may
+    # run a Python below that floor.
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    python_floor = project["requires-python"].removeprefix(">=")
+    (numpy_floor,) = [dep.removeprefix("numpy>=") for dep in project["dependencies"] if dep.startswith("numpy")]
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    pinned = re.findall(r'python-version: "([\d.]+)"\n\s*numpy: "numpy==([\d.]+)\.\*"', workflow)
+    assert pinned == [(python_floor, numpy_floor)]
+    assert workflow.count("numpy==") == 1
+    pythons = re.findall(r'"(3\.\d+)"', workflow)
+    assert pythons and min(map(_version, pythons)) == _version(python_floor)
