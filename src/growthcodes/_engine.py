@@ -33,11 +33,12 @@ zero column's run, which sorts first. Scaling all n columns costs more than
 scaling the D distinct ones when n is far above D, as on a materialized
 chain member, but saves a second sort and its set-up on every small code.
 
-Both scans weigh the multiset divided by the gcd g of its multiplicities,
-and the weights they find are multiplied back by g in Python integers. The
-reduced multiplicities are summed in Python integers too, and a multiset
-whose reduced sum reaches 2^53, past which the float64 products below are
-inexact, is refused with BudgetExceededError rather than scanned.
+Both scans and the step recursion's base table weigh the multiset divided
+by the gcd g of its multiplicities, and the weights they find are
+multiplied back by g, in Python integers (in the table's own dtype for the
+table). The reduced multiplicities are summed in Python integers too, and a
+multiset whose reduced sum reaches 2^53, past which the float64 products
+below are inexact, is refused with BudgetExceededError rather than scanned.
 
 * GF(2) keeps the codeword bit-packed and steps the high message digits in
   Gray-code order (one XOR per step, hardware popcount by np.bitwise_count
@@ -312,13 +313,17 @@ def _weight_table(p: int, cols: np.ndarray, mult: np.ndarray, dtype: np.dtype) -
     """The weight of every message of the code whose projective multiset is
     ``(cols, mult)``, flat in C order with a_1's coefficient the most
     significant digit, in ``dtype``: _prefix_kernel's trailing table against
-    every prefix in turn. Its float products are exact while the
-    multiplicities sum below 2^53 (_exact_sum_dtype); a recipe base's length
-    is below 2^24."""
-    t, trailing, weigh = _prefix_kernel(p, cols, mult)
+    every prefix in turn. Like the scans it weighs the gcd-reduced multiset,
+    so _gcd_reduced refuses a reduced sum past the exact float range, and
+    multiplies the table by g in ``dtype``, which the caller sizes for the
+    unreduced weights."""
+    g, reduced, _ = _gcd_reduced(mult)
+    t, trailing, weigh = _prefix_kernel(p, cols, reduced)
     table = np.empty((p ** (cols.shape[0] - t), len(trailing)), dtype=dtype)
     for prefix, row in enumerate(table):
         row[:] = weigh(trailing, prefix)
+    if g != 1:
+        table *= g
     return table.ravel()
 
 
@@ -340,7 +345,8 @@ def stepped_weight_table(p: int, cols: np.ndarray, mult: np.ndarray, steps: int)
     the base's multiplicity sum times (k+1)...(k+steps), k the base's
     dimension, so the table is in the narrowest unsigned dtype that holds
     that bound, and nothing wraps; BudgetExceededError, carrying the bound,
-    when no unsigned dtype does. One table of the member's p^K cells is
+    when no unsigned dtype does, or carrying the reduced sum when
+    _weight_table's float products would be inexact. One table of the member's p^K cells is
     alive at a time, with S and one term, each a p-th of it: S holds all
     that a step reads, so the old table is dropped before the new one is
     allocated.

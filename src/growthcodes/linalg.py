@@ -14,10 +14,16 @@ ragged rows raise ShapeMismatchError.
 
 Array-backed types (FieldVector, FieldMatrix, LinearCode) accept only
 p < 2**16. Then (p-1)**2 < 2**32, so every int64 product of two residues and
-every dot product of fewer than 2**31 terms is exact: matrix products, row
-reduction, determinants, column scaling and the distance engines never wrap.
-Larger primes raise FieldTooLargeError; PrimeField and FieldElement compute
-with Python integers and stay unbounded.
+every dot product of fewer than 2**31 terms is exact: matrix products,
+column scaling and the distance engines never wrap. Larger primes raise
+FieldTooLargeError; PrimeField and FieldElement compute with Python integers
+and stay unbounded. Row reduction over a prime (_echelon, and the
+back-substitution of _reduced_echelon), behind rank, determinant and the
+parity-check matrix, reduces each row once, when it is reached, so a cell
+of an r-row elimination stays at or below p - 1 + r * p * (p - 1). It runs
+in the narrowest of int16, int32 and int64 that holds that bound, and an
+elimination past int64 (from about 2**31 rows at p = 65521) raises
+FieldTooLargeError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -267,6 +273,22 @@ def hamming_distance(x: FieldVector, y: FieldVector) -> int:
     return int(np.count_nonzero(x.entries != y.entries))
 
 
+# (largest value, dtype) of the signed elimination dtypes, narrowest first.
+_ELIMINATION_DTYPES = tuple((int(np.iinfo(t).max), np.dtype(t)) for t in (np.int16, np.int32, np.int64))
+
+
+def _elimination_dtype(p: int, rows: int) -> np.dtype:
+    """The narrowest signed integer dtype of an elimination of ``rows`` rows
+    mod p (see _echelon): every cell stays at or below
+    p - 1 + rows * p * (p - 1). FieldTooLargeError, before anything is
+    allocated, when not even int64 holds that bound."""
+    bound = p - 1 + rows * p * (p - 1)
+    for limit, dtype in _ELIMINATION_DTYPES:
+        if bound <= limit:
+            return dtype
+    raise FieldTooLargeError(f"elimination of {rows} rows over GF({p}) reaches {bound}, past the int64 range")
+
+
 def _echelon(data: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
     """Row-echelon form mod p of the canonical residues ``data``, the list of
     pivot columns, and the product of the pivots with the sign of the row
@@ -279,16 +301,24 @@ def _echelon(data: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
     once the pivot rows above it are eliminated from it, and it is then
     eliminated from the rows below it, from its column on, as row r is zero
     left of it. A row with entry f' in the pivot column takes
-    row + (p - f) * pivot row, f the residue of f' / pivot, so every operand
-    of the modulo is nonnegative and below p^2. Nothing is cleared above a
-    pivot and no pivot is scaled to 1. Each pivot row is zero left of its
-    pivot, and no two share a pivot column, so ordering the rows by pivot
-    column, zero rows last, gives an echelon form."""
-    m = data.astype(np.int64)
+    row + ((p - f) mod p) * pivot row, f the residue of f' / pivot.
+    Reduction is lazy: an updated row is not reduced, and each row is
+    reduced once, when the loop reaches it and before its pivot is read. So
+    every cell is its residue plus at most one update, a product of two
+    residues, per row above it: nonnegative and within _elimination_dtype's
+    bound, the dtype the elimination runs in. No row is updated after it is
+    reached, so every returned row holds canonical residues. Nothing is
+    cleared above a pivot and no pivot is scaled to 1. Each pivot row is
+    zero left of its pivot, and no two share a pivot column, so ordering the
+    rows by pivot column, zero rows last, gives an echelon form."""
+    # C order whatever the input's layout: a code's column multiset is
+    # Fortran-ordered, and every row operation on it would be strided.
+    m = data.astype(_elimination_dtype(p, data.shape[0]), order="C")
     leads: list[tuple[int, int]] = []  # (pivot column, row)
     scale = 1
     for r in range(m.shape[0]):
         row = m[r]
+        row %= p
         nonzero = row.nonzero()[0]
         if not nonzero.size:
             continue
@@ -297,10 +327,8 @@ def _echelon(data: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
         leads.append((col, r))
         scale = scale * pivot % p
         below = m[r + 1 :, col:]
-        # A row already zero in ``col`` gets factor p, which leaves it as it is.
-        factors = p - below[:, 0] * pow(pivot, p - 2, p) % p
+        factors = below[:, 0] % p * (p - pow(pivot, p - 2, p)) % p
         below += factors[:, None] * row[col:]
-        below %= p
     leads.sort()
     rows = [r for _, r in leads]
     if len(rows) == m.shape[0]:
@@ -386,25 +414,35 @@ def _gf2_unpack(rows: Sequence[int], n: int) -> np.ndarray:
 
 def _reduced_echelon(rows: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     """The pivot columns and the reduced row-echelon form of ``rows`` over an
-    odd prime: forward elimination by _echelon, then back-substitution in the
-    same nonnegative form."""
+    odd prime: forward elimination by _echelon, then back-substitution,
+    bottom up, with the same lazy reduction. Each row is reduced when the
+    loop reaches it, scaled to pivot 1 and reduced again, and takes at most
+    one update, a product of two residues, per pivot row under it, so
+    _echelon's bound and dtype hold and every returned row is canonical."""
     reduced, pivots, _ = _echelon(rows, p)
     # Back-substitution, bottom up: scale each pivot to 1 and clear above it.
     for r in range(len(pivots) - 1, -1, -1):
         col = pivots[r]
-        reduced[r] = reduced[r] * pow(int(reduced[r, col]), p - 2, p) % p
-        above = np.flatnonzero(reduced[:r, col])
+        row = reduced[r]
+        row %= p
+        row *= pow(int(row[col]), p - 2, p)
+        row %= p
+        # Canonical: the rows below r are zero in ``col``, so no update has
+        # reached this column since _echelon returned it.
+        lead = reduced[:r, col]
+        above = np.flatnonzero(lead)
         if above.size:
-            reduced[above] = (reduced[above] + np.outer(p - reduced[above, col], reduced[r])) % p
+            reduced[above] += np.outer(p - lead[above], row)
     return pivots, reduced
 
 
 def parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
-    """An (n-k) x n matrix whose kernel is the row space of ``rows``: for
-    each free column f of the reduced row-echelon form R, in order, the unit
-    vector at f minus R's column f placed at the pivot columns.
-    DependentBasisError unless the k rows are independent (a LinearCode's
-    rows are)."""
+    """An (n-k) x n matrix whose kernel is the row space of ``rows``, k rows
+    of canonical residues (the elimination's narrow copy of a larger value
+    would wrap): for each free column f of the reduced row-echelon form R,
+    in order, the unit vector at f minus R's column f placed at the pivot
+    columns. DependentBasisError unless the k rows are independent (a
+    LinearCode's rows are)."""
     k, n = rows.shape
     if p == 2:
         bit_rows = _gf2_rref(rows)

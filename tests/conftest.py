@@ -120,13 +120,11 @@ def reference_format_rows(p: int, rows: np.ndarray) -> str:
     return "\n".join([f"{p} {n} {k}", *(" ".join(map(str, row.tolist())) for row in rows)]) + "\n"
 
 
-def reference_parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
-    """The parity-check matrix of the independent ``rows``: Gauss-Jordan
-    elimination on Python ints, column by column with row swaps, to the
-    reduced row-echelon form R, which the row space fixes, then for each free
-    column f, in order, the unit vector at f minus R's column f placed at the
-    pivot columns. It shares no code with linalg's elimination kernels and
-    is their differential oracle."""
+def reference_reduced_echelon(rows: np.ndarray, p: int) -> tuple[list[int], list[list[int]]]:
+    """The pivot columns and the reduced row-echelon form of ``rows``, which
+    the row space fixes, zero rows last: Gauss-Jordan elimination on Python
+    ints, column by column with row swaps. It shares no code with linalg's
+    elimination kernels and is their differential oracle."""
     k, n = rows.shape
     reduced = [[int(v) % p for v in row] for row in rows.tolist()]
     pivots: list[int] = []
@@ -143,6 +141,15 @@ def reference_parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
                 factor = reduced[i][col]
                 reduced[i] = [(a - factor * b) % p for a, b in zip(reduced[i], reduced[r])]
         pivots.append(col)
+    return pivots, reduced
+
+
+def reference_parity_check_matrix(rows: np.ndarray, p: int) -> np.ndarray:
+    """The parity-check matrix of the independent ``rows``: for each free
+    column f of reference_reduced_echelon's R, in order, the unit vector at f
+    minus R's column f placed at the pivot columns."""
+    k, n = rows.shape
+    pivots, reduced = reference_reduced_echelon(rows, p)
     free = [j for j in range(n) if j not in set(pivots)]
     check = np.zeros((n - k, n), dtype=np.int64)
     for idx, f in enumerate(free):

@@ -877,6 +877,25 @@ def test_stepped_table_past_uint64_is_refused_with_its_bound():
     assert refused.value.required == 6 << 62
 
 
+def test_base_table_weighs_the_gcd_reduced_multiset_exactly():
+    # One column 2^53 or 2^53 + 1 times: the gcd g is the multiplicity and
+    # the reduced multiset weighs 1, so the float product is exact and the
+    # table is g times it, where an unreduced float64 product of 2^53 + 1
+    # came out one short.
+    for g in (2**53, 2**53 + 1):
+        table = _engine.stepped_weight_table(2, np.array([[1]]), np.array([g]), 0)
+        assert table.dtype == np.uint64 and table.tolist() == [0, g]
+
+
+def test_base_table_past_the_exact_float_range_is_refused():
+    # Multiplicities 2^53 and 1 are coprime, so the reduced sum is 2^53 + 1,
+    # past float64's exact integers: the scans' refusal, before any product.
+    cols, mult = np.eye(2, dtype=np.int64), np.array([2**53, 1])
+    with pytest.raises(BudgetExceededError, match="past the exact float64 range") as refused:
+        _engine.stepped_weight_table(2, cols, mult, 0)
+    assert refused.value.required == 2**53 + 1
+
+
 def test_recipe_over_a_dependent_base_is_refused_by_its_table(monkeypatch):
     # A base whose third row is the sum of the other two, let through by a
     # rank check that always passes. Its stepped table is 0 at a nonzero

@@ -22,11 +22,11 @@ from growthcodes import (
     weight,
 )
 from growthcodes import DependentBasisError
-from growthcodes.linalg import _echelon, _gf2_basis, parity_check_matrix
+from growthcodes.linalg import _echelon, _elimination_dtype, _gf2_basis, _reduced_echelon, parity_check_matrix
 from growthcodes.reedmuller import rm_generator
 from growthcodes.seeds import build_seed_matrices
 
-from conftest import reference_parity_check_matrix
+from conftest import reference_parity_check_matrix, reference_reduced_echelon
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -495,3 +495,146 @@ def test_determinant_of_permutation_matrices_is_their_sign():
         inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(size), 2))
         matrix = FieldMatrix(F7, np.eye(size, dtype=np.int64)[perm])
         assert int(determinant(matrix)) == (6 if inversions % 2 else 1)
+
+
+def _reference_echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int], int]:
+    """_echelon's elimination on Python ints, reduced after every update:
+    row r's pivot is its first nonzero residue once the pivot rows above it
+    are eliminated from it, and it is eliminated from every row below it; the
+    rows are then ordered by pivot column, zero rows last. Also the product
+    of the pivots times the sign of that order, mod p."""
+    rows = [[v % p for v in row] for row in rows]
+    leads = []
+    for r, row in enumerate(rows):
+        col = next((j for j, v in enumerate(row) if v), None)
+        if col is None:
+            continue
+        leads.append((col, r))
+        inverse = pow(row[col], p - 2, p)
+        for i in range(r + 1, len(rows)):
+            factor = rows[i][col] * inverse % p
+            rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], row)]
+    leads.sort()
+    order = [r for _, r in leads]
+    order += sorted(set(range(len(rows))).difference(order))
+    inversions = sum(order[a] > order[b] for a, b in itertools.combinations(range(len(order)), 2))
+    scale = -1 if inversions % 2 else 1
+    for col, r in leads:
+        scale *= rows[r][col]
+    return [rows[r] for r in order], [col for col, _ in leads], scale % p
+
+
+def _reference_determinant(rows: list[list[int]], p: int) -> int:
+    """The determinant mod p by Gaussian elimination with row swaps on Python
+    ints: the product of the pivots, negated once per swap."""
+    rows = [[v % p for v in row] for row in rows]
+    det = 1
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det = det * rows[col][col] % p
+        inverse = pow(rows[col][col], p - 2, p)
+        for r in range(col + 1, len(rows)):
+            factor = rows[r][col] * inverse % p
+            rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[col])]
+    return det % p
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7, 251, 65521]),
+    seed=st.integers(0, 10**6),
+    independent=st.integers(1, 40),
+    dependent=st.integers(0, 8),
+    extra=st.sampled_from([0, 1, 3, 12]),
+)
+def test_lazy_elimination_matches_the_python_int_oracles(p, seed, independent, dependent, extra):
+    # Up to 48 rows, so cells over GF(65521) take dozens of unreduced
+    # updates, each up to p(p - 1), past 2^32; some rows are combinations of
+    # others and land anywhere, so whole rows and pivot columns vanish.
+    rng = np.random.default_rng(seed)
+    field = make_field(p)
+    n = independent + extra
+    rows = rng.integers(0, p, size=(independent, n), dtype=np.int64)
+    combos = rng.integers(0, p, size=(dependent, independent)).tolist()
+    sums = [[sum(c * v for c, v in zip(combo, col)) % p for col in rows.T.tolist()] for combo in combos]
+    rows = np.vstack([rows, np.array(sums, dtype=np.int64).reshape(dependent, n)])
+    rows = rows[rng.permutation(len(rows))]
+    echelon, pivots, scale = _echelon(rows, p)
+    want_echelon, want_pivots, want_scale = _reference_echelon(rows.tolist(), p)
+    assert echelon.tolist() == want_echelon and pivots == want_pivots
+    if len(pivots) == len(rows):  # the scale takes the sign only at full rank
+        assert scale == want_scale
+    reduced_pivots, reduced = _reduced_echelon(rows, p)
+    want_pivots, want_reduced = reference_reduced_echelon(rows, p)
+    assert reduced_pivots == want_pivots and reduced.tolist() == want_reduced
+    for form in (echelon, reduced):
+        assert form.dtype.kind == "i" and form.min() >= 0 and form.max() < p
+    square = rows[: min(rows.shape)]
+    square = square[:, : len(square)]
+    assert int(determinant(FieldMatrix(field, square))) == _reference_determinant(square.tolist(), p)
+    full = rows[:independent]
+    if _reference_rank(full.tolist(), p) == independent:
+        check = parity_check_matrix(full, p)
+        want = reference_parity_check_matrix(full, p)
+        assert check.dtype == want.dtype and check.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "p,rows,dtype",
+    [
+        # p - 1 + rows * p * (p - 1) at or just past each dtype's largest value.
+        (3, 5460, np.int16),
+        (3, 5461, np.int32),
+        (181, 1, np.int16),
+        (181, 2, np.int32),
+        (65521, 0, np.int32),
+        (65521, 1, np.int64),
+        (65521, (2**63 - 1 - 65520) // (65521 * 65520), np.int64),
+    ],
+)
+def test_elimination_dtype_is_the_narrowest_that_holds_the_bound(p, rows, dtype):
+    assert _elimination_dtype(p, rows) == np.dtype(dtype)
+    bound = p - 1 + rows * p * (p - 1)
+    assert bound <= np.iinfo(dtype).max
+    if dtype is not np.int16:
+        narrower = {np.int32: np.int16, np.int64: np.int32}[dtype]
+        assert bound > np.iinfo(narrower).max
+
+
+def test_elimination_past_int64_is_refused_before_any_allocation():
+    # A broadcast view of 2^32 rows takes no memory; any copy of it would
+    # take 32 GiB, so the refusal must come first.
+    rows = np.broadcast_to(np.zeros((1, 1), dtype=np.int64), (1 << 32, 1))
+    with pytest.raises(FieldTooLargeError, match=f"{1 << 32} rows over GF\\(65521\\)"):
+        _echelon(rows, 65521)
+    last = (2**63 - 1 - 65520) // (65521 * 65520)
+    with pytest.raises(FieldTooLargeError):
+        _elimination_dtype(65521, last + 1)
+
+
+def test_elimination_at_the_worst_growth_its_bound_allows():
+    # 40 rows over GF(13) take int16 (bound 6252), and each input makes every
+    # update the largest, (p - 1)^2 = 144 per cell, so cells reach
+    # 12 + 39 * 144 = 5628; a product of such a cell and a residue wraps
+    # int16, so neither pass may form one.
+    p, k = 13, 40
+    c = np.arange(k)
+    # Forward pass: row i is R_0 + ... + R_i, R_j = e_j - (e_(j+1) + ...),
+    # so row i takes factor p - 1 times pivot row R_j from every j < i.
+    forward = np.where(c[None, :] <= c[:, None], 1 - c[None, :], -(c[:, None] + 1)) % p
+    # Back-substitution: T (2 on the diagonal, 1 above) times [I | -J], so
+    # every row above takes p - 1 times each scaled row, then is scaled by
+    # 1/2 = 7.
+    solved = np.hstack([np.eye(k, dtype=np.int64), np.full((k, k), p - 1)])
+    backward = (np.triu(np.ones((k, k), dtype=np.int64)) + np.eye(k, dtype=np.int64)) @ solved % p
+    for rows in (forward, backward):
+        echelon, pivots, _ = _echelon(rows, p)
+        assert echelon.dtype == np.int16 and pivots == list(range(k))
+        assert echelon.tolist() == _reference_echelon(rows.tolist(), p)[0]
+        assert _reduced_echelon(rows, p)[1].tolist() == reference_reduced_echelon(rows, p)[1]
+
