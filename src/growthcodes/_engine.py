@@ -12,10 +12,8 @@ leading nonzero digit is 1 are enumerated, each against the D distinct
 columns: the cost is (q^k - 1)/(q - 1) x D, against q^k x n over raw
 coordinates. The construction chain repeats its columns heavily: the seed-4
 member at j = 5 has n = 760320 but D = 1716 over GF(2). The rank checks in
-``code`` run on the same multiset. A chain member's multiset, when it is
-read, is stepped from its base's (construct._step_columns, through
-projective_columns with the stepped multiplicities as weights), so it is
-built without a generator until something reads the member's rows.
+``code`` run on the same multiset. A chain member's multiset is that of its
+rows, which _step steps from its base's on their first read.
 
 A chain member is usually not scanned at all: stepped_weight_table weighs
 every one of its q^K messages from its base's table by the step lemma on
@@ -81,8 +79,8 @@ below are inexact, is refused with BudgetExceededError rather than scanned.
   seed 4 at j = 1, whose 36 distinct columns scan in 19 ms against 25 ms
   for its 7^8 table; a rule that counts the scan's work needs D, which
   only the multiset the recursion avoids building gives.
-  Any other member builds its multiset and is searched like any other code,
-  with the same refusals.
+  Any other member builds its rows and their multiset and is searched like
+  any other code, with the same refusals.
 * High-rate codes are searched through their dual: the scan above, run over
   the q^(n-k) words of the dual, gives the dual's weight distribution, and
   the MacWilliams identity (MacWilliams & Sloane, "The Theory of
@@ -119,7 +117,7 @@ import math
 
 import numpy as np
 
-from .errors import BudgetExceededError, ShapeMismatchError, VerificationError
+from .errors import BudgetExceededError, VerificationError
 
 # Bytes of one block's trailing-digit table, for every enumeration: each
 # takes the largest number t of trailing digits whose table fits, at least
@@ -192,26 +190,22 @@ def _scaled(p: int, rows: np.ndarray) -> np.ndarray:
     return scaled
 
 
-def projective_columns(p: int, rows: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def projective_columns(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduce the columns of ``rows``, (k, n) canonical residues, to the
     projective multiset ``(cols, mult)``.
 
     ``cols`` (k, D) holds the distinct nonzero columns, each scaled so that
     its first nonzero entry is 1, in ascending key order, and ``mult`` (D,)
-    the total weight of the columns that are a nonzero multiple of each. A
-    column weighs 1 unless ``weights`` gives one weight per column
-    (ShapeMismatchError for any other count). Zero columns are dropped: they
-    add to no codeword's weight and to no rank.
+    the number of columns that are a nonzero multiple of each. Zero columns
+    are dropped: they add to no codeword's weight and to no rank.
 
     One pass: the columns are scaled (a zero column stays zero), keyed
     exactly, by their base-p value while p**k stays below 2**62 and by their
-    bytes otherwise, sorted and counted by their runs. Without weights the
-    keys are sorted in place, so the n keys are held once. A zero column has
-    the smallest key, so its run, if any, is the first, and is dropped there.
+    bytes otherwise, sorted in place, so the n keys are held once, and
+    counted by their runs. A zero column has the smallest key, so its run,
+    if any, is the first, and is dropped there.
     """
     k, n = rows.shape
-    if weights is not None and len(weights) != n:
-        raise ShapeMismatchError(f"{len(weights)} weights for {n} columns")
     if p > 2:
         rows = _scaled(p, rows)
     integer_keys = p**k < _KEY_LIMIT
@@ -222,11 +216,7 @@ def projective_columns(p: int, rows: np.ndarray, weights: np.ndarray | None = No
     else:
         narrow = np.ascontiguousarray(rows.T, dtype=np.min_scalar_type(p - 1))
         keys = narrow.view(np.dtype((np.void, narrow.strides[0]))).ravel()
-    if weights is None:
-        keys.sort()
-    else:
-        order = np.argsort(keys)
-        keys, weights = keys[order], weights[order]
+    keys.sort()
     # bounds holds where each run of equal keys starts, then n.
     change = np.empty(n + 1, dtype=bool)
     change[0] = change[n] = True
@@ -234,9 +224,8 @@ def projective_columns(p: int, rows: np.ndarray, weights: np.ndarray | None = No
     bounds = np.flatnonzero(change)
     if n and not any(keys[0].tobytes()):
         bounds = bounds[1:]
-    starts = bounds[:-1]
-    mult = np.diff(bounds) if weights is None else np.add.reduceat(weights, starts)
-    keys = keys[starts]
+    mult = np.diff(bounds)
+    keys = keys[bounds[:-1]]
     if integer_keys:
         cols = keys // powers[:, None]
         cols %= p
@@ -369,6 +358,16 @@ def stepped_weight_table(p: int, cols: np.ndarray, mult: np.ndarray, steps: int)
             table.reshape(p**i, p, -1)[...] += term.reshape(p**i, 1, -1)
         del s, term
     return table
+
+
+def _step(rows: np.ndarray) -> np.ndarray:
+    """One construction step (construct's docstring) of the (k, n)
+    generator ``rows``: row t of block i is ext[(i - t) mod (k+1)], ext
+    being ``rows`` under a zero row."""
+    k, n = rows.shape
+    ext = np.vstack([np.zeros((1, n), dtype=rows.dtype), rows])
+    shift = (np.arange(k + 1)[None, :] - np.arange(k + 1)[:, None]) % (k + 1)  # [t, i]
+    return ext[shift].reshape(k + 1, -1)
 
 
 def _message_weights_gf2(cols: np.ndarray, mult: np.ndarray):

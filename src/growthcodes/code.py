@@ -2,7 +2,7 @@
 minimum-distance search, rate, Singleton check, direct sum and repetition.
 
 The minimum distance cached on a LinearCode is always exact and computed
-from the code itself: its rows, its column multiset, or the (base, steps)
+from the code itself: its rows, their column multiset, or the (base, steps)
 recipe of a chain member, which construct.iterate_code makes and which
 holds nothing of the member until it is read. It comes from one of the
 search engines that _engine's module docstring describes, with the rule
@@ -68,12 +68,12 @@ class LinearCode:
     DependentBasisError otherwise, and for an empty basis, so ``k`` is the
     dimension. A recipe code (below) is checked later: its ``n``, ``k`` and
     rate() are read from the recipe, and its k is checked on the first read
-    of its multiset (the rank check) or of its weight table (no nonzero
-    message of weight 0), each of which raises DependentBasisError for a
-    broken base. The rank is taken over the weighted projective column multiset
-    ``_columns`` (see _engine.projective_columns), which the distance search
-    then reuses: dropping zero, repeated and scalar-multiple columns leaves
-    the column rank unchanged.
+    of its rows or multiset (the rank check) or of its weight table (no
+    nonzero message of weight 0), each of which raises DependentBasisError
+    for a broken base. The rank is taken over the weighted projective column
+    multiset of the rows, ``_columns`` (see _engine.projective_columns),
+    which the distance search then reuses: dropping zero, repeated and
+    scalar-multiple columns leaves the column rank unchanged.
 
     ``d`` is None until min_distance_exhaustive computes the minimum
     distance from the code itself; it is written once and never holds a
@@ -84,10 +84,9 @@ class LinearCode:
     any other ``rows`` is read into a new array by linalg._residues, with
     its checks.
     A code built by _stepped (construct.iterate_code) holds only its recipe
-    (base, steps) until ``_columns`` or ``_rows`` is read; reading ``_rows``
-    raises VerificationError unless the stepped rows have exactly the
-    stepped multiset, so a search and a written file cannot describe
-    different codes.
+    (base, steps) until ``_rows`` or ``_columns`` is read; both read the
+    rows stepped from the base's, and the multiset is always that of the
+    rows, so a search and a written file describe the same code.
     """
 
     __slots__ = ("field", "n", "k", "_d", "_multiset", "_generator", "_recipe", "_weights")
@@ -105,74 +104,62 @@ class LinearCode:
             rows = _residues(field, rows, 2)
         if rows.shape[0] == 0:
             raise DependentBasisError("empty basis")
-        self._set(field, rows.shape[1], rows.shape[0], rows, None)
-        self._adopt(_engine.projective_columns(field.p, rows))
-        rows.flags.writeable = False
+        self._set(field, rows.shape[1], rows.shape[0], None)
+        self._adopt(rows)
 
     @classmethod
     def _stepped(cls, base: "LinearCode", steps: int, n: int) -> "LinearCode":
         """The length-n code that ``steps`` construction steps make from
         ``base`` (construct.iterate_code), held as the recipe (base, steps)
-        alone: its multiset and its rows are stepped from the base's on
-        their first read, and min_distance_exhaustive can weigh it from the
-        base's weight table. Its dimension base.k + steps is not checked
-        here but on the first read of its multiset (the rank check) or of
-        its table (no nonzero message of weight 0), whichever comes first;
-        n, k and rate() can be read before either."""
+        alone: its rows are stepped from the base's on the first read of
+        its rows or its multiset, and min_distance_exhaustive can weigh it
+        from the base's weight table. Its dimension base.k + steps is not
+        checked here but on the first read of its rows or multiset (the
+        rank check) or of its table (no nonzero message of weight 0),
+        whichever comes first; n, k and rate() can be read before either."""
         code = object.__new__(cls)
-        code._set(base.field, n, base.k + steps, None, (base, steps))
+        code._set(base.field, n, base.k + steps, (base, steps))
         return code
 
-    def _set(self, field, n, k, rows, recipe) -> None:
+    def _set(self, field, n, k, recipe) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_d", None)
         object.__setattr__(self, "_multiset", None)
-        object.__setattr__(self, "_generator", rows)
+        object.__setattr__(self, "_generator", None)
         object.__setattr__(self, "_recipe", recipe)
         object.__setattr__(self, "_weights", None)
 
-    def _adopt(self, columns: tuple[np.ndarray, np.ndarray]) -> None:
-        """Take ``columns`` as the code's multiset after the rank check."""
-        cols, mult = columns
+    def _adopt(self, rows: np.ndarray) -> None:
+        """Take ``rows`` as the code's generator, and their projective
+        multiset as its multiset, after the rank check; all are frozen."""
+        cols, mult = _engine.projective_columns(self.field.p, rows)
         rank = _rank(cols, self.field.p)
         if rank < self.k:
             raise DependentBasisError(f"basis has rank {rank} but {self.k} vectors")
-        cols.flags.writeable = False
-        mult.flags.writeable = False
-        object.__setattr__(self, "_multiset", columns)
+        for array in (rows, cols, mult):
+            array.flags.writeable = False
+        object.__setattr__(self, "_multiset", (cols, mult))
+        object.__setattr__(self, "_generator", rows)
 
     @property
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
         if self._multiset is None:
-            self._adopt(self._expand(rows=False))
+            self._rows
         return self._multiset
 
     @property
     def _rows(self) -> np.ndarray:
         if self._generator is None:
-            rows = self._expand(rows=True)
-            cols, mult = _engine.projective_columns(self.field.p, rows)
-            want_cols, want_mult = self._columns
-            if not (
-                rows.shape == (self.k, self.n)
-                and np.array_equal(cols, want_cols)
-                and np.array_equal(mult, want_mult)
-            ):
-                raise VerificationError(f"rows of {self!r} differ from the column multiset it was built from")
-            rows.flags.writeable = False
-            object.__setattr__(self, "_generator", rows)
+            base, steps = self._recipe
+            rows = base._rows
+            for _ in range(steps):
+                rows = _engine._step(rows)
+            if rows.shape != (self.k, self.n):
+                raise VerificationError(f"stepped rows of {self!r} have shape {rows.shape}")
+            self._adopt(rows)
         return self._generator
-
-    def _expand(self, rows: bool):
-        """A recipe code's rows (``rows``) or its projective multiset,
-        stepped from its base's by construct._expand_recipe. Only a recipe
-        code comes without either; construct, which made it, is imported
-        here, as it imports this module."""
-        from .construct import _expand_recipe
-
-        return _expand_recipe(*self._recipe, rows)
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"LinearCode is immutable ({name})")

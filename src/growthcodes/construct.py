@@ -50,8 +50,7 @@ So a column of multiplicity m becomes k + 1 columns of multiplicity m, the
 cyclic shifts of (0, c_k, ..., c_1). These are not the shifts of (0, c),
 which give the same multiset only when the code's multiset is closed under
 reversing (c_1, ..., c_k). Scaling c scales all k + 1 images, so the step
-maps a projective multiset to a projective multiset, and a member's
-``(cols, mult)`` is stepped from its base's with no generator built.
+maps a projective multiset to a projective multiset.
 
 Step lemma, on tables. Let T be the input's weight table over its q^k
 messages, with axis r - 1 holding the coefficient of a_r, and S = T with
@@ -84,9 +83,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-import numpy as np
-
-from . import _engine
 from .code import (
     DEFAULT_ENUMERATION_BUDGET,
     MATERIALIZATION_BUDGET,
@@ -207,41 +203,6 @@ def rising_factorial(a: int, s: int) -> int:
     return result
 
 
-def _step(a: np.ndarray) -> np.ndarray:
-    """One construction step of the (k, w) array ``a``, generator rows or
-    projective columns alike: row t of block i is ext[(i - t) mod (k+1)],
-    ext being ``a`` under a zero row."""
-    k, width = a.shape
-    ext = np.vstack([np.zeros((1, width), dtype=a.dtype), a])
-    shift = (np.arange(k + 1)[None, :] - np.arange(k + 1)[:, None]) % (k + 1)  # [t, i]
-    return ext[shift].reshape(k + 1, -1)
-
-
-def _step_columns(p: int, cols: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One step of a projective multiset, by the step lemma: the columns of
-    ``_step(cols)``, each with its source's multiplicity, rescaled and
-    merged by _engine.projective_columns. ``cols`` is a generator of the
-    code, so this is the multiset of the stepped generator."""
-    return _engine.projective_columns(p, _step(cols), np.tile(mult, cols.shape[0] + 1))
-
-
-def _expand_recipe(base: LinearCode, steps: int, rows: bool):
-    """The rows (``rows``) or the projective multiset of the code that
-    ``steps`` construction steps make from ``base``, stepped from the
-    base's by _step or _step_columns: what a recipe code
-    (LinearCode._stepped) reads on first use. The checks on the result are
-    the code's own."""
-    if rows:
-        out = base._rows
-        for _ in range(steps):
-            out = _step(out)
-        return out
-    columns = base._columns
-    for _ in range(steps):
-        columns = _step_columns(base.field.p, *columns)
-    return columns
-
-
 def construction_step(basis: Sequence[FieldVector]) -> list[FieldVector]:
     """One construction step on an ordered basis: iterate(basis, 1).
 
@@ -259,14 +220,12 @@ def iterate_code(code: LinearCode, steps: int) -> LinearCode:
     built (LinearCode._stepped); a code that is itself a recipe adds its
     steps to its own base's, so recipes never nest. min_distance_exhaustive
     weighs it from the base's weight table by the step lemma on tables. Its
-    projective multiset is stepped from the base's by the step lemma on
-    columns (_step_columns) on its first read, and its rows by _step from
-    the base's rows only when something reads them, and are then checked
-    against the multiset. The final generator, k + steps rows of length
-    n * (k+1)(k+2)...(k+steps), is still what code._check_materialization
-    refuses (BudgetExceededError) before any work. Only the final multiset
-    gets a rank check, or the final table its zero test: if
-    sum_t lambda_t out_t = 0, block i (sum over t != i of
+    rows are stepped from the base's by _engine._step when something reads
+    them or its multiset, which is theirs. The final generator, k + steps
+    rows of length n * (k+1)(k+2)...(k+steps), is what
+    code._check_materialization refuses (BudgetExceededError) before any
+    work. Only the final rows get a rank check, or the final table its zero
+    test: if sum_t lambda_t out_t = 0, block i (sum over t != i of
     lambda_t a_{(i-t) mod (k+1)}) forces lambda_t = 0 for every t != i, so
     blocks 0 and 1 force all lambda = 0. A step thus keeps an independent
     basis independent, and either check still catches a broken one.

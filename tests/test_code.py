@@ -545,18 +545,17 @@ def test_scans_divide_out_the_gcd_and_refuse_inexact_sums(p):
         assert info.value.required == (1 << 53) + 1
 
 
-def _two_pass_projective(p: int, rows: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray]:
+def _two_pass_projective(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The projective multiset composed in two passes over Python tuples, as
     it was before the one-pass kernel: equal columns merged first and the
     zero column dropped, then each distinct column scaled so that its first
     nonzero entry is 1 and the scaled columns merged again. Columns come out
     in the kernel's key order: base-p value while p^k < 2^62, otherwise the
     bytes of the column in min_scalar_type(p - 1)."""
-    k, n = rows.shape
-    weights = [1] * n if weights is None else weights.tolist()
+    k = rows.shape[0]
     raw: dict[tuple, int] = {}
-    for column, w in zip(map(tuple, rows.T.tolist()), weights):
-        raw[column] = raw.get(column, 0) + w
+    for column in map(tuple, rows.T.tolist()):
+        raw[column] = raw.get(column, 0) + 1
     raw.pop((0,) * k, None)
     merged: dict[tuple, int] = {}
     for column, w in raw.items():
@@ -576,17 +575,14 @@ def _two_pass_projective(p: int, rows: np.ndarray, weights=None) -> tuple[np.nda
     p=st.sampled_from((2, 3, 5, 7, 65521)),
     k=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
-    weighted=st.booleans(),
 )
-def test_projective_pass_equals_the_two_pass_composition(p, k, seed, weighted):
-    # Repeated columns, nonzero scalar multiples and zero columns, with unit
-    # weights or with the stepped multisets' arbitrary ones.
+def test_projective_pass_equals_the_two_pass_composition(p, k, seed):
+    # Repeated columns, nonzero scalar multiples and zero columns.
     rng = np.random.default_rng(seed)
     distinct = rng.integers(0, p, size=(k, int(rng.integers(1, 8))), dtype=np.int64)
     rows = _repeated_columns(rng, p, distinct)
-    weights = rng.integers(1, 50, size=rows.shape[1], dtype=np.int64) if weighted else None
-    got = _engine.projective_columns(p, rows, weights)
-    want = _two_pass_projective(p, rows, weights)
+    got = _engine.projective_columns(p, rows)
+    want = _two_pass_projective(p, rows)
     assert got[0].dtype == got[1].dtype == np.int64
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -600,10 +596,9 @@ def test_projective_pass_equals_the_two_pass_composition_on_byte_keys(p, k):
     distinct[:, -1] = p - 1  # a column led by p - 1, scaled by its inverse
     rows = _repeated_columns(rng, p, distinct)
     assert p**k >= 1 << 62
-    for weights in (None, rng.integers(1, 9, size=rows.shape[1], dtype=np.int64)):
-        got = _engine.projective_columns(p, rows, weights)
-        want = _two_pass_projective(p, rows, weights)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    got = _engine.projective_columns(p, rows)
+    want = _two_pass_projective(p, rows)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("p", [3, 7, 65521])
@@ -810,11 +805,16 @@ def test_length_2_to_the_m_code_that_does_not_split_keeps_its_refusal():
 
 
 def test_search_never_splits_a_code_built_from_its_columns(monkeypatch):
-    # A chain member whose weight table is over the budget is searched from
-    # its stepped multiset alone: it holds no rows, so it is never split,
-    # and the search derives none (reading them would keep them).
+    # A chain member whose weight table is over the budget holds no rows
+    # when its engine is picked, so it is never split: it is searched from
+    # the multiset of the rows that the scan then derives. One whose table
+    # fits derives none.
+    split = []
+    real = code_module._min_distance_by_split
+    monkeypatch.setattr(code_module, "_min_distance_by_split", lambda *a: split.append(a[0]) or real(*a))
     monkeypatch.setattr(code_module, "SPLIT_BREAK_EVEN", 0)
     members = [family_code(F2, 2, 2) for _ in range(3)]  # [80, 5], 2^5 table cells
+    budget_cells = code_module.MATERIALIZATION_BUDGET
     monkeypatch.setattr(code_module, "MATERIALIZATION_BUDGET", 31)
     for code, budget, outcome in ((members[0], DEFAULT_ENUMERATION_BUDGET, 20), (members[1], 2, BudgetExceededError)):
         if outcome is BudgetExceededError:
@@ -822,11 +822,11 @@ def test_search_never_splits_a_code_built_from_its_columns(monkeypatch):
                 min_distance_exhaustive(code, budget=budget)
         else:
             assert min_distance_exhaustive(code, budget=budget) == outcome
-        assert code._generator is None
-    monkeypatch.undo()
+    monkeypatch.setattr(code_module, "MATERIALIZATION_BUDGET", budget_cells)
     stepped = members[2]
     assert stepped.n % 2 == 0 and min_distance_exhaustive(stepped) == family_params(2, 2).d
     assert stepped._generator is None
+    assert split == []
 
 
 def test_codes_below_the_break_even_or_reached_by_the_dual_are_not_split(monkeypatch):
@@ -989,17 +989,19 @@ def test_generator_file_is_written_a_line_at_a_time_with_the_same_bytes(tmp_path
 
 
 def test_refused_rows_leave_no_generator_file(tmp_path):
-    # A recipe that returns another multiset's rows is refused when the rows
-    # are first read, which happens before the file is opened.
+    # A recipe whose base has dependent rows is refused by the rank check of
+    # its stepped rows, which are derived before the file is opened. Refused
+    # rows are not kept, so every later read is refused too.
     code = _code(F3, [[1, 0, 1, 2], [0, 1, 1, 1]])
-    other = _code(F3, [[1, 0, 1, 1], [0, 1, 1, 1]])
+    dependent = _code(F3, [[1, 0, 1, 2], [0, 1, 1, 1]])
+    object.__setattr__(dependent, "_generator", np.array([[1, 0, 1, 2], [2, 0, 2, 1]], dtype=np.int64))
     member = iterate_code(code, 1)
-    member._columns
-    object.__setattr__(member, "_recipe", (other, 1))
+    object.__setattr__(member, "_recipe", (dependent, 1))
     path = tmp_path / "g.txt"
-    with pytest.raises(VerificationError):
-        write_generator_file(member, path)
-    assert not path.exists()
+    for _ in range(2):
+        with pytest.raises(DependentBasisError):
+            write_generator_file(member, path)
+        assert not path.exists()
 
 
 _TEXT_PRIMES = (2, 3, 7, 11, 13, 97, 251, 257, 1009, 10007, 65521)

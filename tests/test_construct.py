@@ -15,8 +15,6 @@ from growthcodes import (
     FieldMismatchError,
     FieldVector,
     LinearCode,
-    ShapeMismatchError,
-    VerificationError,
     check_bounded,
     construction_step,
     format_generator,
@@ -101,21 +99,21 @@ def test_step_and_iterate_refuse_a_dependent_basis_even_at_zero_steps():
 
 
 def test_construction_step_rejects_dependent_output(monkeypatch):
-    real = construct._step_columns
+    real = _engine._step
 
-    def dependent_columns(p, cols, mult):
-        cols, mult = real(p, cols, mult)
-        cols = cols.copy()
-        cols[-1] = (cols[0] + cols[1]) % p
-        return cols, mult
+    def dependent_step(rows):
+        rows = real(rows)
+        rows[-1] = (rows[0] + rows[1]) % 3
+        return rows
 
-    monkeypatch.setattr(construct, "_step_columns", dependent_columns)
+    monkeypatch.setattr(_engine, "_step", dependent_step)
     basis = list(seed_code(F3, 2).basis)
     with pytest.raises(DependentBasisError):
         construction_step(basis)
     with pytest.raises(DependentBasisError):
         iterate(basis, 2)
-    # A member's multiset is stepped, and its rank checked, on first read.
+    # A member's rows are stepped, and their rank checked, on the first read
+    # of its multiset.
     with pytest.raises(DependentBasisError):
         family_code(F3, 2, 1)._columns
 
@@ -394,8 +392,7 @@ def test_step_lower_bound_on_random_codes():
 
 @pytest.mark.parametrize("steps,built", [(0, 0), (1, 1), (2, 1), (4, 1)])
 def test_iterate_code_builds_one_code(monkeypatch, steps, built):
-    # One code per call: one rank check, on the final stepped multiset, and
-    # no generator rows stepped.
+    # One code per call: one rank check, on the final stepped rows.
     base = seed_code(F3, 2)
     checks = []
     real = code_module._rank
@@ -406,12 +403,12 @@ def test_iterate_code_builds_one_code(monkeypatch, steps, built):
 
     monkeypatch.setattr(code_module, "_rank", counting)
     out = iterate_code(base, steps)
-    # A member is a recipe until its multiset is read; that read is its one
-    # rank check.
-    assert (out._multiset is None) == (steps > 0)
+    # A member is a recipe until its multiset is read; that read steps its
+    # rows and is its one rank check.
+    assert (out._generator is None) == (out._multiset is None) == (steps > 0)
     out._columns
     assert len(checks) == built
-    assert (out._generator is None) == (steps > 0)
+    assert out._generator is not None and out._multiset is not None
     assert (out.n, out.k) == (predict_params(4, 3, 1, 3, steps).n, 3 + steps)
 
 
@@ -424,10 +421,11 @@ def _docstring_step(rows: np.ndarray) -> np.ndarray:
 
 
 def _rolled_step(p, cols, mult):
-    """The wrong orientation: the k+1 cyclic shifts of (0, c)."""
-    ext = np.vstack([np.zeros((1, cols.shape[1]), dtype=np.int64), cols])
+    """The wrong orientation: the k+1 cyclic shifts of (0, c), each column
+    repeated by its multiplicity."""
+    ext = np.repeat(np.vstack([np.zeros((1, cols.shape[1]), dtype=np.int64), cols]), mult, axis=1)
     stepped = np.hstack([np.roll(ext, i, axis=0) for i in range(cols.shape[0] + 1)])
-    return _engine.projective_columns(p, stepped, np.tile(mult, cols.shape[0] + 1))
+    return _engine.projective_columns(p, stepped)
 
 
 def _assert_same_multiset(got, want):
@@ -564,18 +562,6 @@ def test_odd_chain_scans_raise_no_warning_or_floating_point_error(field, index, 
         assert sum(counts.values()) == field.p**member.k
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_merge_refuses_weights_that_do_not_match_the_columns(p):
-    # One weight per column: a longer or shorter weights array is refused,
-    # never truncated.
-    cols = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)
-    for length in (2, 4, 6):
-        with pytest.raises(ShapeMismatchError):
-            _engine.projective_columns(p, cols, np.ones(length, dtype=np.int64))
-    merged = _engine.projective_columns(p, cols, np.ones(3, dtype=np.int64))
-    _assert_same_multiset(merged, _engine.projective_columns(p, cols))
-
-
 def test_stepped_multiset_of_random_codes_pins_the_orientation():
     # Criterion 07's codes, which are not closed under reversing their
     # columns: the shifts of (0, c) give a different multiset on some of them.
@@ -607,16 +593,22 @@ def test_stepped_generator_text_matches_the_docstring_step(field, index, steps):
         assert format_generator(family_code(field, index, steps)) == text
 
 
-def test_rows_that_disagree_with_the_stepped_multiset_are_refused():
+def test_read_rows_stay_those_the_multiset_was_made_from():
     member = family_code(F3, 2, 2)
     assert min_distance_exhaustive(member) == 20
-    # The multiset is stepped from the true recipe; the rows then come from
-    # a recipe whose base has one entry changed.
-    member._columns
     base, steps = member._recipe
+    want = base._rows
+    for _ in range(steps):
+        want = _docstring_step(want)
+    # The multiset is read from the true recipe, whose base then has one
+    # entry changed: the rows were stepped with the multiset and are kept.
+    multiset = member._columns
+    _assert_same_multiset(multiset, _engine.projective_columns(3, want))
     rows = base._rows.copy()
     rows[0, 0] = (rows[0, 0] + 1) % 3
     object.__setattr__(member, "_recipe", (LinearCode(F3, rows), steps))
-    for read in (lambda c: c.generator, lambda c: c.basis, format_generator):
-        with pytest.raises(VerificationError):
-            read(member)
+    text = "\n".join([f"3 {member.n} {member.k}", *(" ".join(str(int(x)) for x in row) for row in want)]) + "\n"
+    assert np.array_equal(member.generator.array, want)
+    assert member.basis == tuple(FieldVector(F3, row) for row in want)
+    assert format_generator(member) == text
+    assert member._columns is multiset

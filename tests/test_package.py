@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import growthcodes
+import run_mutants
 
 # Every public name of the package, by the module that defines it.
 EXPORTS = {
@@ -109,3 +110,16 @@ def test_declared_floors_match_the_ci_floor_job():
     assert workflow.count("numpy==") == 1
     pythons = re.findall(r'"(3\.\d+)"', workflow)
     assert pythons and min(map(_version, pythons)) == _version(python_floor)
+
+
+def test_every_kept_mutant_applies_to_its_file_once():
+    # run_mutants refuses a stale mutant only when the slow job runs; these
+    # are the same checks on the files alone.
+    mutants = run_mutants.load([])
+    names = [mutant["name"] for mutant in mutants]
+    assert len(set(names)) == len(names)
+    for mutant in mutants:
+        assert (run_mutants.ROOT / mutant["file"]).is_file(), mutant["name"]
+        assert (run_mutants.ROOT / mutant["test"]).is_file(), mutant["name"]
+        assert mutant["replace"] != mutant["find"], mutant["name"]
+        assert run_mutants.check_find(mutant) is None, mutant["name"]
