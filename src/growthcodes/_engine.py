@@ -17,12 +17,14 @@ rows, which _step steps from its base's on their first read.
 
 A chain member is usually not scanned at all: stepped_weight_table weighs
 every one of its q^K messages from its base's table by the step lemma on
-tables (construct's docstring), one add of a transposed table per block and
-step, about (K+1) q^K cell operations against the scan's q^K/(q-1) x D,
-with no column of the member built. Its cells are the narrowest unsigned
-integers that hold the recursion's own bound on a member weight, the base's
-length less its zero columns times (k+1)...(K), so no sum wraps; a bound
-past uint64 is refused.
+tables and its reversal lemma (construct's docstring): each step adds one
+term per block, each a 2-D copy of the previous table read as it is, and no
+whole table is ever reversed or transposed. That is about (K+1) q^K cell
+operations against the scan's q^K/(q-1) x D, with no column of the member
+built. Its cells are the
+narrowest unsigned integers that hold the recursion's own bound on a member
+weight, the base's length less its zero columns times (k+1)...(K), so no
+sum wraps; a bound past uint64 is refused.
 
 projective_columns makes the multiset in one pass: it scales every column
 so that its first nonzero entry is 1 (a zero column stays zero), keys the
@@ -70,15 +72,22 @@ below are inexact, is refused with BudgetExceededError rather than scanned.
   an int64 temporary.
 * The step recursion (stepped_weight_table) weighs a chain member whose
   q^K table fits code.min_distance_exhaustive's budget and
-  MATERIALIZATION_BUDGET cells: its base's table is weighed from the base's
-  multiset by the same kernel as the odd scan, over every prefix in C order
-  (_weight_table), then stepped. Against building and scanning the
-  member's multiset it was faster on every chain member measured within
-  those budgets but one, from 1.9x on GF(2) seed 2 at j = 6 and 3.6x on
-  GF(7) seed 2 at j = 5 to 75x on GF(3) seed 4 at j = 5. The one is GF(7)
-  seed 4 at j = 1, whose 36 distinct columns scan in 19 ms against 25 ms
-  for its 7^8 table; a rule that counts the scan's work needs D, which
-  only the multiset the recursion avoids building gives.
+  MATERIALIZATION_BUDGET cells: its base's table, or the table of the base
+  with its rows reversed when the step count is odd, is weighed from the
+  base's multiset by the same kernel as the odd scan, over every prefix in
+  C order (_weight_table), then stepped by _step_table. Each step fills the
+  new table with its last block term, np.repeat of the previous table, adds
+  the next-to-last, whose runs are q cells, as tiled rows in chunks within
+  _BLOCK_BYTES, and every other term as a transposed copy broadcast in runs
+  of q^2 cells or more: one table, the previous table and one term alive.
+  Against building and scanning the member's multiset it was level or
+  faster on every chain member of seeds 2-4 within those budgets but one
+  (best of 5, in process), from level on GF(7) seed 3 at j = 1 (0.84
+  against 0.87 ms) and 1.1x on GF(5) seed 4 at j = 1 to 145x on GF(3)
+  seed 4 at j = 5. The one is GF(7) seed 4 at j = 1, whose 36 distinct
+  columns build and scan in 20.5 ms against 21.5 ms for its 7^8 table (best
+  of 21), 9 ms of it the 7^7 base table; a rule that counts the scan's work
+  needs D, which only the multiset the recursion avoids building gives.
   Any other member builds its rows and their multiset and is searched like
   any other code, with the same refusals.
 * High-rate codes are searched through their dual: the scan above, run over
@@ -210,9 +219,10 @@ def projective_columns(p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
         rows = _scaled(p, rows)
     integer_keys = p**k < _KEY_LIMIT
     if integer_keys:
-        # Exact: every partial sum of the product is below p**k.
+        # Exact: every partial sum of the product is below p**k. One buffered
+        # product, so narrow scaled rows are not cast to an int64 (k, n) copy.
         powers = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        keys = powers @ rows
+        keys = np.einsum("i,ij->j", powers, rows)
     else:
         narrow = np.ascontiguousarray(rows.T, dtype=np.min_scalar_type(p - 1))
         keys = narrow.view(np.dtype((np.void, narrow.strides[0]))).ravel()
@@ -322,23 +332,22 @@ def stepped_weight_table(p: int, cols: np.ndarray, mult: np.ndarray, steps: int)
     as a flat table over its p^K messages in C order: axis r - 1 holds the
     coefficient of basis vector a_r, so a_1's is the most significant digit.
 
-    The base table is weighed from the multiset by _weight_table. Each step
-    of a table T over k digits is the step lemma on tables (construct's
-    docstring): with S = T with its axes reversed, the stepped
-    table is the sum over i = 0..k of the weight of block i,
-    S[x_{i+1}, ..., x_k, x_0, ..., x_{i-1}]. Its digits split as
-    P = (x_0, ..., x_{i-1}), the deleted x_i and Q = (x_{i+1}, ..., x_k), so
-    the term is S viewed as (p^(k-i), p^i), copied transposed into
-    (p^i, p^(k-i)) and added to the table viewed as (p^i, p, p^(k-i)),
-    broadcast along the middle axis. Every entry and partial sum is at most
-    the base's multiplicity sum times (k+1)...(k+steps), k the base's
-    dimension, so the table is in the narrowest unsigned dtype that holds
-    that bound, and nothing wraps; BudgetExceededError, carrying the bound,
-    when no unsigned dtype does, or carrying the reduced sum when
-    _weight_table's float products would be inexact. One table of the member's p^K cells is
-    alive at a time, with S and one term, each a p-th of it: S holds all
-    that a step reads, so the old table is dropped before the new one is
-    allocated.
+    By the step lemma on tables and its reversal lemma (construct's
+    docstring) the member's table is Phi^steps(rev^steps T), Phi one step as
+    _step_table computes it and rev the reversal of every digit. So no
+    whole table is reversed or transposed: an even step count starts from
+    the base's own table, an odd one from the table of the base with its
+    rows reversed, which is rev T, and every step applies Phi to the
+    previous table as it is. Both base tables are weighed from the multiset
+    by _weight_table.
+    Every entry and partial sum is at most the base's multiplicity sum times
+    (k+1)...(k+steps), k the base's dimension, so the table is in the
+    narrowest unsigned dtype that holds that bound, and nothing wraps;
+    BudgetExceededError, carrying the bound, when no unsigned dtype does, or
+    carrying the reduced sum when _weight_table's float products would be
+    inexact. One table of the member's p^K cells is alive at a time, with
+    the previous table and one term, each a p-th of it, and temporaries
+    within _BLOCK_BYTES (_step_table).
     """
     base = cols.shape[0]
     bound = sum(mult.tolist()) * math.prod(range(base + 1, base + steps + 1))
@@ -347,16 +356,41 @@ def stepped_weight_table(p: int, cols: np.ndarray, mult: np.ndarray, steps: int)
         raise BudgetExceededError(
             f"member weights up to {bound} do not fit uint64", required=bound, budget=int(np.iinfo(np.uint64).max)
         )
-    table = _weight_table(p, cols, mult, dtype)
+    table = _weight_table(p, cols[::-1] if steps % 2 else cols, mult, dtype)
     for k in range(base, base + steps):
-        s = table.reshape((p,) * k).transpose().ravel()
-        del table
-        table = np.zeros(p * len(s), dtype=dtype)
-        term = np.empty_like(s)
-        for i in range(k + 1):
-            np.copyto(term.reshape(p**i, -1), s.reshape(-1, p**i).T)
-            table.reshape(p**i, p, -1)[...] += term.reshape(p**i, 1, -1)
-        del s, term
+        table = _step_table(p, k, table)
+    return table
+
+
+def _step_table(p: int, k: int, s: np.ndarray) -> np.ndarray:
+    """Phi(S), flat in C order over k + 1 digits, for the flat C-order table
+    ``s`` over k digits: Phi(S)[x_0, ..., x_k] is the sum over i = 0..k of
+    S[x_{i+1}, ..., x_k, x_0, ..., x_{i-1}] (construct's docstring).
+
+    Term i splits the digits as P = (x_0, ..., x_{i-1}), the deleted x_i and
+    Q = (x_{i+1}, ..., x_k): it is S viewed as (p^(k-i), p^i), copied
+    transposed into (p^i, p^(k-i)) and added to the table viewed as
+    (p^i, p, p^(k-i)), broadcast along the middle axis, in runs of p^(k-i)
+    cells. Two terms would run short. Term k, with Q empty, is S repeated
+    along the new last digit, and is the table's first fill. Term k - 1,
+    whose runs are p cells, is S[x_k, P] broadcast along x_{k-1}: with the
+    table viewed as (p^(k-1), p^2) each row is its (p^(k-1), p) copy's row
+    tiled p times, and is added as such, a chunk of rows at a time, each
+    chunk's tile within _BLOCK_BYTES (at least one row of p^2 cells, which
+    passes it only for p of 182 and more). Besides the table, ``s`` and the
+    chunks' tiles only one term buffer, a p-th of the table, is allocated.
+    """
+    table = np.repeat(s, p)
+    term = np.empty_like(s)
+    for i in range(k - 1):
+        np.copyto(term.reshape(p**i, -1), s.reshape(-1, p**i).T)
+        table.reshape(p**i, p, -1)[...] += term.reshape(p**i, 1, -1)
+    rows = term.reshape(-1, p)
+    np.copyto(rows, s.reshape(p, -1).T)
+    wide = table.reshape(len(rows), -1)
+    chunk = max(1, _BLOCK_BYTES // wide[0].nbytes)
+    for a in range(0, len(rows), chunk):
+        wide[a : a + chunk] += np.tile(rows[a : a + chunk], p)
     return table
 
 

@@ -70,9 +70,25 @@ transposed, broadcast over x_i, the middle axis of T' viewed as
 every partial sum is at most the stepped length n(k+1). The table is 0
 only at message 0 exactly when the stepped basis is independent: a zero
 elsewhere is a nonzero combination of the basis that vanishes.
-_engine.stepped_weight_table runs this from the base's multiset, and
-code.min_distance_exhaustive reads a member's distance, basis weights and
-basis-sum weight from it, with no column of the member built.
+
+Reversal lemma. Write Phi for the right side as a map of tables,
+Phi(S)[x_0, ..., x_k] = sum over i of S[x_{i+1}, ..., x_k, x_0, ..., x_{i-1}],
+and rev for reversing every axis, so T' = Phi(rev T). Then
+Phi(rev X) = rev Phi(X) for every table X. Proof: term i of
+rev Phi(X)[x_0, ..., x_k] = Phi(X)[x_k, ..., x_0] reads X at
+(x_{k-i-1}, ..., x_0, x_k, ..., x_{k-i+1}), and so does term k - i of
+Phi(rev X)[x], which is (rev X)[x_{k-i+1}, ..., x_k, x_0, ..., x_{k-i-1}].
+Reversing x maps the term that deletes x_i, read forward, onto the term
+that deletes x_{k-i}, read backward, and the sum over i is the same. By
+induction the table after s steps is T_s = Phi^s(rev^s T): if
+T_(s-1) = Phi^(s-1)(rev^(s-1) T), the lemma s - 1 times gives
+rev T_(s-1) = Phi^(s-1)(rev^s T), and T_s = Phi(rev T_(s-1)). rev^s is the
+identity for even s and rev for odd s, and rev T, with
+rev T[y_1, ..., y_k] = wt(y_1 a_k + ... + y_k a_1), is the table of the
+same basis in reverse order. So no table need ever be reversed.
+_engine.stepped_weight_table runs Phi^s(rev^s T) from the base's multiset,
+and code.min_distance_exhaustive reads a member's distance, basis weights
+and basis-sum weight from it, with no column of the member built.
 """
 
 from __future__ import annotations

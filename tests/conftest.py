@@ -69,15 +69,23 @@ def step_weight_tables(code: LinearCode, last: int):
     table = np.count_nonzero(digits @ code.generator.array % p, axis=1).reshape((p,) * k)
     yield table
     for _ in range(last):
-        k = table.ndim
-        stepped = np.zeros((p,) * (k + 1), dtype=np.int64)
-        # axis k of ``wide`` has length 1: the deleted digit x_i
-        wide = np.expand_dims(table, -1)
-        for i in range(k + 1):
-            # digit x_j is the coefficient of a_r, r = (i - j) mod (k+1), on axis r - 1
-            stepped += np.transpose(wide, [k if j == i else (i - j) % (k + 1) - 1 for j in range(k + 1)])
-        table = stepped
+        table = reference_step(table)
         yield table
+
+
+def reference_step(table: np.ndarray) -> np.ndarray:
+    """One step of the table T of a code over k digits, one axis of length q
+    per digit: T'[x] = sum_i T[m_i(x)], x = (x_0, ..., x_k), with
+    m_i(x) = (x_{i-1}, ..., x_{i-k}), indices mod k+1, each term a
+    transposed view of T broadcast along axis i. In int64."""
+    k, p = table.ndim, table.shape[0]
+    stepped = np.zeros((p,) * (k + 1), dtype=np.int64)
+    # axis k of ``wide`` has length 1: the deleted digit x_i
+    wide = np.expand_dims(table, -1)
+    for i in range(k + 1):
+        # digit x_j is the coefficient of a_r, r = (i - j) mod (k+1), on axis r - 1
+        stepped += np.transpose(wide, [k if j == i else (i - j) % (k + 1) - 1 for j in range(k + 1)])
+    return stepped
 
 
 def random_code(rng: np.random.Generator, p: int, k: int, n: int) -> LinearCode:

@@ -3,6 +3,7 @@ import itertools
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -626,6 +627,24 @@ def test_projective_pass_drops_zero_columns_and_keeps_empty_inputs_empty(p):
         assert cols.shape == (3, 0) and mult.shape == (0,)
     cols, mult = _engine.projective_columns(p, np.array([[0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.int64))
     assert cols.tolist() == [[0, 1], [1, 0]] and mult.tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("p,k", [(3, 11), (7, 9)])
+def test_projective_pass_keys_wide_rows_without_an_int64_copy(p, k):
+    # 60000 columns, 150 distinct: the scaled rows are uint8 and their keys
+    # are one buffered product, below one int64 (k, n) array in all.
+    rng = np.random.default_rng(p * k)
+    distinct = rng.integers(0, p, size=(k, 150), dtype=np.int64)
+    rows = np.tile(distinct, 400)
+    want = _two_pass_projective(p, rows)
+    tracemalloc.start()
+    try:
+        cols, mult = _engine.projective_columns(p, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(cols, want[0]) and np.array_equal(mult, want[1])
+    assert peak < 8 * rows.size, peak
 
 
 def test_every_generator_allocation_checks_the_one_materialization_budget(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from growthcodes.construct import _chain_walk, iterate_code, rising_factorial
 from growthcodes.growth import exact_integer_text
 from growthcodes.seeds import family_code, family_params, seed_code
 
-from conftest import lex_min_distance, random_small_codes, step_weight_tables
+from conftest import lex_min_distance, random_code, random_small_codes, reference_step, step_weight_tables
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -207,6 +208,68 @@ def test_step_recursion_refuses_past_its_limits():
     # GF(7) seed 2 at j = 6 has 7^9 cells, over MATERIALIZATION_BUDGET
     with pytest.raises(ValueError):
         next(step_weight_tables(seed_code(F7, 2), 6))
+
+
+def _reversed(p: int, k: int, flat: np.ndarray) -> np.ndarray:
+    """The flat C-order table over k digits with every digit reversed."""
+    return flat.reshape((p,) * k).transpose().ravel()
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7)), k=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_one_table_step_commutes_with_reversing_every_digit(p, k, seed):
+    # Phi(rev X) = rev Phi(X) on an arbitrary nonnegative table X, and
+    # Phi(rev X) is the oracle's step of X, T'[x] = sum_i T[m_i(x)].
+    assume(p ** (k + 1) <= 1 << 16)
+    table = np.random.default_rng(seed).integers(0, 1 << 16, size=p**k, dtype=np.uint32)
+    stepped = _engine._step_table(p, k, table)
+    assert stepped.dtype == np.uint32
+    assert np.array_equal(_engine._step_table(p, k, _reversed(p, k, table)), _reversed(p, k + 1, stepped))
+    want = reference_step(table.reshape((p,) * k).astype(np.int64))
+    assert np.array_equal(_engine._step_table(p, k, _reversed(p, k, table)), want.ravel())
+
+
+def _assert_stepped_tables_equal_the_oracle(code, last):
+    p = code.field.p
+    cols, mult = code._columns
+    for steps, want in enumerate(step_weight_tables(code, last)):
+        table = _engine.stepped_weight_table(p, cols, mult, steps)
+        assert table.dtype.kind == "u" and np.array_equal(table, want.ravel()), (p, code.k, steps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7)), k=st.integers(1, 6), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_stepped_tables_equal_the_oracle_on_random_codes(p, k, n, seed):
+    # Step counts 0 to 3, even ones from the base's table and odd ones from
+    # its rows reversed.
+    assume(k <= n and p ** (k + 3) <= 1 << 15)
+    _assert_stepped_tables_equal_the_oracle(random_code(np.random.default_rng(seed), p, k, n), 3)
+
+
+@pytest.mark.parametrize("p,k,n,last", [(2, 10, 420, 3), (3, 7, 240, 1), (5, 5, 160, 1), (7, 4, 160, 1)])
+def test_stepped_tables_equal_the_oracle_on_bases_of_several_prefix_blocks(p, k, n, last):
+    # The base's table takes more than one prefix block (t < k), and an odd
+    # step count weighs it with its rows reversed.
+    code = random_code(np.random.default_rng(p * 1000 + k), p, k, n)
+    width = code._columns[0].shape[1]
+    assert _engine._block_digits(p, k, width * np.min_scalar_type(2 * (p - 1)).itemsize) < k
+    _assert_stepped_tables_equal_the_oracle(code, last)
+
+
+def test_stepped_table_stays_within_its_memory_profile():
+    # 7^7 uint16 cells, 1.6 MiB: one table, the previous table and one term,
+    # each a seventh of it, and temporaries within _BLOCK_BYTES. A second
+    # whole-table temporary is over the bound.
+    p, steps = 7, 4
+    cols, mult = seed_code(F7, 2)._columns
+    tracemalloc.start()
+    try:
+        table = _engine.stepped_weight_table(p, cols, mult, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes >= 1 << 20
+    assert peak <= table.nbytes + 2 * table.nbytes // p + _engine._BLOCK_BYTES + (64 << 10), peak
 
 
 @pytest.mark.parametrize("field,last", [(F2, 16), (F3, 11), (F5, 7)], ids=lambda x: str(x))
